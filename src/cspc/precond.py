@@ -4,7 +4,20 @@ Both preconditioners mask B = W A W* down to a cheaply invertible
 pattern and conjugate the masked inverse back: M^{-1} v = W* S^{-1} W v,
 one FFT pair plus a pre-factorized solve per application.
 
-* Cycle preconditioner: S keeps the k dominant cycles of B.
+* Cycle preconditioner: S keeps the k dominant cycles of B, k n
+  nonzeros.  S is factored once as a sparse matrix (SuperLU), so each
+  application is one FFT pair plus a sparse triangular solve; nothing of
+  size n x n is ever formed.  Fill stays small for the selections the
+  generators produce, near-diagonal ({0, 1, n-1}, {0, 1, 2, n-2, n-1})
+  or coset-structured ({0, n/m, 2n/m, ...}): at n = 1000-2048 and
+  k <= 16, L + U held 1.0-2.6x the nnz of S, the factorization ran
+  20-1200x faster than a dense LU and the triangular solve took
+  0.02-0.2 ms against 1.4-5.6 ms.  Selections spread over the whole
+  index range fill in toward dense: at n = 2048 with 16 random cycles,
+  L + U held 93-96x nnz (about 0.75 n^2), the factorization took
+  1.4-1.7 s against 0.41 s for a dense LU and the solve was about 10%
+  slower.  No caller produces such a selection; it is not guarded.
+  (Timings: one core of a 2-core Intel Xeon VM, single-threaded BLAS.)
 * Corner-block preconditioner: S keeps the full diagonal plus a dense
   s x s bottom-right corner, s maximal under the nonzero budget
   (n - s) + s^2.  At s = 1 the two coincide (single dominant cycle of a
@@ -24,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .core import ConfigError, NumericalError, require_square
 from .generators import StructuredMatrixSpec, generate
@@ -42,10 +56,11 @@ __all__ = [
 ]
 
 
-def _check_factor_diagonal(lu: np.ndarray, what: str):
-    d = np.abs(np.diag(lu))
-    if d.size and d.min() <= d.max() * np.finfo(float).eps * lu.shape[0]:
-        raise NumericalError(f"{what} is numerically singular")
+def _check_factor_diagonal(pivots: np.ndarray, message: str):
+    """Raise when the smallest pivot of a factor is negligible next to its largest."""
+    d = np.abs(pivots)
+    if d.size and d.min() <= d.max() * np.finfo(float).eps * d.size:
+        raise NumericalError(message)
 
 
 def _lu_factor_quiet(matrix: np.ndarray):
@@ -57,30 +72,30 @@ def _lu_factor_quiet(matrix: np.ndarray):
 
 
 class CyclePreconditioner:
-    """Applies the inverse of W* B~ W for B~ = dominant cycles of B."""
+    """Applies the inverse of W* B~ W for B~ = dominant cycles of B.
+
+    B~ is factored once, as the sparse matrix it is, by SuperLU with its
+    default column ordering; each apply is fft, two sparse triangular
+    solves and ifft.  Cost depends on the fill of that factor: small for
+    near-diagonal and coset selections, growing toward dense for cycles
+    spread over the whole index range (see the module docstring).
+    """
 
     def __init__(self, b_sparse: SparseCycleMatrix):
         self.selection = b_sparse.selection
         self.cycles = b_sparse.cycles
         self.n = b_sparse.n
-        dense = b_sparse.densify()
+        singular = f"cycle preconditioner with cycles {self.selection.indices} is singular"
         try:
-            self._lu = _lu_factor_quiet(dense)
-        except scipy.linalg.LinAlgError as e:
-            raise NumericalError(
-                f"cycle preconditioner with cycles {self.selection.indices} is singular"
-            ) from e
-        try:
-            _check_factor_diagonal(self._lu[0], "masked cycle matrix")
-        except NumericalError:
-            raise NumericalError(
-                f"cycle preconditioner with cycles {self.selection.indices} is singular"
-            ) from None
+            self._lu = scipy.sparse.linalg.splu(b_sparse.to_scipy())
+        except RuntimeError as e:
+            if "singular" not in str(e):  # SuperLU: "Factor is exactly singular"
+                raise
+            raise NumericalError(singular) from e
+        _check_factor_diagonal(self._lu.U.diagonal(), singular)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        w = np.fft.fft(v)
-        y = scipy.linalg.lu_solve(self._lu, w, check_finite=False)
-        return np.fft.ifft(y)
+        return np.fft.ifft(self._lu.solve(np.fft.fft(v)))
 
 
 class TChanPreconditioner:
@@ -100,7 +115,7 @@ class TChanPreconditioner:
             self._lu = _lu_factor_quiet(corner)
         except scipy.linalg.LinAlgError as e:
             raise NumericalError("corner block of the transform is singular") from e
-        _check_factor_diagonal(self._lu[0], "corner block")
+        _check_factor_diagonal(np.diag(self._lu[0]), "corner block is numerically singular")
 
     @property
     def nnz(self) -> int:

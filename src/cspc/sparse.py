@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from .core import (
     CycleSelection,
@@ -80,6 +81,19 @@ class SparseCycleMatrix:
             rows, cols = cycle_positions(self.n, k)
             out[rows, cols] = self.cycles[t]
         return out
+
+    def to_scipy(self) -> scipy.sparse.csc_matrix:
+        """The same matrix in compressed sparse column form, nnz entries.
+
+        Equal to densify() entry for entry: cycles partition the
+        positions, so no two stored values land on one entry.
+        """
+        positions = [cycle_positions(self.n, k) for k in self.selection.indices]
+        rows = np.concatenate([r for r, _ in positions])
+        cols = np.concatenate([c for _, c in positions])
+        return scipy.sparse.csc_matrix(
+            (self.cycles.ravel(), (rows, cols)), shape=(self.n, self.n)
+        )
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.cycles))

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from cspc.core import ConfigError, CycleSelection, NumericalError, materialize_cycle
-from cspc.generators import StructuredMatrixSpec, gen_example1
+from cspc.core import (
+    ConfigError,
+    CycleSelection,
+    NumericalError,
+    cycle_positions,
+    fourier_matrix,
+    materialize_cycle,
+)
+from cspc.generators import StructuredMatrixSpec, gen_example1, generate
 from cspc.precond import (
+    CyclePreconditioner,
     build_cycle_preconditioner,
     build_tchan_preconditioner,
     corner_block_side,
@@ -11,27 +19,84 @@ from cspc.precond import (
     precond_benchmark,
 )
 from cspc.decomposition import circulant_dense
-from cspc.sparse import SparseCycleMatrix
+from cspc.sparse import SparseCycleMatrix, sparsify
 from cspc.transform import inverse_similarity_transform, similarity_transform
 
 
-def test_cycle_preconditioner_inverts_its_own_matrix():
+def _example1_k1():
+    a, _ = gen_example1(32)
+    return build_cycle_preconditioner(a, 1)
+
+
+def _example1_k3():
     a, _ = gen_example1(32)
     m = build_cycle_preconditioner(a, 3)
-    kept = SparseCycleMatrix(32, m.selection, m.cycles)
+    assert m.selection.indices == (0, 1, 31)  # wrapped corners
+    return m
+
+
+def _block_toeplitz_coset():
+    spec = StructuredMatrixSpec(kind="block_toeplitz", n=40, m=4, symmetric=True, make_pd=True, seed=3)
+    a, _ = generate(spec)
+    m = build_cycle_preconditioner(a, 4)
+    assert m.selection.indices == (0, 10, 20, 30)
+    return m
+
+
+def _spread():
+    n = 32
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 8 * np.eye(n)
+    return CyclePreconditioner(sparsify(b, CycleSelection.of(n, [0, 3, 10, 17, 26])))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_example1_k1, _example1_k3, _block_toeplitz_coset, _spread],
+    ids=["example1-k1", "example1-k3", "block-toeplitz-coset", "spread"],
+)
+def test_cycle_preconditioner_inverts_its_own_matrix(make):
+    m = make()
+    kept = SparseCycleMatrix(m.n, m.selection, m.cycles)
     dense = inverse_similarity_transform(kept.densify())
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    v = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
     assert np.allclose(m.apply(dense @ v), v, atol=1e-10)
 
 
+def test_cycle_preconditioner_never_densifies(monkeypatch):
+    def refuse(self):
+        raise AssertionError("densify called")
+
+    monkeypatch.setattr(SparseCycleMatrix, "densify", refuse)
+    n = 4096
+    rng = np.random.default_rng(4)
+    sel = CycleSelection.of(n, [0, 1, n - 1])
+    cycles = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    cycles[0] += 8.0  # diagonally dominant, so S is invertible
+    m = CyclePreconditioner(SparseCycleMatrix(n, sel, cycles))
+    # S y computed cycle by cycle, independent of the sparse format
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s_y = np.zeros(n, dtype=complex)
+    for k, c in zip(sel.indices, cycles):
+        rows, cols = cycle_positions(n, k)
+        s_y[rows] += c * y[cols]
+    assert np.allclose(m.apply(np.fft.ifft(s_y)), np.fft.ifft(y), atol=1e-12)
+
+
 def test_cycle_preconditioner_singular_raises():
-    # a circulant shift has a zero eigenvalue sum pattern: use the cycle-1
-    # permutation alone, whose transform is a diagonal of roots of unity;
-    # the all-ones circulant instead is genuinely singular
+    # the all-ones circulant transforms to diag(n, 0, ..., 0): exactly singular
     n = 8
     a = np.ones((n, n), dtype=complex)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="is singular"):
+        build_cycle_preconditioner(a, 1)
+    # a circulant with eigenvalue 1e-20 x max: the transform diagonal holds
+    # it at roundoff level, a tiny pivot rather than an exact zero
+    lam = np.arange(1.0, n + 1)
+    lam[3] = 1e-20 * lam.max()
+    w = fourier_matrix(n)
+    a = w.conj().T @ np.diag(lam) @ w
+    with pytest.raises(NumericalError, match="is singular"):
         build_cycle_preconditioner(a, 1)
 
 

@@ -32,6 +32,7 @@ def test_sparse_cycle_matrix_basics():
     assert np.array_equal(sp.cycle(2), apply_cycle_mask(b, 2))
     expected = sum(materialize_cycle(apply_cycle_mask(b, k), 6, k) for k in (0, 2, 5))
     assert np.allclose(sp.densify(), expected)
+    assert np.array_equal(sp.to_scipy().toarray(), sp.densify())
     assert sp.frobenius_norm() == pytest.approx(np.linalg.norm(sp.densify()))
 
 
