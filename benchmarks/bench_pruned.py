@@ -1,9 +1,7 @@
 """Timing comparison for the pruned cycle extraction.
 
-Three ways to get k cycles of W A W*:
-  * pruned row pass with the numba kernel (default build; skipped, and
-    its columns dropped, when numba is not installed)
-  * pruned row pass with the numpy fallback (CSPC_NO_NUMBA=1)
+Two ways to get k cycles of W A W*:
+  * extract_cycles: full column pass, then the pruned row pass
   * full transform followed by masking, as the baseline
 
 Run from the repository root:
@@ -11,12 +9,10 @@ Run from the repository root:
 """
 
 import argparse
-import os
 import time
 
 import numpy as np
 
-from cspc._kernels import HAVE_NUMBA
 from cspc.core import CycleSelection, apply_cycle_mask
 from cspc.transform import extract_cycles, similarity_transform
 
@@ -30,37 +26,22 @@ def _time(fn, repeats):
     return best
 
 
-def _time_kernel(no_numba, fn, repeats):
-    """Best time of fn with CSPC_NO_NUMBA set as given, then restored."""
-    prior = os.environ.get("CSPC_NO_NUMBA")
-    os.environ["CSPC_NO_NUMBA"] = no_numba
-    try:
-        fn()  # trigger jit before timing
-        return _time(fn, repeats)
-    finally:
-        if prior is None:
-            del os.environ["CSPC_NO_NUMBA"]
-        else:
-            os.environ["CSPC_NO_NUMBA"] = prior
-
-
 def bench_one(n, k, repeats, rng):
-    """(numba, numpy, full+mask) seconds; numba is None without numba."""
+    """(pruned, full+mask) best-of-repeats seconds."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     sel = CycleSelection.of(n, sorted(int(j) for j in rng.choice(n, size=k, replace=False)))
 
     def pruned():
         return extract_cycles(a, sel)
 
-    t_numpy = _time_kernel("1", pruned, repeats)
-    t_numba = _time_kernel("0", pruned, repeats) if HAVE_NUMBA else None
+    t_pruned = _time(pruned, repeats)
 
     def full():
         b = similarity_transform(a)
         return [apply_cycle_mask(b, j) for j in sel.indices]
 
     t_full = _time(full, repeats)
-    return t_numba, t_numpy, t_full
+    return t_pruned, t_full
 
 
 def main(argv=None):
@@ -75,23 +56,14 @@ def main(argv=None):
     cycles = [int(c) for c in args.cycles.split(",")]
     rng = np.random.default_rng(args.seed)
 
-    if HAVE_NUMBA:
-        print(f"{'n':>6} {'k':>4} {'numba':>10} {'numpy':>10} {'full+mask':>10} "
-              f"{'numba/numpy':>12} {'numba/full':>11}")
-    else:
-        print("numba not installed; timing the numpy kernel only")
-        print(f"{'n':>6} {'k':>4} {'numpy':>10} {'full+mask':>10} {'numpy/full':>11}")
+    print(f"{'n':>6} {'k':>4} {'pruned':>10} {'full+mask':>10} {'pruned/full':>12}")
     for n in sizes:
         for k in cycles:
             if k > n:
                 continue
-            t_nb, t_np, t_full = bench_one(n, k, args.repeats, rng)
-            if t_nb is None:
-                print(f"{n:>6} {k:>4} {t_np * 1e3:>9.2f}ms {t_full * 1e3:>9.2f}ms "
-                      f"{t_full / t_np:>10.2f}x")
-            else:
-                print(f"{n:>6} {k:>4} {t_nb * 1e3:>9.2f}ms {t_np * 1e3:>9.2f}ms "
-                      f"{t_full * 1e3:>9.2f}ms {t_np / t_nb:>11.2f}x {t_full / t_nb:>10.2f}x")
+            t_pruned, t_full = bench_one(n, k, args.repeats, rng)
+            print(f"{n:>6} {k:>4} {t_pruned * 1e3:>9.2f}ms {t_full * 1e3:>9.2f}ms "
+                  f"{t_pruned / t_full:>11.2f}x")
 
 
 if __name__ == "__main__":

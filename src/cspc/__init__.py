@@ -61,9 +61,7 @@ from .sparse import (
     sparsify,
 )
 from .transform import (
-    DftPlan,
     OpCounter,
-    dft,
     extract_cycles,
     inverse_similarity_transform,
     similarity_transform,
@@ -81,9 +79,7 @@ __all__ = [
     "frobenius_inner",
     "apply_cycle_mask",
     "materialize_cycle",
-    "DftPlan",
     "OpCounter",
-    "dft",
     "similarity_transform",
     "inverse_similarity_transform",
     "extract_cycles",

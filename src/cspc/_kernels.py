@@ -1,41 +1,20 @@
-"""Pruned radix-2 transform kernels.
+"""Pruned radix-2 transform kernel.
 
-Both kernels compute, for every row y of an n x n array (n a power of
-two), the positive-kernel DFT outputs of y at positions (base + i) mod n,
-where i is the row number and base is a fixed sorted index set shared by
-all rows.  The shift i folds into the twiddle factors, so one plan serves
+For every row y of an n x n array (n a power of two), the kernel computes
+the positive-kernel DFT outputs of y at positions (base + i) mod n, where
+i is the row number and base is a fixed sorted index set shared by all
+rows.  The shift i folds into the twiddle factors, so one plan serves
 every row.
 
-Two implementations of the same recursion: a vectorized numpy one and a
-compiled per-row one.  Selection is done per call by the caller
-(transform.extract_cycles); set CSPC_NO_NUMBA=1 to force the numpy path.
-The compiled path is imported lazily so a broken numba install degrades
-to numpy instead of breaking the package.
+One vectorized numpy implementation evaluates the recursion over all rows
+at once; transform.extract_cycles calls it for every power-of-two n.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-def numba_disabled() -> bool:
-    return os.environ.get("CSPC_NO_NUMBA", "").strip().lower() in ("1", "true", "yes", "on")
 
 
 @lru_cache(maxsize=64)
@@ -102,86 +81,3 @@ def pruned_rows_numpy(y: np.ndarray, plan, w_plus: np.ndarray) -> np.ndarray:
         tw = w_plus[((q_sets[d][None, :] + rows) % s) * (n // s)]
         v = v[:, :nsub, cs] + tw[:, None, :] * v[:, nsub:, cs]
     return v[:, 0, :]
-
-
-@njit(cache=True)
-def _leaf_fft_plus(buf, w_plus, n):  # pragma: no cover - exercised via dispatch
-    """In-place iterative radix-2 DFT with the +i kernel, unnormalized."""
-    s = buf.shape[0]
-    j = 0
-    for i in range(1, s):
-        bit = s >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            buf[i], buf[j] = buf[j], buf[i]
-    size = 2
-    while size <= s:
-        half = size >> 1
-        tstep = n // size
-        for start in range(0, s, size):
-            for t in range(half):
-                w = w_plus[t * tstep]
-                a = buf[start + t]
-                b = w * buf[start + t + half]
-                buf[start + t] = a + b
-                buf[start + t + half] = a - b
-        size <<= 1
-
-
-@njit(cache=True)
-def _pruned_rows_jit(y, q_flat, q_off, cs_flat, cs_off, sizes, leaf_size, w_plus, out):  # pragma: no cover
-    nrows, n = y.shape
-    depth = q_off.shape[0] - 2
-    nleaf = n // leaf_size
-    ping = np.empty(n, dtype=np.complex128)
-    pong = np.empty(n, dtype=np.complex128)
-    leaf = np.empty(leaf_size, dtype=np.complex128)
-    for i in range(nrows):
-        for r in range(nleaf):
-            for t in range(leaf_size):
-                leaf[t] = y[i, r + t * nleaf]
-            _leaf_fft_plus(leaf, w_plus, n)
-            for t in range(leaf_size):
-                ping[r * leaf_size + t] = leaf[(t + i) % leaf_size]
-        width_child = leaf_size
-        for d in range(depth - 1, -1, -1):
-            s = sizes[d]
-            nsub = 1 << d
-            width = q_off[d + 1] - q_off[d]
-            for rsub in range(nsub):
-                for t in range(width):
-                    a = (q_flat[q_off[d] + t] + i) % s
-                    w = w_plus[a * (n // s)]
-                    cs = cs_flat[cs_off[d] + t]
-                    e = ping[rsub * width_child + cs]
-                    o = ping[(rsub + nsub) * width_child + cs]
-                    pong[rsub * width + t] = e + w * o
-            ping, pong = pong, ping
-            width_child = width
-        for t in range(width_child):
-            out[i, t] = ping[t]
-
-
-def _flatten_plan(plan):
-    q_sets, child_slot, sizes, leaf_size, _ = plan
-    q_flat = np.concatenate(q_sets[:-1]) if len(q_sets) > 1 else np.zeros(0, dtype=np.int64)
-    q_off = np.zeros(len(q_sets) + 1, dtype=np.int64)
-    for d, qs in enumerate(q_sets[:-1]):
-        q_off[d + 1] = q_off[d] + qs.size
-    q_off[-1] = q_off[-2] + q_sets[-1].size if len(q_sets) > 1 else q_sets[0].size
-    cs_flat = np.concatenate(child_slot) if child_slot else np.zeros(0, dtype=np.int64)
-    cs_off = np.zeros(len(child_slot) + 1, dtype=np.int64)
-    for d, cs in enumerate(child_slot):
-        cs_off[d + 1] = cs_off[d] + cs.size
-    return q_flat, q_off, cs_flat, cs_off, np.asarray(sizes, dtype=np.int64), leaf_size
-
-
-def pruned_rows_numba(y: np.ndarray, plan, w_plus: np.ndarray) -> np.ndarray:
-    q_sets = plan[0]
-    q_flat, q_off, cs_flat, cs_off, sizes, leaf_size = _flatten_plan(plan)
-    out = np.empty((y.shape[0], q_sets[0].size), dtype=np.complex128)
-    _pruned_rows_jit(np.ascontiguousarray(y), q_flat, q_off, cs_flat, cs_off, sizes, leaf_size, w_plus, out)
-    return out

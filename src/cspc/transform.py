@@ -1,15 +1,11 @@
-"""Fourier engines: 1-d DFT plans, the two-sided similarity transform, and
-pruned cycle extraction.
+"""Fourier engines: the two-sided similarity transform and pruned cycle
+extraction.
 
-Sign conventions, fixed once:
-
-* ``dft`` with a forward plan uses the positive kernel, X(k) = sum_p
-  x(p) exp(+2i*pi*p*k/n).  That equals ``n * np.fft.ifft(x)`` before
-  normalization.
-* The similarity transform conjugates by the unitary Fourier matrix W
-  (negative kernel, 1/sqrt(n)): B = W A W*.  Implemented as two passes of
-  one-dimensional FFTs, B = ifft(fft(A, axis=0), axis=1); the explicit
-  triple product is only ever used as a test oracle.
+Sign convention, fixed once: the similarity transform conjugates by the
+unitary Fourier matrix W (negative kernel, 1/sqrt(n)): B = W A W*.
+Implemented as two passes of one-dimensional FFTs,
+B = ifft(fft(A, axis=0), axis=1); the explicit triple product is only
+ever used as a test oracle.
 
 extract_cycles computes selected cycles of B without forming B.  The
 column pass runs in full; the row pass is outputs-pruned down to the
@@ -20,8 +16,6 @@ butterfly/leaf operations, which the optional OpCounter reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
@@ -29,55 +23,11 @@ from .core import CycleSelection, require_square
 from .sparse import SparseCycleMatrix
 
 __all__ = [
-    "DftPlan",
     "OpCounter",
-    "dft",
     "similarity_transform",
     "inverse_similarity_transform",
     "extract_cycles",
 ]
-
-_NORMS = ("none", "1/n", "1/sqrt(n)")
-
-
-@dataclass(frozen=True)
-class DftPlan:
-    """Length, direction and normalization of a 1-d transform.
-
-    The normalization label names the scaling of the forward transform;
-    an inverse plan with the same label applies the complementary factor,
-    so forward followed by inverse under one label is the identity.
-    """
-
-    n: int
-    direction: str = "forward"
-    normalization: str = "none"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"transform length must be >= 1, got {self.n}")
-        if self.direction not in ("forward", "inverse"):
-            raise ValueError(f"direction must be forward or inverse, got {self.direction!r}")
-        if self.normalization not in _NORMS:
-            raise ValueError(f"normalization must be one of {_NORMS}, got {self.normalization!r}")
-
-    def inverse(self) -> "DftPlan":
-        other = "inverse" if self.direction == "forward" else "forward"
-        return DftPlan(self.n, other, self.normalization)
-
-
-def dft(x, plan: DftPlan) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (plan.n,):
-        raise ValueError(f"expected vector of length {plan.n}, got shape {x.shape}")
-    n = plan.n
-    if plan.direction == "forward":
-        y = np.fft.ifft(x) * n
-        scale = {"none": 1.0, "1/n": 1.0 / n, "1/sqrt(n)": 1.0 / np.sqrt(n)}[plan.normalization]
-    else:
-        y = np.fft.fft(x)
-        scale = {"none": 1.0 / n, "1/n": 1.0, "1/sqrt(n)": 1.0 / np.sqrt(n)}[plan.normalization]
-    return y * scale
 
 
 def similarity_transform(a) -> np.ndarray:
@@ -153,11 +103,7 @@ def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> 
     plan = _kernels.build_plan(n, base)
     y = np.fft.fft(a, axis=0)
     w_plus = np.exp(2j * np.pi * np.arange(n) / n)
-    if _kernels.HAVE_NUMBA and not _kernels.numba_disabled():
-        out = _kernels.pruned_rows_numba(y, plan, w_plus)
-    else:
-        out = _kernels.pruned_rows_numpy(y, plan, w_plus)
-    out = out / n
+    out = _kernels.pruned_rows_numpy(y, plan, w_plus) / n
     if counter is not None:
         counter.ops = (counter.ops or 0) + plan[4] * n
         counter.vectors += n

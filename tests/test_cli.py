@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import cspc
-from cspc.cli import build_parser, main
-from cspc.generators import banded_diag_sequence
+from cspc.cli import _trial_seeds, build_parser, main
+from cspc.core import CycleSelection, apply_cycle_mask
+from cspc.generators import StructuredMatrixSpec, banded_diag_sequence, generate, with_seed
+from cspc.sparse import select_dominant_cycles
+from cspc.transform import similarity_transform
 
 
 def _read_csv(path):
@@ -79,11 +82,35 @@ def test_eig_errors_runs(tmp_path):
         "frob_residual_ratio",
     ]
     assert [r[0] for r in rows] == ["1", "4", "12"]
-    # keeping every cycle reproduces the spectrum; the residual ratio is a
-    # square root of a cancellation so it only reaches roundoff-of-sqrt level
+    # keeping every cycle reproduces the spectrum and drops nothing
     assert float(rows[2][1]) < 1e-10
-    assert float(rows[2][4]) < 1e-6
+    assert float(rows[2][4]) == 0.0
     assert float(rows[0][1]) > float(rows[2][1])
+
+
+def test_eig_errors_frob_ratio_is_dropped_cycle_norm(tmp_path):
+    # at n=32, seed 7 the difference form sqrt(|B|^2 - |B~|^2) left ~2e-8
+    # of cancellation residue at k=n, where nothing is dropped
+    n, cycles, seed, trials = 32, (1, 4, 16, 32), 7, 2
+    out = tmp_path / "errs.csv"
+    code = _run(
+        ["eig-errors", "--n", n, "--cycles", ",".join(map(str, cycles)),
+         "--trials", trials, "--seed", seed, "--out", out]
+    )
+    assert code == 0
+    _, rows = _read_csv(out)
+    got = {int(r[0]): float(r[4]) for r in rows}
+    assert got[n] == 0.0
+    spec = StructuredMatrixSpec(kind="toeplitz", n=n, seed=seed, symmetric=True)
+    for k in cycles[:-1]:
+        ratios = []
+        for s in _trial_seeds(seed, trials):
+            a, _ = generate(with_seed(spec, s))
+            b = similarity_transform(a)
+            dropped = select_dominant_cycles(b, k).complement()
+            energy = sum(np.linalg.norm(apply_cycle_mask(b, j)) ** 2 for j in dropped)
+            ratios.append(np.sqrt(energy) / np.linalg.norm(a))
+        assert got[k] == pytest.approx(np.mean(ratios), rel=1e-12)
 
 
 def test_eig_vs_n_sweep(tmp_path):
@@ -190,16 +217,6 @@ def test_numerical_failure_exit_code(tmp_path):
         ["precond-table", "--spec", spec_file, "--budgets", "n", "--out", tmp_path / "t.csv"]
     )
     assert code == 3
-
-
-def test_thread_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("CSPC_THREADS", "not-a-number")
-    out = tmp_path / "e.csv"
-    code = _run(["eig-errors", "--n", "8", "--cycles", "1", "--trials", "2", "--out", out])
-    assert code == 2
-    monkeypatch.setenv("CSPC_THREADS", "1")
-    code = _run(["eig-errors", "--n", "8", "--cycles", "1", "--trials", "2", "--out", out])
-    assert code == 0
 
 
 def test_default_output_name(tmp_path, monkeypatch):
