@@ -56,7 +56,6 @@ def _reference_cycles(a, sel):
     (16, [0, 3, 11]),
     (16, list(range(16))),
     (64, [0, 1, 32, 63]),
-    (32, [0, 7, 16, 25]),
 ])
 def test_extract_cycles_matches_masked_transform(n, indices):
     rng = np.random.default_rng(n + len(indices))
@@ -64,6 +63,20 @@ def test_extract_cycles_matches_masked_transform(n, indices):
     sel = CycleSelection.of(n, indices)
     got = extract_cycles(a, sel)
     assert got.selection == sel
+    assert np.allclose(got.cycles, _reference_cycles(a, sel), atol=1e-10)
+
+
+@pytest.mark.parametrize("fallback", [0, 1])
+def test_extract_cycles_both_kernel_paths(fallback):
+    # Power-of-two n runs the pruned kernel and counts its operations; any
+    # other n falls back to the full transform plus masking, uncounted.
+    n = 24 if fallback else 32
+    rng = np.random.default_rng(42)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    sel = CycleSelection.of(n, [0, 7, 16, 23])
+    counter = OpCounter()
+    got = extract_cycles(a, sel, counter)
+    assert (counter.ops is None) == bool(fallback)
     assert np.allclose(got.cycles, _reference_cycles(a, sel), atol=1e-10)
 
 
