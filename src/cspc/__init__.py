@@ -23,7 +23,6 @@ from .core import (
 )
 from .decomposition import (
     CirculantComponent,
-    CycleDecomposition,
     DominanceReport,
     block_toeplitz_frequency_sets,
     circulant_decompose_recursive,
@@ -83,7 +82,6 @@ __all__ = [
     "similarity_transform",
     "inverse_similarity_transform",
     "extract_cycles",
-    "CycleDecomposition",
     "CirculantComponent",
     "DominanceReport",
     "cycle_decompose",

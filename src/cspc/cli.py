@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .core import ConfigError, CycleSelection, NumericalError, apply_cycle_mask, cycle_positions
+from .core import ConfigError, CycleSelection, NumericalError, cycle_norms, cycle_positions
 from .generators import (
     StructuredMatrixSpec,
     SymbolSpec,
@@ -94,13 +94,10 @@ def _write_rows(cfg: ExperimentConfig, header: list[str], rows: list[tuple]) -> 
 
 def run_cycle_norms(cfg: ExperimentConfig) -> str:
     a, _ = generate(cfg.spec)
-    b = similarity_transform(a)
     n = cfg.spec.n
-    rows = []
-    for k in range(n):
-        norm = float(np.linalg.norm(apply_cycle_mask(b, k)))
-        folded = n if k == 0 else k  # plotting convention: cycle 0 shown at n
-        rows.append((k, folded, norm))
+    norms = cycle_norms(similarity_transform(a)).tolist()
+    # plotting convention: cycle 0 shown at folded index n
+    rows = [(k, k or n, norm) for k, norm in enumerate(norms)]
     return _write_rows(cfg, ["cycle_index", "folded_index", "l2_norm"], rows)
 
 
@@ -231,17 +228,13 @@ def run_heatmap(cfg: ExperimentConfig) -> str:
     if n > 1024:
         raise ConfigError(f"heatmap dumps n^2 rows; n={n} exceeds the 1024 cap")
     a, _ = generate(cfg.spec)
-    b = similarity_transform(a)
-    scale = np.zeros((n, n))
-    for k in range(n):
-        r, c = cycle_positions(n, k)
-        peak = np.abs(b[r, c]).max()
-        scale[r, c] = peak if peak > 0 else np.inf  # zero cycle rows emit 0
-    rows = []
-    mags = np.abs(b) / scale
-    for p in range(n):
-        for q in range(n):
-            rows.append((p, q, float(mags[p, q])))
+    mags = np.abs(similarity_transform(a))
+    positions = cycle_positions(n, range(n))
+    peaks = mags[positions].max(axis=1)
+    # each entry over the peak magnitude of its cycle; zero cycles emit 0
+    mags[positions] /= np.where(peaks > 0, peaks, np.inf)[:, None]
+    p, q = np.divmod(np.arange(n * n), n)
+    rows = list(zip(p.tolist(), q.tolist(), mags.ravel().tolist()))
     return _write_rows(cfg, ["row", "col", "normalized_magnitude"], rows)
 
 

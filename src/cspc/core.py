@@ -10,7 +10,9 @@ Cycle k of an n x n matrix is the wrapped diagonal through positions
 subdiagonal plus the top-right corner entry, cycle n-1 the first
 superdiagonal plus the bottom-left corner.  The n cycles partition the
 entries of the matrix.  Orientation is fixed here once and inherited by
-every other module.
+every other module: cycle_positions is the one owner of the order in
+which a cycle's entries are read, and every gather or scatter of cycle
+values goes through it.
 """
 
 from __future__ import annotations
@@ -32,8 +34,13 @@ __all__ = [
     "frobenius_inner",
     "cycle_positions",
     "apply_cycle_mask",
+    "iter_cycles",
+    "cycle_norms",
     "materialize_cycle",
 ]
+
+
+_CYCLE_BLOCK_ENTRIES = 1 << 14  # per gather in iter_cycles
 
 
 class ConfigError(ValueError):
@@ -115,7 +122,7 @@ def frobenius_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def cycle_positions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def cycle_positions(n: int, k) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index arrays of cycle k, in reading order.
 
     A wrapped diagonal splits into two straight runs; entries are listed
@@ -123,20 +130,55 @@ def cycle_positions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     through ((q+k) mod n, q); for 2k > n it walks rows p = 0..n-1 through
     (p, (p-k) mod n).  Both walks cover the same n positions, the order is
     what apply_cycle_mask and materialize_cycle agree on.
+
+    k is one cycle index, giving arrays of shape (n,), or a 1-d sequence
+    of them, giving arrays of shape (len(k), n) whose row t is the
+    positions of cycle k[t].
     """
     n = _check_dim(n)
-    k = _check_cycle_index(n, k)
-    idx = np.arange(n)
-    if 2 * k <= n:
-        return (idx + k) % n, idx
-    return idx, (idx - k) % n
+    ks = np.asarray(k, dtype=np.int64)
+    if ks.ndim > 1:
+        raise ValueError(f"expected one cycle index or a 1-d sequence, got ndim={ks.ndim}")
+    if ks.size and not (0 <= ks.min() and ks.max() <= n - 1):
+        raise ValueError(f"cycle index {k} out of range [0, {n - 1}]")
+    ks = ks[..., None]  # one row of positions per index
+    # the column walk starts at row k, the row walk at row 0; wrapping by
+    # a masked subtract is several times cheaper than %
+    rows = np.arange(n) + ks * (2 * ks <= n)
+    np.subtract(rows, n, out=rows, where=rows >= n)
+    cols = rows - ks
+    np.add(cols, n, out=cols, where=cols < 0)
+    return rows, cols
 
 
-def apply_cycle_mask(a, k: int) -> np.ndarray:
-    """Extract the n entries of square matrix a lying on cycle k."""
+def apply_cycle_mask(a, k) -> np.ndarray:
+    """Entries of square matrix a on cycle k, in reading order.
+
+    One index gives a length-n vector; a 1-d sequence of indices gives
+    a (len(k), n) array, row t holding cycle k[t], in one gather.
+    """
     a = require_square(a)
-    rows, cols = cycle_positions(a.shape[0], k)
-    return a[rows, cols]
+    return a[cycle_positions(a.shape[0], k)]
+
+
+def iter_cycles(a):
+    """Yield the n cycles of square matrix a in index order.
+
+    Each is a length-n vector in reading order, equal to
+    apply_cycle_mask(a, k).  The cycles are gathered in blocks of about
+    16k entries: all n at once would allocate a second n x n array, and
+    one cycle per gather pays the call overhead n times.
+    """
+    a = require_square(a)
+    n = a.shape[0]
+    step = max(1, _CYCLE_BLOCK_ENTRIES // max(n, 1))
+    for start in range(0, n, step):
+        yield from apply_cycle_mask(a, range(start, min(start + step, n)))
+
+
+def cycle_norms(a) -> np.ndarray:
+    """The l2 norms of all n cycles of square matrix a, via iter_cycles."""
+    return np.array([np.linalg.norm(c) for c in iter_cycles(a)])
 
 
 def materialize_cycle(values, n: int, k: int) -> np.ndarray:

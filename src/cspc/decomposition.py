@@ -25,14 +25,16 @@ from .core import (
     CycleSelection,
     NumericalError,
     apply_cycle_mask,
-    materialize_cycle,
+    cycle_norms,
+    cycle_positions,
+    iter_cycles,
     relaxation_diagonal,
     require_square,
 )
+from .sparse import SparseCycleMatrix
 from .transform import similarity_transform
 
 __all__ = [
-    "CycleDecomposition",
     "CirculantComponent",
     "DominanceReport",
     "cycle_decompose",
@@ -54,15 +56,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CycleDecomposition:
-    n: int
-    cycles: np.ndarray  # shape (n, n), row k = values on cycle k
-
-    def cycle(self, k: int) -> np.ndarray:
-        return self.cycles[k]
-
-
-@dataclass(frozen=True)
 class CirculantComponent:
     """First row of a circulant R_k together with its relaxation index k."""
 
@@ -77,18 +70,16 @@ class CirculantComponent:
         object.__setattr__(self, "k", int(self.k))
 
 
-def cycle_decompose(a) -> CycleDecomposition:
-    """Split a into its n cycles; lossless by construction."""
+def cycle_decompose(a) -> SparseCycleMatrix:
+    """Split a into its n cycles, all kept in one SparseCycleMatrix; lossless."""
     a = require_square(a)
     n = a.shape[0]
-    return CycleDecomposition(n, np.array([apply_cycle_mask(a, k) for k in range(n)]))
+    return SparseCycleMatrix(n, CycleSelection(n, range(n)), apply_cycle_mask(a, range(n)))
 
 
-def recompose_cycles(dec: CycleDecomposition) -> np.ndarray:
-    out = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for k in range(dec.n):
-        out += materialize_cycle(dec.cycles[k], dec.n, k)
-    return out
+def recompose_cycles(dec: SparseCycleMatrix) -> np.ndarray:
+    """The dense matrix whose cycles dec holds; inverse of cycle_decompose."""
+    return dec.densify()
 
 
 def circulant_dense(first_row) -> np.ndarray:
@@ -112,13 +103,6 @@ def _column_walk(a: np.ndarray, k: int) -> np.ndarray:
     return a[(q + k) % n, q]
 
 
-def _all_cycle_means(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    q = np.arange(n)
-    rows = (q[None, :] + q[:, None]) % n
-    return a[rows, q[None, :]].mean(axis=1)
-
-
 def circulant_decompose_recursive(a) -> list[CirculantComponent]:
     """Peel off circulant components one relaxation at a time.
 
@@ -131,10 +115,11 @@ def circulant_decompose_recursive(a) -> list[CirculantComponent]:
     a = require_square(a)
     n = a.shape[0]
     d_back = relaxation_diagonal(n, n - 1)[None, :] if n > 1 else None
+    positions = cycle_positions(n, range(n))
     residual = a.copy()
     comps = []
     for k in range(n):
-        means = _all_cycle_means(residual)
+        means = residual[positions].mean(axis=1)
         first_row = means[(-np.arange(n)) % n]
         comps.append(CirculantComponent(k, first_row))
         if k < n - 1:
@@ -202,9 +187,7 @@ def cycle_weights(b) -> np.ndarray:
     total = np.linalg.norm(b, "fro") ** 2
     if total == 0:
         raise ValueError("weights are undefined for the zero matrix")
-    n = b.shape[0]
-    w = np.array([np.linalg.norm(apply_cycle_mask(b, k)) ** 2 for k in range(n)])
-    return w / total
+    return cycle_norms(b) ** 2 / total
 
 
 def partial_energy(cycle, freq_set: CycleSelection) -> float:
@@ -264,17 +247,15 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
     b = similarity_transform(a)
     reflected = index_reflect(freq_set)
     b_total = np.linalg.norm(b, "fro") ** 2
-    s_direct = (
-        sum(np.linalg.norm(apply_cycle_mask(b, j)) ** 2 for j in reflected.indices) / b_total
-    )
+    s_direct = np.linalg.norm(apply_cycle_mask(b, reflected.indices)) ** 2 / b_total
 
+    # one pass over A's cycles gives both sides of each term
     weights = np.empty(n)
-    energies = np.empty(n)
-    for i in range(n):
-        c = apply_cycle_mask(a, i)
-        wi = np.linalg.norm(c) ** 2 / total
-        weights[i] = wi
-        energies[i] = partial_energy(c, freq_set) if wi > 0 else 0.0
+    energies = np.zeros(n)
+    for i, c in enumerate(iter_cycles(a)):
+        weights[i] = np.linalg.norm(c) ** 2 / total
+        if weights[i] > 0:
+            energies[i] = partial_energy(c, freq_set)
     weighted = float(np.dot(weights, energies))
 
     if abs(s_direct - weighted) > 1e-9:

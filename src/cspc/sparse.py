@@ -19,6 +19,7 @@ from .core import (
     CycleSelection,
     NumericalError,
     apply_cycle_mask,
+    cycle_norms,
     cycle_positions,
     require_square,
 )
@@ -76,10 +77,9 @@ class SparseCycleMatrix:
         return self.cycles[t]
 
     def densify(self) -> np.ndarray:
+        rows, cols = cycle_positions(self.n, self.selection.indices)
         out = np.zeros((self.n, self.n), dtype=np.complex128)
-        for t, k in enumerate(self.selection.indices):
-            rows, cols = cycle_positions(self.n, k)
-            out[rows, cols] = self.cycles[t]
+        out[rows, cols] = self.cycles
         return out
 
     def to_scipy(self) -> scipy.sparse.csc_matrix:
@@ -88,11 +88,9 @@ class SparseCycleMatrix:
         Equal to densify() entry for entry: cycles partition the
         positions, so no two stored values land on one entry.
         """
-        positions = [cycle_positions(self.n, k) for k in self.selection.indices]
-        rows = np.concatenate([r for r, _ in positions])
-        cols = np.concatenate([c for _, c in positions])
+        rows, cols = cycle_positions(self.n, self.selection.indices)
         return scipy.sparse.csc_matrix(
-            (self.cycles.ravel(), (rows, cols)), shape=(self.n, self.n)
+            (self.cycles.ravel(), (rows.ravel(), cols.ravel())), shape=(self.n, self.n)
         )
 
     def frobenius_norm(self) -> float:
@@ -102,14 +100,20 @@ class SparseCycleMatrix:
 def select_dominant_cycles(b, k: int) -> CycleSelection:
     """Indices of the k cycles of b with the largest l2 norm.
 
-    Ties break toward the smaller index, so the result is deterministic.
+    Norms within n * eps * max(norms) count as tied (for Hermitian b,
+    cycles j and n - j tie in exact arithmetic, not in roundoff), and
+    ties break toward the smaller index.
     """
     b = require_square(b)
     n = b.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"cycle count {k} out of range [1, {n}]")
-    norms = np.array([np.linalg.norm(apply_cycle_mask(b, j)) for j in range(n)])
-    order = np.lexsort((np.arange(n), -norms))
+    norms = cycle_norms(b)
+    tol = n * np.finfo(float).eps * norms.max()
+    by_norm = np.argsort(-norms, kind="stable")
+    # consecutive norms (in descending order) closer than tol share a group
+    group = np.cumsum(np.r_[0, np.diff(norms[by_norm]) < -tol])
+    order = by_norm[np.lexsort((by_norm, group))]
     return CycleSelection.of(n, order[:k])
 
 
@@ -119,8 +123,7 @@ def sparsify(b, sel: CycleSelection) -> SparseCycleMatrix:
         raise ValueError(f"selection is for n={sel.n}, matrix has n={b.shape[0]}")
     if len(sel) == 0:
         raise ValueError("empty cycle selection")
-    cycles = np.array([apply_cycle_mask(b, j) for j in sel.indices])
-    return SparseCycleMatrix(b.shape[0], sel, cycles)
+    return SparseCycleMatrix(b.shape[0], sel, apply_cycle_mask(b, sel.indices))
 
 
 def direct_sparsify(a, nnz: int) -> np.ndarray:
@@ -303,12 +306,12 @@ def pd_sufficient_check(b_sparse: SparseCycleMatrix) -> PdCheckReport:
     """
     sel = b_sparse.selection
     n = b_sparse.n
+    ks = sel.as_array()
     if 0 not in sel:
         raise ValueError("positive definiteness check requires cycle 0 in the selection")
-    present = set(sel.indices)
-    for a in sel.indices:
-        if a != 0 and (n - a) % n not in present:
-            raise ValueError(f"selection is not reflection-closed: cycle {a} lacks {(n - a) % n}")
+    lacking = np.setdiff1d((n - ks) % n, ks)
+    if lacking.size:
+        raise ValueError(f"selection is not reflection-closed: lacks cycles {lacking.tolist()}")
 
     diag = b_sparse.cycle(0)
     t = len(sel)
@@ -328,15 +331,12 @@ def pd_sufficient_check(b_sparse: SparseCycleMatrix) -> PdCheckReport:
         p = int(np.argmin(d))
         return PdCheckReport(holds=True, worst_pair=(p, p), margin=float(d.min()) / t)
 
-    margin = np.inf
-    worst = (0, 0)
-    for idx, k in enumerate(sel.indices):
-        if k == 0:
-            continue
-        rows, cols = cycle_positions(n, k)
-        slack = np.sqrt(d[rows] * d[cols]) / t - np.abs(b_sparse.cycles[idx].real)
-        q = int(np.argmin(slack))
-        if slack[q] < margin:
-            margin = float(slack[q])
-            worst = (int(rows[q]), int(cols[q]))
-    return PdCheckReport(holds=margin >= 0, worst_pair=worst, margin=margin)
+    off = ks != 0
+    rows, cols = cycle_positions(n, ks[off])
+    slack = np.sqrt(d[rows] * d[cols]) / t - np.abs(b_sparse.cycles[off].real)
+    # first minimum in (cycle, position) order
+    worst = np.unravel_index(np.argmin(slack), slack.shape)
+    margin = float(slack[worst])
+    return PdCheckReport(
+        holds=margin >= 0, worst_pair=(int(rows[worst]), int(cols[worst])), margin=margin
+    )

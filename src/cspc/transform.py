@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .core import CycleSelection, require_square
-from .sparse import SparseCycleMatrix
+from .core import CycleSelection, cycle_positions, require_square
+from .sparse import SparseCycleMatrix, sparsify
 
 __all__ = [
     "OpCounter",
@@ -63,20 +63,6 @@ class OpCounter:
         return self.ops / self.vectors
 
 
-def _cycles_from_pruned(out: np.ndarray, sel: CycleSelection) -> list[np.ndarray]:
-    # out[:, t] is already cycle j in row-major walk order; reading order
-    # flips to the column walk (a roll by -j) when the sub-diagonal run
-    # is the longer one.
-    n = sel.n
-    cycles = []
-    for t, j in enumerate(sel.indices):
-        if 2 * j <= n:
-            cycles.append(np.roll(out[:, t], -j))
-        else:
-            cycles.append(out[:, t].copy())
-    return cycles
-
-
 def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> SparseCycleMatrix:
     """Selected cycles of W A W*, without forming the rest of it.
 
@@ -93,14 +79,11 @@ def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> 
         raise ValueError("empty cycle selection")
 
     if n & (n - 1):
-        from .core import apply_cycle_mask
+        return sparsify(similarity_transform(a), sel)
 
-        b = similarity_transform(a)
-        cycles = np.array([apply_cycle_mask(b, j) for j in sel.indices])
-        return SparseCycleMatrix(n, sel, cycles)
-
-    base = tuple(sorted({(n - j) % n for j in sel.indices}))
-    plan = _kernels.build_plan(n, base)
+    reflected = (n - sel.as_array()) % n
+    base = np.unique(reflected)
+    plan = _kernels.build_plan(n, tuple(base.tolist()))
     y = np.fft.fft(a, axis=0)
     w_plus = np.exp(2j * np.pi * np.arange(n) / n)
     out = _kernels.pruned_rows_numpy(y, plan, w_plus) / n
@@ -109,8 +92,8 @@ def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> 
         counter.vectors += n
 
     # column t of the kernel output corresponds to base[t]; map back to
-    # the requested cycle order
-    slot = {bj: t for t, bj in enumerate(base)}
-    cols = [slot[(n - j) % n] for j in sel.indices]
-    cycles = np.array(_cycles_from_pruned(out[:, cols], sel))
+    # the requested cycle order.  Entry p of a column is B(p, (p - j) mod n),
+    # the row walk; taking entry rows[t, q] of it puts it in reading order.
+    rows, _ = cycle_positions(n, sel.indices)
+    cycles = np.take_along_axis(out[:, np.searchsorted(base, reflected)].T, rows, axis=1)
     return SparseCycleMatrix(n, sel, cycles)

@@ -4,11 +4,13 @@ import pytest
 from cspc.core import (
     CycleSelection,
     apply_cycle_mask,
+    cycle_norms,
     cycle_positions,
     flip_matrix,
     fourier_matrix,
     frobenius_inner,
     full_cycle_matrix,
+    iter_cycles,
     materialize_cycle,
     relaxation_diagonal,
     require_square,
@@ -39,15 +41,28 @@ def test_full_cycle_order(n):
     assert np.allclose(np.linalg.matrix_power(c, n), np.eye(n))
 
 
-@pytest.mark.parametrize("n", [3, 4, 7])
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 9, 64])
 def test_cycle_positions_match_permutation_powers(n):
     c = full_cycle_matrix(n)
+    all_rows, all_cols = cycle_positions(n, range(n))
+    assert all_rows.shape == all_cols.shape == (n, n)
     for k in range(n):
         rows, cols = cycle_positions(n, k)
         pk = np.linalg.matrix_power(c, k)
         mask = np.zeros((n, n))
         mask[rows, cols] = 1
         assert np.array_equal(mask, pk.real)
+        # the set form gives each cycle's positions in the same order
+        assert np.array_equal(all_rows[k], rows)
+        assert np.array_equal(all_cols[k], cols)
+    rows, cols = cycle_positions(n, [n - 1, 0])
+    assert np.array_equal(rows, all_rows[[n - 1, 0]])
+    assert np.array_equal(cols, all_cols[[n - 1, 0]])
+    assert cycle_positions(n, [])[0].shape == (0, n)
+    with pytest.raises(ValueError):
+        cycle_positions(n, [0, n])
+    with pytest.raises(ValueError):
+        cycle_positions(n, n)
 
 
 def test_cycle_positions_partition_the_matrix():
@@ -144,13 +159,24 @@ def test_apply_cycle_mask_and_materialize():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     total = np.zeros_like(a)
+    gathered = apply_cycle_mask(a, [4, 0, 2])
+    assert gathered.shape == (3, 5)
     for k in range(5):
         masked = apply_cycle_mask(a, k)
         rows, cols = cycle_positions(5, k)
         total += materialize_cycle(masked, 5, k)
         dense = materialize_cycle(masked, 5, k)
         assert np.array_equal(dense[rows, cols], masked)
+    for t, k in enumerate([4, 0, 2]):
+        assert np.array_equal(gathered[t], apply_cycle_mask(a, k))
     assert np.allclose(total, a)
+    # n = 300 streams in several blocks, the last one short
+    big = rng.standard_normal((300, 300)) + 0j
+    per_cycle = [apply_cycle_mask(big, k) for k in range(300)]
+    streamed = list(iter_cycles(big))
+    assert len(streamed) == 300
+    assert all(np.array_equal(s, c) for s, c in zip(streamed, per_cycle))
+    assert np.array_equal(cycle_norms(big), [np.linalg.norm(c) for c in per_cycle])
 
 
 def test_materialize_cycle_length_check():

@@ -23,6 +23,7 @@ from cspc.decomposition import (
     toeplitz_partial_energy,
     toeplitz_s0,
 )
+from cspc.sparse import SparseCycleMatrix
 from cspc.transform import similarity_transform
 
 MAGIC = np.array([[8, 1, 6], [3, 5, 7], [4, 9, 2]], dtype=float)
@@ -37,6 +38,9 @@ MAGIC_FIRST_ROWS = [
 
 def test_cycle_decompose_magic_square():
     dec = cycle_decompose(MAGIC)
+    assert isinstance(dec, SparseCycleMatrix)
+    assert dec.selection.indices == (0, 1, 2)
+    assert np.array_equal(dec.cycle(1), dec.cycles[1])
     assert np.allclose(dec.cycles[0], [8, 5, 2])
     assert np.allclose(dec.cycles[1], [3, 9, 6])
     assert np.allclose(dec.cycles[2], [1, 7, 4])

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cspc.sparse as sparse_mod
 from cspc.core import CycleSelection, NumericalError, apply_cycle_mask, materialize_cycle
-from cspc.decomposition import circulant_dense
+from cspc.decomposition import circulant_dense, cycle_weights
 from cspc.sparse import (
     SparseCycleMatrix,
     approx_eigenvalues,
@@ -34,6 +36,9 @@ def test_sparse_cycle_matrix_basics():
     assert np.allclose(sp.densify(), expected)
     assert np.array_equal(sp.to_scipy().toarray(), sp.densify())
     assert sp.frobenius_norm() == pytest.approx(np.linalg.norm(sp.densify()))
+    every = sparsify(b, CycleSelection.of(6, range(6)))
+    assert np.array_equal(every.densify(), b)
+    assert np.array_equal(every.to_scipy().toarray(), every.densify())
 
 
 def test_sparse_cycle_matrix_validation():
@@ -70,6 +75,29 @@ def test_select_dominant_cycles_tie_breaks_low():
     b = np.eye(4, dtype=complex) + materialize_cycle(np.ones(4), 4, 2)
     sel = select_dominant_cycles(b, 1)
     assert sel.indices == (0,)
+
+
+def test_select_dominant_cycles_reflection_tie_breaks_low():
+    # for Hermitian B the norms of cycles j and n - j agree in exact
+    # arithmetic; summation roundoff must not pick the larger index
+    a = scipy.linalg.toeplitz(np.random.default_rng(13).standard_normal(8))
+    b = similarity_transform(a)
+    assert select_dominant_cycles(b, 6).indices == (0, 1, 2, 3, 6, 7)
+
+
+def test_cycle_scans_stream():
+    # a gather of all n cycles at once would allocate a second n x n
+    # complex array; the scans stay under an eighth of one
+    n = 1024
+    b = _random_b(n, 4)
+    for scan in (lambda: select_dominant_cycles(b, 16), lambda: cycle_weights(b)):
+        tracemalloc.start()
+        try:
+            scan()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 8
 
 
 def test_select_dominant_cycles_range():
