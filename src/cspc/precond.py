@@ -1,15 +1,16 @@
-"""Circulant-cycle preconditioners and the conjugate gradient harness.
+"""Fourier-mask preconditioners and the conjugate gradient harness.
 
-Both preconditioners mask B = W A W* down to a cheaply invertible
-pattern and conjugate the masked inverse back: M^{-1} v = W* S^{-1} W v,
-one FFT pair plus a pre-factorized solve per application.
+A preconditioner masks B = W A W* down to a sparse pattern S and
+conjugates the masked inverse back: M^{-1} v = W* S^{-1} W v.  One class,
+MaskPreconditioner, serves every mask: S is factored once as a sparse
+matrix by SuperLU, so each application is one FFT pair plus a sparse
+triangular solve and nothing of size n x n is ever formed.  Two masks
+are built here:
 
-* Cycle preconditioner: S keeps the k dominant cycles of B, k n
-  nonzeros.  S is factored once as a sparse matrix (SuperLU), so each
-  application is one FFT pair plus a sparse triangular solve; nothing of
-  size n x n is ever formed.  Fill stays small for the selections the
-  generators produce, near-diagonal ({0, 1, n-1}, {0, 1, 2, n-2, n-1})
-  or coset-structured ({0, n/m, 2n/m, ...}): at n = 1000-2048 and
+* Cycle mask: S keeps the k dominant cycles of B, k n nonzeros
+  (SparseCycleMatrix.to_scipy()).  Fill stays small for the selections
+  the generators produce, near-diagonal ({0, 1, n-1}, {0, 1, 2, n-2,
+  n-1}) or coset-structured ({0, n/m, 2n/m, ...}): at n = 1000-2048 and
   k <= 16, L + U held 1.0-2.6x the nnz of S, the factorization ran
   20-1200x faster than a dense LU and the triangular solve took
   0.02-0.2 ms against 1.4-5.6 ms.  Selections spread over the whole
@@ -18,8 +19,8 @@ one FFT pair plus a pre-factorized solve per application.
   1.4-1.7 s against 0.41 s for a dense LU and the solve was about 10%
   slower.  No caller produces such a selection; it is not guarded.
   (Timings: one core of a 2-core Intel Xeon VM, single-threaded BLAS.)
-* Corner-block preconditioner: S keeps the full diagonal plus a dense
-  s x s bottom-right corner, s maximal under the nonzero budget
+* Corner-block mask (T. Chan style): S keeps the full diagonal plus a
+  dense s x s bottom-right corner, s maximal under the nonzero budget
   (n - s) + s^2.  At s = 1 the two coincide (single dominant cycle of a
   Toeplitz transform is the diagonal).
 
@@ -32,21 +33,20 @@ convergence is declared on |r| / |b| < tol right after the x update.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .core import ConfigError, NumericalError, require_square
 from .generators import StructuredMatrixSpec, generate
-from .sparse import SparseCycleMatrix, select_dominant_cycles, sparsify
+from .sparse import select_dominant_cycles, sparsify
 from .transform import similarity_transform
 
 __all__ = [
-    "CyclePreconditioner",
-    "TChanPreconditioner",
+    "MaskPreconditioner",
     "PcgReport",
     "BenchmarkRow",
     "build_cycle_preconditioner",
@@ -56,88 +56,42 @@ __all__ = [
 ]
 
 
-def _check_factor_diagonal(pivots: np.ndarray, message: str):
-    """Raise when the smallest pivot of a factor is negligible next to its largest."""
-    d = np.abs(pivots)
-    if d.size and d.min() <= d.max() * np.finfo(float).eps * d.size:
-        raise NumericalError(message)
+class MaskPreconditioner:
+    """Applies the inverse of W* S W for a sparse mask S of B = W A W*.
 
-
-def _lu_factor_quiet(matrix: np.ndarray):
-    # singularity is detected and reported by the callers; scipy's own
-    # warning would just duplicate that
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(matrix, check_finite=False)
-
-
-class CyclePreconditioner:
-    """Applies the inverse of W* B~ W for B~ = dominant cycles of B.
-
-    B~ is factored once, as the sparse matrix it is, by SuperLU with its
-    default column ordering; each apply is fft, two sparse triangular
-    solves and ifft.  Cost depends on the fill of that factor: small for
-    near-diagonal and coset selections, growing toward dense for cycles
-    spread over the whole index range (see the module docstring).
+    S (scipy sparse, CSC) is factored once by SuperLU with its default
+    column ordering; each apply is fft, two sparse triangular solves and
+    ifft.  A factor that SuperLU reports exactly singular, or whose
+    smallest U pivot is negligible next to its largest, raises
+    NumericalError("<label> is singular").
     """
 
-    def __init__(self, b_sparse: SparseCycleMatrix):
-        self.selection = b_sparse.selection
-        self.cycles = b_sparse.cycles
-        self.n = b_sparse.n
-        singular = f"cycle preconditioner with cycles {self.selection.indices} is singular"
+    def __init__(self, mask, label: str):
+        self.nnz = mask.nnz
+        singular = f"{label} is singular"
         try:
-            self._lu = scipy.sparse.linalg.splu(b_sparse.to_scipy())
+            self._lu = scipy.sparse.linalg.splu(mask)
         except RuntimeError as e:
             if "singular" not in str(e):  # SuperLU: "Factor is exactly singular"
                 raise
             raise NumericalError(singular) from e
-        _check_factor_diagonal(self._lu.U.diagonal(), singular)
+        d = np.abs(self._lu.U.diagonal())
+        if d.size and d.min() <= d.max() * np.finfo(float).eps * d.size:
+            raise NumericalError(singular)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return np.fft.ifft(self._lu.solve(np.fft.fft(v)))
 
 
-class TChanPreconditioner:
-    """Applies the inverse of W* (B masked to diagonal + corner block) W."""
-
-    def __init__(self, n: int, nnz_budget: int, block_size: int, diag_head: np.ndarray, corner: np.ndarray):
-        self.n = n
-        self.k_target = nnz_budget
-        self.block_size = block_size
-        self.diag_head = diag_head
-        self.corner = corner
-        if diag_head.size and np.abs(diag_head).min() <= np.finfo(float).eps * max(
-            np.abs(diag_head).max(), 1.0
-        ):
-            raise NumericalError("masked diagonal of the transform has a zero entry")
-        try:
-            self._lu = _lu_factor_quiet(corner)
-        except scipy.linalg.LinAlgError as e:
-            raise NumericalError("corner block of the transform is singular") from e
-        _check_factor_diagonal(np.diag(self._lu[0]), "corner block is numerically singular")
-
-    @property
-    def nnz(self) -> int:
-        return (self.n - self.block_size) + self.block_size**2
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        n, s = self.n, self.block_size
-        w = np.fft.fft(v)
-        y = np.empty_like(w)
-        y[: n - s] = w[: n - s] / self.diag_head
-        y[n - s :] = scipy.linalg.lu_solve(self._lu, w[n - s :], check_finite=False)
-        return np.fft.ifft(y)
-
-
-def build_cycle_preconditioner(a, k_cycles: int) -> CyclePreconditioner:
+def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
     a = require_square(a)
     n = a.shape[0]
     if not 1 <= k_cycles <= n:
         raise ValueError(f"cycle count {k_cycles} out of range [1, {n}]")
     b = similarity_transform(a)
     sel = select_dominant_cycles(b, k_cycles)
-    return CyclePreconditioner(sparsify(b, sel))
+    label = f"cycle preconditioner with cycles {sel.indices}"
+    return MaskPreconditioner(sparsify(b, sel).to_scipy(), label)
 
 
 def corner_block_side(n: int, nnz_budget: int) -> int:
@@ -153,14 +107,15 @@ def corner_block_side(n: int, nnz_budget: int) -> int:
     return s
 
 
-def build_tchan_preconditioner(a, nnz_budget: int) -> TChanPreconditioner:
+def build_tchan_preconditioner(a, nnz_budget: int) -> MaskPreconditioner:
     a = require_square(a)
     n = a.shape[0]
     s = corner_block_side(n, nnz_budget)
     b = similarity_transform(a)
-    diag_head = np.diag(b)[: n - s].copy()
-    corner = b[n - s :, n - s :].copy()
-    return TChanPreconditioner(n, nnz_budget, s, diag_head, corner)
+    mask = scipy.sparse.block_diag(
+        [scipy.sparse.diags(np.diag(b)[: n - s]), b[n - s :, n - s :]], format="csc"
+    )
+    return MaskPreconditioner(mask, f"corner-block preconditioner with corner side {s}")
 
 
 @dataclass
@@ -177,7 +132,6 @@ def pcg_solve(
     m=None,
     tol: float = 1e-6,
     max_iter: int | None = None,
-    collect_iterates: list | None = None,
 ) -> tuple[np.ndarray, PcgReport]:
     """Left-preconditioned conjugate gradient for Hermitian PD systems.
 
@@ -218,8 +172,6 @@ def pcg_solve(
         alpha = rho / denom
         x += alpha * p
         it += 1
-        if collect_iterates is not None:
-            collect_iterates.append(x.copy())
         if it % 50 == 0:
             r = b - a @ x
         else:
@@ -262,25 +214,16 @@ def precond_benchmark(
     a, info = generate(spec)
     n = spec.n
     rhs = info.get("rhs", np.arange(1, n + 1, dtype=np.complex128))
+    budgets = [int(budget) for budget in budgets]
+    runs = [("identity", 0, lambda: None)]
+    runs += [("tchan", budget, partial(build_tchan_preconditioner, a, budget)) for budget in budgets]
+    runs += [
+        ("cycles", budget, partial(build_cycle_preconditioner, a, max(budget // n, 1)))
+        for budget in budgets
+    ]
     rows = []
-    _, rep = pcg_solve(a, rhs, None, tol=tol, max_iter=max_iter)
-    rows.append(
-        BenchmarkRow("identity", 0, rep.iterations, rep.converged,
-                     rep.relative_residuals[-1] if rep.relative_residuals else 0.0)
-    )
-    for budget in budgets:
-        m = build_tchan_preconditioner(a, int(budget))
-        _, rep = pcg_solve(a, rhs, m, tol=tol, max_iter=max_iter)
-        rows.append(
-            BenchmarkRow("tchan", int(budget), rep.iterations, rep.converged,
-                         rep.relative_residuals[-1] if rep.relative_residuals else 0.0)
-        )
-    for budget in budgets:
-        k = max(int(budget) // n, 1)
-        m = build_cycle_preconditioner(a, k)
-        _, rep = pcg_solve(a, rhs, m, tol=tol, max_iter=max_iter)
-        rows.append(
-            BenchmarkRow("cycles", int(budget), rep.iterations, rep.converged,
-                         rep.relative_residuals[-1] if rep.relative_residuals else 0.0)
-        )
+    for method, budget, build in runs:
+        _, rep = pcg_solve(a, rhs, build(), tol=tol, max_iter=max_iter)
+        final = rep.relative_residuals[-1] if rep.relative_residuals else 0.0
+        rows.append(BenchmarkRow(method, budget, rep.iterations, rep.converged, final))
     return rows

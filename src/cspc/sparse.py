@@ -165,25 +165,6 @@ class EigenApproxResult:
     mean_relative_error: float
     std_relative_error: float
     n_excluded: int
-    residual_norms: tuple[float | None, float | None] = (None, None)
-
-    def to_json_dict(self) -> dict:
-        def pairs(v):
-            return [[float(x.real), float(x.imag)] for x in v]
-
-        return {
-            "approx_eigenvalues": pairs(self.approx_eigenvalues),
-            "reference_eigenvalues": (
-                pairs(self.reference_eigenvalues)
-                if self.reference_eigenvalues is not None
-                else None
-            ),
-            "matching": None if self.matching is None else [int(i) for i in self.matching],
-            "mean_relative_error": self.mean_relative_error,
-            "std_relative_error": self.std_relative_error,
-            "n_excluded": self.n_excluded,
-            "residual_norms": list(self.residual_norms),
-        }
 
 
 def _match_eigenvalues(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
@@ -207,12 +188,7 @@ def _match_eigenvalues(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
     return matching
 
 
-def eigen_error_report(
-    approx,
-    reference,
-    delta_frobenius: float | None = None,
-    delta_spectral: float | None = None,
-) -> EigenApproxResult:
+def eigen_error_report(approx, reference) -> EigenApproxResult:
     """Match approximate to reference eigenvalues and report error stats.
 
     Matching minimizes the total |lambda - lambda~| over bijections
@@ -238,7 +214,6 @@ def eigen_error_report(
         mean_relative_error=mean,
         std_relative_error=std,
         n_excluded=int((~ok).sum()),
-        residual_norms=(delta_frobenius, delta_spectral),
     )
 
 

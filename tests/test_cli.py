@@ -219,6 +219,16 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == 3
 
 
+def test_linalg_failure_exit_code(tmp_path, monkeypatch):
+    # an eigensolver that fails to converge is a numerical failure, not a traceback
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code = _run(["eig-errors", "--n", "8", "--cycles", "1", "--trials", "1", "--out", tmp_path / "e.csv"])
+    assert code == 3
+
+
 def test_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _run(["cycle-norms", "--n", "4"]) == 0

@@ -208,3 +208,17 @@ def test_cycle_selection_validation():
         CycleSelection.of(4, [-1])
     with pytest.raises(ValueError):
         CycleSelection(4, (2, 1))
+
+
+def test_every_export_resolves():
+    # a deleted class must not linger in any __all__
+    import importlib
+    import pkgutil
+
+    import cspc
+
+    names = [m.name for m in pkgutil.iter_modules(cspc.__path__) if m.name != "__main__"]
+    modules = [cspc] + [importlib.import_module(f"cspc.{name}") for name in names]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ lists missing {name}"

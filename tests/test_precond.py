@@ -11,7 +11,7 @@ from cspc.core import (
 )
 from cspc.generators import StructuredMatrixSpec, gen_example1, generate
 from cspc.precond import (
-    CyclePreconditioner,
+    MaskPreconditioner,
     build_cycle_preconditioner,
     build_tchan_preconditioner,
     corner_block_side,
@@ -19,48 +19,75 @@ from cspc.precond import (
     precond_benchmark,
 )
 from cspc.decomposition import circulant_dense
-from cspc.sparse import SparseCycleMatrix, sparsify
+from cspc.sparse import SparseCycleMatrix, select_dominant_cycles, sparsify
 from cspc.transform import inverse_similarity_transform, similarity_transform
+
+
+# Each case returns a preconditioner and the dense mask S it should invert,
+# the latter built independently of the preconditioner's own sparse mask.
+
+
+def _cycle_case(a, k):
+    m = build_cycle_preconditioner(a, k)
+    b = similarity_transform(a)
+    sel = select_dominant_cycles(b, k)
+    return m, sel, sparsify(b, sel).densify()
 
 
 def _example1_k1():
     a, _ = gen_example1(32)
-    return build_cycle_preconditioner(a, 1)
+    m, _, mask = _cycle_case(a, 1)
+    return m, mask
 
 
 def _example1_k3():
     a, _ = gen_example1(32)
-    m = build_cycle_preconditioner(a, 3)
-    assert m.selection.indices == (0, 1, 31)  # wrapped corners
-    return m
+    m, sel, mask = _cycle_case(a, 3)
+    assert sel.indices == (0, 1, 31)  # wrapped corners
+    return m, mask
 
 
 def _block_toeplitz_coset():
     spec = StructuredMatrixSpec(kind="block_toeplitz", n=40, m=4, symmetric=True, make_pd=True, seed=3)
     a, _ = generate(spec)
-    m = build_cycle_preconditioner(a, 4)
-    assert m.selection.indices == (0, 10, 20, 30)
-    return m
+    m, sel, mask = _cycle_case(a, 4)
+    assert sel.indices == (0, 10, 20, 30)
+    return m, mask
 
 
 def _spread():
     n = 32
     rng = np.random.default_rng(3)
     b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 8 * np.eye(n)
-    return CyclePreconditioner(sparsify(b, CycleSelection.of(n, [0, 3, 10, 17, 26])))
+    sp = sparsify(b, CycleSelection.of(n, [0, 3, 10, 17, 26]))
+    return MaskPreconditioner(sp.to_scipy(), "spread"), sp.densify()
+
+
+def _corner_block():
+    n = 16
+    a, _ = gen_example1(n)
+    m = build_tchan_preconditioner(a, 3 * n)
+    s = corner_block_side(n, 3 * n)
+    b = similarity_transform(a)
+    mask = np.zeros_like(b)
+    head = np.arange(n - s)
+    mask[head, head] = np.diag(b)[: n - s]
+    mask[n - s :, n - s :] = b[n - s :, n - s :]
+    assert m.nnz == (n - s) + s * s
+    return m, mask
 
 
 @pytest.mark.parametrize(
     "make",
-    [_example1_k1, _example1_k3, _block_toeplitz_coset, _spread],
-    ids=["example1-k1", "example1-k3", "block-toeplitz-coset", "spread"],
+    [_example1_k1, _example1_k3, _block_toeplitz_coset, _spread, _corner_block],
+    ids=["example1-k1", "example1-k3", "block-toeplitz-coset", "spread", "corner-block"],
 )
 def test_cycle_preconditioner_inverts_its_own_matrix(make):
-    m = make()
-    kept = SparseCycleMatrix(m.n, m.selection, m.cycles)
-    dense = inverse_similarity_transform(kept.densify())
+    m, mask = make()
+    dense = inverse_similarity_transform(mask)
+    n = mask.shape[0]
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert np.allclose(m.apply(dense @ v), v, atol=1e-10)
 
 
@@ -74,7 +101,7 @@ def test_cycle_preconditioner_never_densifies(monkeypatch):
     sel = CycleSelection.of(n, [0, 1, n - 1])
     cycles = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
     cycles[0] += 8.0  # diagonally dominant, so S is invertible
-    m = CyclePreconditioner(SparseCycleMatrix(n, sel, cycles))
+    m = MaskPreconditioner(SparseCycleMatrix(n, sel, cycles).to_scipy(), "cycle preconditioner")
     # S y computed cycle by cycle, independent of the sparse format
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     s_y = np.zeros(n, dtype=complex)
@@ -125,29 +152,22 @@ def test_corner_block_side_maximal_under_budget(n, budget):
         assert (n - (s + 1)) + (s + 1) ** 2 > budget
 
 
-def test_tchan_preconditioner_matches_dense_inverse():
-    a, _ = gen_example1(16)
-    m = build_tchan_preconditioner(a, 3 * 16)
-    s = m.block_size
-    b = similarity_transform(a)
-    masked = np.zeros_like(b)
-    head = np.arange(16 - s)
-    masked[head, head] = np.diag(b)[: 16 - s]
-    masked[16 - s :, 16 - s :] = b[16 - s :, 16 - s :]
-    dense = inverse_similarity_transform(masked)
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.allclose(m.apply(dense @ v), v, atol=1e-10)
-    assert m.nnz == (16 - s) + s * s
-
-
 def test_tchan_zero_diagonal_raises():
-    # circulant first row (1, -1, 0, ...): transform diagonal vanishes at 0
     n = 8
+    # circulant first row (1, -1, 0, ...): transform diagonal vanishes at 0,
+    # inside the diagonal head
     row = np.zeros(n, dtype=complex)
     row[0], row[1] = 1.0, -1.0
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="corner-block preconditioner .* is singular"):
         build_tchan_preconditioner(circulant_dense(row), n)
+    # eigenvalues 1 - cos(2 pi (q + 1) / n): the vanishing entry sits at
+    # q = n - 1, inside the 2 x 2 corner that a budget of n + 2 buys
+    lam = 1.0 - np.cos(2 * np.pi * (np.arange(n) + 1) / n)
+    w = fourier_matrix(n)
+    a = w.conj().T @ np.diag(lam) @ w
+    assert corner_block_side(n, n + 2) == 2
+    with pytest.raises(NumericalError, match="corner side 2 is singular"):
+        build_tchan_preconditioner(a, n + 2)
 
 
 def test_pcg_identity_converges_immediately():
@@ -203,15 +223,6 @@ def test_pcg_max_iter_exhaustion():
     _, rep = pcg_solve(a, rhs, max_iter=2)
     assert not rep.converged
     assert rep.iterations == 2
-
-
-def test_pcg_collect_iterates():
-    a, rhs = gen_example1(16)
-    iterates = []
-    _, rep = pcg_solve(a, rhs, collect_iterates=iterates)
-    assert len(iterates) == rep.iterations
-    errs = [np.linalg.norm(rhs - a @ x) for x in iterates]
-    assert errs[-1] < errs[0]
 
 
 def test_pcg_long_run_uses_recomputed_residual():
