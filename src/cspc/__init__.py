@@ -54,6 +54,7 @@ from .sparse import (
     approx_eigenvalues,
     bauer_fike_bound,
     direct_sparsify,
+    dominant_cycle_order,
     eigen_error_report,
     pd_sufficient_check,
     select_dominant_cycles,
@@ -101,6 +102,7 @@ __all__ = [
     "EigenApproxResult",
     "BauerFikeBound",
     "PdCheckReport",
+    "dominant_cycle_order",
     "select_dominant_cycles",
     "sparsify",
     "direct_sparsify",

@@ -29,7 +29,7 @@ from .generators import (
     with_seed,
 )
 from .precond import precond_benchmark
-from .sparse import eigen_error_report, select_dominant_cycles, sparsify
+from .sparse import dominant_cycle_order, eigen_error_report, select_dominant_cycles, sparsify
 from .transform import similarity_transform
 
 __all__ = ["main", "ExperimentConfig"]
@@ -119,12 +119,20 @@ def _eig_error_stats(
 def run_eig_errors(cfg: ExperimentConfig) -> str:
     if not cfg.cycles:
         raise ConfigError("eig-errors needs --cycles")
+    n = cfg.spec.n
+    if not all(1 <= k <= n for k in cfg.cycles):
+        raise ConfigError(f"cycle counts {list(cfg.cycles)} must lie in [1, {n}]")
 
     def one(seed):
         a, _ = generate(with_seed(cfg.spec, seed))
         b = similarity_transform(a)
         reference = np.linalg.eigvals(a)
-        return [_eig_error_stats(a, b, reference, select_dominant_cycles(b, k)) for k in cfg.cycles]
+        # one norm ranking per trial; its top k is select_dominant_cycles(b, k)
+        order = dominant_cycle_order(b)
+        return [
+            _eig_error_stats(a, b, reference, CycleSelection.of(n, order[:k]))
+            for k in cfg.cycles
+        ]
 
     per_trial = [one(seed) for seed in _trial_seeds(cfg.seed, cfg.trials)]
     rows = []

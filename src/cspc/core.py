@@ -35,12 +35,13 @@ __all__ = [
     "cycle_positions",
     "apply_cycle_mask",
     "iter_cycles",
+    "iter_cycle_blocks",
     "cycle_norms",
     "materialize_cycle",
 ]
 
 
-_CYCLE_BLOCK_ENTRIES = 1 << 14  # per gather in iter_cycles
+_CYCLE_BLOCK_ENTRIES = 1 << 14  # per gather in iter_cycles, iter_cycle_blocks
 
 
 class ConfigError(ValueError):
@@ -161,19 +162,39 @@ def apply_cycle_mask(a, k) -> np.ndarray:
     return a[cycle_positions(a.shape[0], k)]
 
 
+def _cycle_ranges(n: int):
+    # consecutive index ranges of about 16k entries each: all n cycles at
+    # once would allocate a second n x n array, and one cycle per gather
+    # pays the call overhead n times
+    step = max(1, _CYCLE_BLOCK_ENTRIES // max(n, 1))
+    return (range(start, min(start + step, n)) for start in range(0, n, step))
+
+
 def iter_cycles(a):
     """Yield the n cycles of square matrix a in index order.
 
     Each is a length-n vector in reading order, equal to
-    apply_cycle_mask(a, k).  The cycles are gathered in blocks of about
-    16k entries: all n at once would allocate a second n x n array, and
-    one cycle per gather pays the call overhead n times.
+    apply_cycle_mask(a, k), gathered in blocks of about 16k entries.
+    """
+    a = require_square(a)
+    for ks in _cycle_ranges(a.shape[0]):
+        yield from apply_cycle_mask(a, ks)
+
+
+def iter_cycle_blocks(a):
+    """Yield the n cycles of square matrix a as (ks, cols, values) blocks.
+
+    ks is a range of consecutive cycle indices, values the (len(ks), n)
+    array apply_cycle_mask(a, ks) and cols its column indices from
+    cycle_positions, so a caller that needs another order (the column
+    walk: np.put_along_axis(out, cols, values, axis=1)) takes it from
+    here.  Blocks are the ~16k-entry ones of iter_cycles.
     """
     a = require_square(a)
     n = a.shape[0]
-    step = max(1, _CYCLE_BLOCK_ENTRIES // max(n, 1))
-    for start in range(0, n, step):
-        yield from apply_cycle_mask(a, range(start, min(start + step, n)))
+    for ks in _cycle_ranges(n):
+        rows, cols = cycle_positions(n, ks)
+        yield ks, cols, a[rows, cols]
 
 
 def cycle_norms(a) -> np.ndarray:

@@ -7,6 +7,12 @@ components A = sum_k R_k D_k where D_k is the relaxation diagonal
 exp(+2i*pi*k*q/n).  The components are mutually orthogonal under the
 Frobenius inner product, so norm bookkeeping across the split is exact.
 
+The components come by two independent routes: recursive peeling
+(circulant_decompose_recursive) and the FFT of A's cycles
+(circulant_decompose_via_transform).  The second rests on the identity:
+with c_d cycle d of A read down the columns, c_d[q] = A((q+d) mod n, q),
+entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n.
+
 The dominance identity ties the two pictures together: the energy that
 the cycles of A concentrate on a frequency set S equals the share of
 |B|_F^2 that B = W A W* carries on the reflected cycle set T (index_reflect
@@ -27,7 +33,7 @@ from .core import (
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
-    iter_cycles,
+    iter_cycle_blocks,
     relaxation_diagonal,
     require_square,
 )
@@ -96,13 +102,6 @@ def component_dense(comp: CirculantComponent) -> np.ndarray:
     return circulant_dense(comp.first_row) * relaxation_diagonal(n, comp.k)[None, :]
 
 
-def _column_walk(a: np.ndarray, k: int) -> np.ndarray:
-    # cycle k read along columns q: entry q is a[(q+k) % n, q]
-    n = a.shape[0]
-    q = np.arange(n)
-    return a[(q + k) % n, q]
-
-
 def circulant_decompose_recursive(a) -> list[CirculantComponent]:
     """Peel off circulant components one relaxation at a time.
 
@@ -128,23 +127,25 @@ def circulant_decompose_recursive(a) -> list[CirculantComponent]:
 
 
 def circulant_decompose_via_transform(a) -> list[CirculantComponent]:
-    """Same components as the recursive variant, read off B = W A W*.
+    """Same components as the recursive variant, from one FFT of A's cycles.
 
-    Conjugating the cycle-k slice of B back out of the transform gives
-    R_k times the relaxation D_k; dividing the relaxation phases out of
-    the first row is cheaper than the full conjugation, one FFT per
-    component of B's cycle along the column walk.
+    With c_d cycle d of a on the column walk, c_d[q] = a((q+d) mod n, q),
+    entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n.  So the n
+    first rows are the rows of one n x n array: the FFT of the cycles
+    along their length, transposed with the index reflection d -> -d.
+    The name keeps "via_transform" because this is the Fourier transform
+    of A's cycles, from which B = W A W* is one more FFT away; B itself
+    is never formed.  The array is filled a block of cycles at a time,
+    and component k's first row is a view of its row k.
     """
     a = require_square(a)
     n = a.shape[0]
-    b = similarity_transform(a)
-    phase = np.exp(-2j * np.pi * np.arange(n) / n)
-    comps = []
-    for k in range(n):
-        mu = _column_walk(b, k)
-        first_row = np.fft.fft(mu) / n * phase**k
-        comps.append(CirculantComponent(k, first_row))
-    return comps
+    first_rows = np.empty((n, n), dtype=np.complex128)
+    for ks, cols, block in iter_cycle_blocks(a):
+        walk = np.empty_like(block)
+        np.put_along_axis(walk, cols, block, axis=1)
+        first_rows[:, (-np.asarray(ks)) % n] = np.fft.fft(walk, axis=1, norm="forward").T
+    return [CirculantComponent(k, first_rows[k]) for k in range(n)]
 
 
 def recompose(components: list[CirculantComponent], n: int) -> np.ndarray:
@@ -249,13 +250,21 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
     b_total = np.linalg.norm(b, "fro") ** 2
     s_direct = np.linalg.norm(apply_cycle_mask(b, reflected.indices)) ** 2 / b_total
 
-    # one pass over A's cycles gives both sides of each term
+    # one pass over A's cycles gives both factors of every term: the
+    # weights, and partial_energy batched as one FFT per block
+    freq = freq_set.as_array()
     weights = np.empty(n)
     energies = np.zeros(n)
-    for i, c in enumerate(iter_cycles(a)):
-        weights[i] = np.linalg.norm(c) ** 2 / total
-        if weights[i] > 0:
-            energies[i] = partial_energy(c, freq_set)
+    for ks, _, block in iter_cycle_blocks(a):
+        weights[ks.start : ks.stop] = np.linalg.norm(block, axis=1) ** 2 / total
+        gamma = np.abs(np.fft.ifft(block, axis=1, norm="forward")) ** 2
+        gamma_total = gamma.sum(axis=1)
+        np.divide(
+            gamma[:, freq].sum(axis=1),
+            gamma_total,
+            out=energies[ks.start : ks.stop],
+            where=gamma_total > 0,
+        )
     weighted = float(np.dot(weights, energies))
 
     if abs(s_direct - weighted) > 1e-9:

@@ -144,7 +144,7 @@ def _toeplitz_from_diag_values(vals: np.ndarray, n: int) -> np.ndarray:
     # vals[d + n - 1] is the constant on diagonal d = q - p
     first_col = vals[n - 1 :: -1]
     first_row = vals[n - 1 :]
-    return scipy.linalg.toeplitz(first_col, first_row).astype(np.complex128)
+    return scipy.linalg.toeplitz(first_col, first_row).astype(np.complex128, copy=False)
 
 
 def gen_toeplitz(spec: StructuredMatrixSpec) -> np.ndarray:
@@ -174,7 +174,7 @@ def gen_example1(n: int) -> tuple[np.ndarray, np.ndarray]:
     first[0] = 2.0
     if n > 1:
         first[1:] = -(0.5 ** np.arange(1, n))
-    a = scipy.linalg.toeplitz(first).astype(np.complex128)
+    a = scipy.linalg.toeplitz(first).astype(np.complex128, copy=False)
     b = np.arange(1, n + 1, dtype=np.complex128)
     return a, b
 

@@ -29,6 +29,7 @@ __all__ = [
     "EigenApproxResult",
     "BauerFikeBound",
     "PdCheckReport",
+    "dominant_cycle_order",
     "select_dominant_cycles",
     "sparsify",
     "direct_sparsify",
@@ -97,24 +98,32 @@ class SparseCycleMatrix:
         return float(np.linalg.norm(self.cycles))
 
 
-def select_dominant_cycles(b, k: int) -> CycleSelection:
-    """Indices of the k cycles of b with the largest l2 norm.
+def dominant_cycle_order(b) -> np.ndarray:
+    """All n cycle indices of b, largest l2 norm first.
 
     Norms within n * eps * max(norms) count as tied (for Hermitian b,
     cycles j and n - j tie in exact arithmetic, not in roundoff), and
-    ties break toward the smaller index.
+    ties break toward the smaller index.  The first k entries are
+    select_dominant_cycles(b, k) for every k, from one norm scan.
+    """
+    norms = cycle_norms(b)
+    tol = norms.size * np.finfo(float).eps * norms.max()
+    by_norm = np.argsort(-norms, kind="stable")
+    # consecutive norms (in descending order) closer than tol share a group
+    group = np.cumsum(np.r_[0, np.diff(norms[by_norm]) < -tol])
+    return by_norm[np.lexsort((by_norm, group))]
+
+
+def select_dominant_cycles(b, k: int) -> CycleSelection:
+    """Indices of the k cycles of b with the largest l2 norm.
+
+    The first k of dominant_cycle_order(b), with its tie rule.
     """
     b = require_square(b)
     n = b.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"cycle count {k} out of range [1, {n}]")
-    norms = cycle_norms(b)
-    tol = n * np.finfo(float).eps * norms.max()
-    by_norm = np.argsort(-norms, kind="stable")
-    # consecutive norms (in descending order) closer than tol share a group
-    group = np.cumsum(np.r_[0, np.diff(norms[by_norm]) < -tol])
-    order = by_norm[np.lexsort((by_norm, group))]
-    return CycleSelection.of(n, order[:k])
+    return CycleSelection.of(n, dominant_cycle_order(b)[:k])
 
 
 def sparsify(b, sel: CycleSelection) -> SparseCycleMatrix:

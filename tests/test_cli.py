@@ -67,6 +67,8 @@ def test_cycle_norms_json_format(tmp_path):
 
 def test_eig_errors_requires_cycles(tmp_path):
     assert _run(["eig-errors", "--n", "12", "--out", tmp_path / "x.csv"]) == 2
+    for bad in ("0,4", "4,13"):
+        assert _run(["eig-errors", "--n", "12", "--cycles", bad, "--out", tmp_path / "x.csv"]) == 2
 
 
 def test_eig_errors_runs(tmp_path):

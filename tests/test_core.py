@@ -10,6 +10,7 @@ from cspc.core import (
     fourier_matrix,
     frobenius_inner,
     full_cycle_matrix,
+    iter_cycle_blocks,
     iter_cycles,
     materialize_cycle,
     relaxation_diagonal,
@@ -177,6 +178,12 @@ def test_apply_cycle_mask_and_materialize():
     assert len(streamed) == 300
     assert all(np.array_equal(s, c) for s, c in zip(streamed, per_cycle))
     assert np.array_equal(cycle_norms(big), [np.linalg.norm(c) for c in per_cycle])
+    blocks = list(iter_cycle_blocks(big))
+    assert len(blocks) > 1
+    assert [k for ks, _, _ in blocks for k in ks] == list(range(300))
+    for ks, cols, values in blocks:
+        assert np.array_equal(values, apply_cycle_mask(big, ks))
+        assert np.array_equal(cols, cycle_positions(300, ks)[1])
 
 
 def test_materialize_cycle_length_check():

@@ -1,10 +1,20 @@
 """Cycle and circulant-component decompositions against hand-checked values
 on the 3x3 magic square, plus the norm identities they must satisfy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cspc.core import ConfigError, CycleSelection, NumericalError, apply_cycle_mask
+import cspc.decomposition as decomposition_mod
+from cspc.core import (
+    ConfigError,
+    CycleSelection,
+    NumericalError,
+    apply_cycle_mask,
+    cycle_positions,
+    iter_cycles,
+)
 from cspc.decomposition import (
     CirculantComponent,
     block_toeplitz_frequency_sets,
@@ -72,6 +82,46 @@ def test_circulant_routes_agree():
             assert x.k == y.k
             assert np.allclose(x.first_row, y.first_row, atol=1e-10)
         assert np.allclose(recompose(rec, n), a, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [7, 8, 60, 64])
+def test_via_transform_matches_b_formula(n):
+    # oracle: first row of R_k from B = W A W*, the fft of B's cycle k
+    # read down the columns with the relaxation phases divided out
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = similarity_transform(a)
+    q = np.arange(n)
+    comps = circulant_decompose_via_transform(a)
+    expect = np.array(
+        [np.fft.fft(b[(q + k) % n, q]) / n * np.exp(-2j * np.pi * ((k * q) % n) / n) for k in range(n)]
+    )
+    got = np.array([c.first_row for c in comps])
+    assert [c.k for c in comps] == list(range(n))
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_via_transform_never_forms_b(monkeypatch):
+    def refuse(a):
+        raise AssertionError("similarity_transform called")
+
+    monkeypatch.setattr(decomposition_mod, "similarity_transform", refuse)
+    a = np.random.default_rng(3).standard_normal((16, 16))
+    assert np.allclose(recompose(circulant_decompose_via_transform(a), 16), a, atol=1e-12)
+
+
+def test_via_transform_memory():
+    # the n first rows are one n x n array, filled block by block; forming
+    # B first, as a similarity transform would, peaks at about twice that
+    n = 1024
+    a = np.random.default_rng(4).standard_normal((n, n)) + 0j
+    tracemalloc.start()
+    try:
+        circulant_decompose_via_transform(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 16
 
 
 def test_component_dense_structure():
@@ -184,6 +234,22 @@ def test_dominance_identity_random(n):
     assert rep.weights.shape == (n,)
     assert rep.partial_energies.shape == (n,)
     assert 0 <= rep.relative_magnitude <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("n", [60, 64])
+def test_dominance_batched_terms_match_per_cycle(n):
+    rng = np.random.default_rng(n + 1)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a[cycle_positions(n, 5)] = 0  # a zero cycle carries weight 0 and energy 0
+    sel = CycleSelection.of(n, [0, 1, n // 2, n - 1])
+    rep = dominance_relation(a, sel)
+    total = np.linalg.norm(a) ** 2
+    cycles = list(iter_cycles(a))
+    weights = [np.linalg.norm(c) ** 2 / total for c in cycles]
+    energies = [partial_energy(c, sel) if w > 0 else 0.0 for c, w in zip(cycles, weights)]
+    assert rep.weights[5] == 0 and rep.partial_energies[5] == 0
+    assert np.abs(rep.weights - weights).max() <= 1e-15
+    assert np.abs(rep.partial_energies - energies).max() <= 1e-15
 
 
 def test_dominance_measures_reflected_cycles():

@@ -5,13 +5,20 @@ import pytest
 import scipy.linalg
 
 import cspc.sparse as sparse_mod
-from cspc.core import CycleSelection, NumericalError, apply_cycle_mask, materialize_cycle
+from cspc.core import (
+    CycleSelection,
+    NumericalError,
+    apply_cycle_mask,
+    cycle_positions,
+    materialize_cycle,
+)
 from cspc.decomposition import circulant_dense, cycle_weights
 from cspc.sparse import (
     SparseCycleMatrix,
     approx_eigenvalues,
     bauer_fike_bound,
     direct_sparsify,
+    dominant_cycle_order,
     eigen_error_report,
     pd_sufficient_check,
     select_dominant_cycles,
@@ -97,6 +104,18 @@ def test_cycle_scans_stream():
         finally:
             tracemalloc.stop()
         assert peak < n * n * 16 / 8
+
+
+def test_dominant_cycle_order_prefixes_are_selections():
+    n = 64
+    b = _random_b(n, 5)
+    b[cycle_positions(n, [3, 61])] = 1.0  # a reflection pair tied exactly
+    order = dominant_cycle_order(b)
+    assert sorted(order) == list(range(n))
+    for k in range(1, n + 1):
+        assert select_dominant_cycles(b, k) == CycleSelection.of(n, order[:k])
+    where = list(order)
+    assert where.index(61) == where.index(3) + 1
 
 
 def test_select_dominant_cycles_range():
