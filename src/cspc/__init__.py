@@ -55,10 +55,12 @@ from .sparse import (
     bauer_fike_bound,
     direct_sparsify,
     dominant_cycle_order,
+    dominant_cycle_selections,
     eigen_error_report,
     pd_sufficient_check,
     select_dominant_cycles,
     sparsify,
+    spectrum,
 )
 from .transform import (
     OpCounter,
@@ -103,9 +105,11 @@ __all__ = [
     "BauerFikeBound",
     "PdCheckReport",
     "dominant_cycle_order",
+    "dominant_cycle_selections",
     "select_dominant_cycles",
     "sparsify",
     "direct_sparsify",
+    "spectrum",
     "approx_eigenvalues",
     "eigen_error_report",
     "bauer_fike_bound",

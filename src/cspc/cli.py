@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +30,13 @@ from .generators import (
     with_seed,
 )
 from .precond import precond_benchmark
-from .sparse import dominant_cycle_order, eigen_error_report, select_dominant_cycles, sparsify
+from .sparse import (
+    dominant_cycle_selections,
+    eigen_error_report,
+    select_dominant_cycles,
+    sparsify,
+    spectrum,
+)
 from .transform import similarity_transform
 
 __all__ = ["main", "ExperimentConfig"]
@@ -63,7 +70,9 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in ss.spawn(trials)]
 
 
-def _write_rows(cfg: ExperimentConfig, header: list[str], rows: list[tuple]) -> str:
+def _write_rows(
+    cfg: ExperimentConfig, header: list[str], rows: list[tuple], diagnostics: dict | None = None
+) -> str:
     path = cfg.out
     if cfg.fmt == "csv":
         with open(path, "w", newline="") as f:
@@ -86,6 +95,7 @@ def _write_rows(cfg: ExperimentConfig, header: list[str], rows: list[tuple]) -> 
         },
         "version": __version__,
         "seed": cfg.seed,
+        **(diagnostics or {}),
     }
     with open(path + ".manifest.json", "w") as f:
         json.dump(manifest, f, indent=1)
@@ -101,8 +111,16 @@ def run_cycle_norms(cfg: ExperimentConfig) -> str:
     return _write_rows(cfg, ["cycle_index", "folded_index", "l2_norm"], rows)
 
 
+def _counted_spectrum(m, solvers: Counter) -> np.ndarray:
+    """spectrum(m), counting the solver it went through in solvers."""
+    values = spectrum(m)
+    # spectrum returns a real array exactly when eigvalsh ran
+    solvers["eigvalsh" if np.isrealobj(values) else "eigvals"] += 1
+    return values
+
+
 def _eig_error_stats(
-    a: np.ndarray, b: np.ndarray, reference: np.ndarray, sel: CycleSelection
+    a: np.ndarray, b: np.ndarray, reference: np.ndarray, sel: CycleSelection, solvers: Counter
 ) -> tuple[float, float, float]:
     """(mean, std) relative eigenvalue error of the cycles sel of b = W A W*
     against the reference eigenvalues of a, and |B - B~|_F / |A|_F.
@@ -111,9 +129,13 @@ def _eig_error_stats(
     dropped cycles alone and reads exactly 0 when every cycle is kept.
     """
     dense = sparsify(b, sel).densify()
-    rep = eigen_error_report(np.linalg.eigvals(dense), reference)
+    rep = eigen_error_report(_counted_spectrum(dense, solvers), reference)
     ratio = float(np.linalg.norm(b - dense, "fro") / np.linalg.norm(a, "fro"))
     return rep.mean_relative_error, rep.std_relative_error, ratio
+
+
+def _solver_counts(solvers: Counter) -> dict:
+    return {"spectra": {name: solvers[name] for name in ("eigvalsh", "eigvals")}}
 
 
 def run_eig_errors(cfg: ExperimentConfig) -> str:
@@ -122,35 +144,36 @@ def run_eig_errors(cfg: ExperimentConfig) -> str:
     n = cfg.spec.n
     if not all(1 <= k <= n for k in cfg.cycles):
         raise ConfigError(f"cycle counts {list(cfg.cycles)} must lie in [1, {n}]")
+    solvers = Counter()
 
     def one(seed):
         a, _ = generate(with_seed(cfg.spec, seed))
         b = similarity_transform(a)
-        reference = np.linalg.eigvals(a)
-        # one norm ranking per trial; its top k is select_dominant_cycles(b, k)
-        order = dominant_cycle_order(b)
-        return [
-            _eig_error_stats(a, b, reference, CycleSelection.of(n, order[:k]))
-            for k in cfg.cycles
-        ]
+        reference = _counted_spectrum(a, solvers)
+        # one norm ranking per trial serves every k
+        sels = dominant_cycle_selections(b, cfg.cycles)
+        stats = [_eig_error_stats(a, b, reference, sel, solvers) for sel in sels]
+        return stats, [len(sel) for sel in sels]
 
-    per_trial = [one(seed) for seed in _trial_seeds(cfg.seed, cfg.trials)]
-    rows = []
-    for j, k in enumerate(cfg.cycles):
-        means = np.array([t[j][0] for t in per_trial])
-        stds = np.array([t[j][1] for t in per_trial])
-        ratios = np.array([t[j][2] for t in per_trial])
-        rows.append(
-            (
-                k,
-                float(means.mean()),
-                float(stds.mean()),
-                float(means.std()),
-                float(ratios.mean()),
-            )
+    stats, sizes = zip(*(one(seed) for seed in _trial_seeds(cfg.seed, cfg.trials)))
+    stats = np.array(stats)  # (trial, k, [mean, std, ratio])
+    sizes = np.array(sizes)  # (trial, k): cycles kept, k - 1 where k would split a tied pair
+    rows = [
+        (
+            k,
+            float(stats[:, j, 0].mean()),
+            float(stats[:, j, 1].mean()),
+            float(stats[:, j, 0].std()),
+            float(stats[:, j, 2].mean()),
         )
+        for j, k in enumerate(cfg.cycles)
+    ]
+    kept = [
+        {"k_cycles": k, "min": int(sizes[:, j].min()), "max": int(sizes[:, j].max())}
+        for j, k in enumerate(cfg.cycles)
+    ]
     header = ["k_cycles", "mean_rel_err", "std_rel_err", "std_rel_err_across", "frob_residual_ratio"]
-    return _write_rows(cfg, header, rows)
+    return _write_rows(cfg, header, rows, {"cycles_kept": kept, **_solver_counts(solvers)})
 
 
 def run_eig_vs_n(cfg: ExperimentConfig) -> str:
@@ -158,6 +181,7 @@ def run_eig_vs_n(cfg: ExperimentConfig) -> str:
     if n_max < 100:
         raise ConfigError("eig-vs-n sweeps n from 100 up; give --n >= 100")
     seeds = _trial_seeds(cfg.seed, cfg.trials)
+    solvers = Counter()
     rows = []
     for n in range(100, n_max + 1, 100):
         spec_n = replace(cfg.spec, n=n)
@@ -165,14 +189,15 @@ def run_eig_vs_n(cfg: ExperimentConfig) -> str:
 
         def one(seed):
             a, _ = generate(with_seed(spec_n, seed))
-            return _eig_error_stats(a, similarity_transform(a), np.linalg.eigvals(a), sel)
+            reference = _counted_spectrum(a, solvers)
+            return _eig_error_stats(a, similarity_transform(a), reference, sel, solvers)
 
         stats = np.array([one(seed) for seed in seeds])
         rows.append(
             (n, float(stats[:, 0].mean()), float(stats[:, 1].mean()), float(stats[:, 2].mean()))
         )
     header = ["n", "mean_rel_err", "std_rel_err", "frob_residual_ratio"]
-    return _write_rows(cfg, header, rows)
+    return _write_rows(cfg, header, rows, _solver_counts(solvers))
 
 
 def run_sparsifier_compare(cfg: ExperimentConfig) -> str:
@@ -187,8 +212,8 @@ def run_sparsifier_compare(cfg: ExperimentConfig) -> str:
         a, _ = generate(with_seed(cfg.spec, seed))
         b = similarity_transform(a)
         sp = sparsify(b, select_dominant_cycles(b, k))
-        cyc = float(np.mean(np.abs(np.linalg.eigvals(sp.densify()))))
-        direct = float(np.mean(np.abs(np.linalg.eigvals(direct_sparsify(a, nnz)))))
+        cyc = float(np.mean(np.abs(spectrum(sp.densify()))))
+        direct = float(np.mean(np.abs(spectrum(direct_sparsify(a, nnz)))))
         return cyc, direct
 
     results = [one(seed) for seed in seeds]
@@ -220,7 +245,7 @@ def run_symbol_compare(cfg: ExperimentConfig) -> str:
     theta = 2 * np.pi * np.arange(n) / n
     symbol_vals = np.atleast_1d(eval_symbol(cfg.spec.symbol, theta))
     diag = np.diag(b)
-    eigs = np.linalg.eigvals(a)
+    eigs = spectrum(a)
     rows = []
     for q in range(n):
         rows.append(("symbol", q, float(symbol_vals[q].real), float(symbol_vals[q].imag)))

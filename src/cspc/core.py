@@ -32,6 +32,7 @@ __all__ = [
     "fourier_matrix",
     "relaxation_diagonal",
     "frobenius_inner",
+    "hermitian_defect",
     "cycle_positions",
     "apply_cycle_mask",
     "iter_cycles",
@@ -42,6 +43,7 @@ __all__ = [
 
 
 _CYCLE_BLOCK_ENTRIES = 1 << 14  # per gather in iter_cycles, iter_cycle_blocks
+_DEFECT_BLOCK_ROWS = 32  # rows per step of hermitian_defect
 
 
 class ConfigError(ValueError):
@@ -121,6 +123,21 @@ def frobenius_inner(a, b) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
+
+
+def hermitian_defect(m) -> float:
+    """|m - m*|_F / |m|_F of square matrix m; 0.0 for the zero matrix.
+
+    Summed over blocks of 32 rows against the matching column slices, so
+    the temporaries are 32 x n and nothing of size n x n is formed.
+    """
+    m = require_square(m)
+    diff2 = norm2 = 0.0
+    for r0 in range(0, m.shape[0], _DEFECT_BLOCK_ROWS):
+        rows = m[r0 : r0 + _DEFECT_BLOCK_ROWS]
+        diff2 += np.linalg.norm(rows - m[:, r0 : r0 + _DEFECT_BLOCK_ROWS].conj().T) ** 2
+        norm2 += np.linalg.norm(rows) ** 2
+    return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
 
 
 def cycle_positions(n: int, k) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .core import ConfigError, NumericalError, require_square
+from .core import ConfigError, NumericalError, hermitian_defect, require_square
 from .generators import StructuredMatrixSpec, generate
 from .sparse import select_dominant_cycles, sparsify
 from .transform import similarity_transform
@@ -146,8 +146,7 @@ def pcg_solve(
     b = np.asarray(b, dtype=np.complex128).ravel()
     if b.size != n:
         raise ValueError(f"rhs has length {b.size}, matrix has n={n}")
-    herm_defect = np.linalg.norm(a - a.conj().T, "fro")
-    if herm_defect > 1e-10 * max(np.linalg.norm(a, "fro"), 1e-300):
+    if hermitian_defect(a) > 1e-10:
         raise ValueError("matrix is not Hermitian to working tolerance")
     if max_iter is None:
         max_iter = max(10 * n, 100)

@@ -5,6 +5,19 @@ The pipeline: transform A, keep the k cycles of B = W A W* with the
 largest l2 norm, and treat the rest as the perturbation Delta.  Because
 distinct cycles are orthogonal slices of the matrix, norm bookkeeping is
 exact: |B|_F^2 = |B~|_F^2 + |Delta|_F^2.
+
+Three rules keep Hermitian problems Hermitian and their statistics well
+defined:
+
+* Selection never splits a tied reflection pair.  For Hermitian B the
+  cycles j and n - j have equal norms, and a top-k cut that kept one
+  without the other would give a non-Hermitian B~; such a cut keeps k - 1
+  cycles instead, so |S| <= k and the nnz budget holds.
+* spectrum() is the one eigenvalue entry point: Hermitian input (to
+  n * eps relative) goes through eigvalsh, anything else through eigvals.
+* Two real spectra (to roundoff) are matched by sorting both, the
+  canonical matching that minimizes the total |lambda - lambda~|;
+  complex spectra go through an optimal assignment.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from .core import (
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
+    hermitian_defect,
     require_square,
 )
 
@@ -30,9 +44,11 @@ __all__ = [
     "BauerFikeBound",
     "PdCheckReport",
     "dominant_cycle_order",
+    "dominant_cycle_selections",
     "select_dominant_cycles",
     "sparsify",
     "direct_sparsify",
+    "spectrum",
     "approx_eigenvalues",
     "eigen_error_report",
     "bauer_fike_bound",
@@ -42,7 +58,8 @@ __all__ = [
 # eigenvalues smaller than this are excluded from relative-error statistics
 RELATIVE_ERROR_FLOOR = 1e-14
 
-# optimal assignment is cubic; above this size a greedy matching is used
+# optimal assignment of complex spectra is cubic; above this size a
+# greedy matching is used
 HUNGARIAN_LIMIT = 512
 
 
@@ -98,32 +115,67 @@ class SparseCycleMatrix:
         return float(np.linalg.norm(self.cycles))
 
 
+def _ranking(b) -> tuple[np.ndarray, np.ndarray]:
+    """(order, splits) from one norm scan of b.
+
+    order is dominant_cycle_order(b); splits[k], for k in [0, n], says that
+    order[:k] ends between the two cycles of a tied reflection pair.
+    """
+    norms = cycle_norms(b)
+    n = norms.size
+    tol = n * np.finfo(float).eps * norms.max()
+    by_norm = np.argsort(-norms, kind="stable")
+    # consecutive norms (in descending order) closer than tol share a group
+    group = np.cumsum(np.r_[0, np.diff(norms[by_norm]) < -tol])
+    # within a group, partners j and n - j sit side by side, lower index first
+    perm = np.lexsort((by_norm, np.minimum(by_norm, n - by_norm), group))
+    order, group = by_norm[perm], group[perm]
+    splits = np.zeros(n + 1, dtype=bool)
+    splits[1:n] = (order[1:] == n - order[:-1]) & (group[1:] == group[:-1])
+    return order, splits
+
+
 def dominant_cycle_order(b) -> np.ndarray:
     """All n cycle indices of b, largest l2 norm first.
 
     Norms within n * eps * max(norms) count as tied (for Hermitian b,
-    cycles j and n - j tie in exact arithmetic, not in roundoff), and
-    ties break toward the smaller index.  The first k entries are
-    select_dominant_cycles(b, k) for every k, from one norm scan.
+    cycles j and n - j tie in exact arithmetic, not in roundoff).  Within
+    a tie, reflection partners j and n - j come next to each other, pairs
+    in order of min(j, n - j), the smaller index first.
+    select_dominant_cycles(b, k) is the first k entries, or the first
+    k - 1 where the k-th entry's tied partner would be cut off.
     """
-    norms = cycle_norms(b)
-    tol = norms.size * np.finfo(float).eps * norms.max()
-    by_norm = np.argsort(-norms, kind="stable")
-    # consecutive norms (in descending order) closer than tol share a group
-    group = np.cumsum(np.r_[0, np.diff(norms[by_norm]) < -tol])
-    return by_norm[np.lexsort((by_norm, group))]
+    return _ranking(b)[0]
 
 
-def select_dominant_cycles(b, k: int) -> CycleSelection:
-    """Indices of the k cycles of b with the largest l2 norm.
+def dominant_cycle_selections(b, ks) -> list[CycleSelection]:
+    """select_dominant_cycles(b, k) for each k in ks, from one norm scan.
 
-    The first k of dominant_cycle_order(b), with its tie rule.
+    Each is the first k of dominant_cycle_order(b), or the first k - 1 when
+    that prefix would keep a cycle and drop its tied reflection partner.
+    So |S| <= k, and for Hermitian b (where every pair ties) S is closed
+    under j -> n - j and sparsify(b, S) is Hermitian.  The one exception is
+    k = 1 with a tied pair in the lead, where the leading cycle is kept
+    alone rather than selecting nothing.
     """
     b = require_square(b)
     n = b.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"cycle count {k} out of range [1, {n}]")
-    return CycleSelection.of(n, dominant_cycle_order(b)[:k])
+    ks = [int(k) for k in ks]
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"cycle count {k} out of range [1, {n}]")
+    order, splits = _ranking(b)
+    return [CycleSelection.of(n, order[: k - 1 if splits[k] and k > 1 else k]) for k in ks]
+
+
+def select_dominant_cycles(b, k: int) -> CycleSelection:
+    """Indices of at most k cycles of b with the largest l2 norm.
+
+    The first k of dominant_cycle_order(b), with its tie rule, less the
+    last one when it would split a tied reflection pair (see
+    dominant_cycle_selections).
+    """
+    return dominant_cycle_selections(b, [k])[0]
 
 
 def sparsify(b, sel: CycleSelection) -> SparseCycleMatrix:
@@ -152,18 +204,33 @@ def direct_sparsify(a, nnz: int) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def approx_eigenvalues(b_sparse: SparseCycleMatrix) -> np.ndarray:
-    """All n eigenvalues of the densified sparse matrix.
+def spectrum(m) -> np.ndarray:
+    """All n eigenvalues of the dense square matrix m.
 
-    A dense general eigensolver stands in for a structured sparse one;
-    adequate at the matrix sizes this library targets.
+    The route depends on m alone: when hermitian_defect(m) <= n * eps,
+    np.linalg.eigvalsh (which reads one triangle) returns them as a real
+    array in ascending order; otherwise np.linalg.eigvals returns them as
+    a complex array.  A solver that fails to converge raises
+    NumericalError.
+    """
+    m = require_square(m)
+    try:
+        if hermitian_defect(m) <= m.shape[0] * np.finfo(float).eps:
+            return np.linalg.eigvalsh(m)
+        return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"eigensolver failed to converge: {e}") from e
+
+
+def approx_eigenvalues(b_sparse: SparseCycleMatrix) -> np.ndarray:
+    """All n eigenvalues of the sparse matrix, by spectrum() of its dense form.
+
+    Real and ascending when the matrix is Hermitian, as sparsify gives for
+    Hermitian B and a selection from select_dominant_cycles.
     """
     if len(b_sparse.selection) == 0:
         raise ValueError("empty cycle selection")
-    try:
-        return np.linalg.eigvals(b_sparse.densify())
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"eigensolver failed to converge: {e}") from e
+    return spectrum(b_sparse.densify())
 
 
 @dataclass
@@ -176,8 +243,9 @@ class EigenApproxResult:
     n_excluded: int
 
 
-def _match_eigenvalues(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
-    """matching[i] = index into approx paired with reference[i]."""
+def _assignment_matching(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
+    """matching[i] = index into approx paired with reference[i], by optimal
+    assignment on |lambda - lambda~| up to HUNGARIAN_LIMIT, greedy beyond."""
     n = len(reference)
     cost = np.abs(reference[:, None] - approx[None, :])
     if n <= HUNGARIAN_LIMIT:
@@ -197,12 +265,33 @@ def _match_eigenvalues(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
     return matching
 
 
+def _is_real(values: np.ndarray) -> bool:
+    """No imaginary part above roundoff, n * eps * max |lambda|."""
+    roundoff = values.size * np.finfo(float).eps * np.abs(values).max(initial=0.0)
+    return bool(np.abs(values.imag).max(initial=0.0) <= roundoff)
+
+
+def _match_eigenvalues(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
+    """matching[i] = index into approx paired with reference[i]."""
+    if not (_is_real(reference) and _is_real(approx)):
+        return _assignment_matching(reference, approx)
+    # on the real line, pairing in sorted order minimizes the total
+    # |lambda - lambda~| (and every convex cost of the differences)
+    matching = np.empty(len(reference), dtype=np.int64)
+    matching[np.argsort(reference.real, kind="stable")] = np.argsort(approx.real, kind="stable")
+    return matching
+
+
 def eigen_error_report(approx, reference) -> EigenApproxResult:
     """Match approximate to reference eigenvalues and report error stats.
 
-    Matching minimizes the total |lambda - lambda~| over bijections
-    (optimal assignment up to HUNGARIAN_LIMIT, greedy beyond).  Relative
-    error per pair is |lambda - lambda~| / |lambda|; pairs with
+    Matching pairs each reference eigenvalue with one approximate one.
+    When both spectra are real (imaginary parts within n * eps * max
+    |lambda|) it pairs them in sorted order of their real parts, which
+    minimizes the total |lambda - lambda~| and does not depend on the
+    order either spectrum comes in; otherwise it is the optimal assignment
+    on |lambda - lambda~| up to HUNGARIAN_LIMIT and greedy beyond.
+    Relative error per pair is |lambda - lambda~| / |lambda|; pairs with
     |lambda| < RELATIVE_ERROR_FLOOR are excluded from the statistics and
     counted in n_excluded.  Std is the population standard deviation.
     """

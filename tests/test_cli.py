@@ -115,6 +115,29 @@ def test_eig_errors_frob_ratio_is_dropped_cycle_norm(tmp_path):
         assert got[k] == pytest.approx(np.mean(ratios), rel=1e-12)
 
 
+def test_eig_errors_manifest_records_kept_cycles_and_solvers(tmp_path):
+    out = tmp_path / "errs.csv"
+    n, cycles, trials = 16, (1, 4, 6, 16), 3
+    code = _run(
+        ["eig-errors", "--n", n, "--cycles", ",".join(map(str, cycles)),
+         "--trials", trials, "--seed", 2, "--out", out]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "errs.csv.manifest.json").read_text())
+    spec = StructuredMatrixSpec(kind="toeplitz", n=n, seed=2, symmetric=True)
+    sizes = {k: [] for k in cycles}
+    for s in _trial_seeds(2, trials):
+        b = similarity_transform(generate(with_seed(spec, s))[0])
+        for k in cycles:
+            sizes[k].append(len(select_dominant_cycles(b, k)))
+    assert manifest["cycles_kept"] == [
+        {"k_cycles": k, "min": min(sizes[k]), "max": max(sizes[k])} for k in cycles
+    ]
+    # symmetric Toeplitz: the reference and every reflection-closed B~ are
+    # Hermitian, one reference and one approximation per k and trial
+    assert manifest["spectra"] == {"eigvalsh": trials * (1 + len(cycles)), "eigvals": 0}
+
+
 def test_eig_vs_n_sweep(tmp_path):
     out = tmp_path / "vsn.csv"
     code = _run(["eig-vs-n", "--n", "200", "--trials", "2", "--seed", "2", "--out", out])
@@ -227,6 +250,7 @@ def test_linalg_failure_exit_code(tmp_path, monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     code = _run(["eig-errors", "--n", "8", "--cycles", "1", "--trials", "1", "--out", tmp_path / "e.csv"])
     assert code == 3
 

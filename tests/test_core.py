@@ -10,6 +10,7 @@ from cspc.core import (
     fourier_matrix,
     frobenius_inner,
     full_cycle_matrix,
+    hermitian_defect,
     iter_cycle_blocks,
     iter_cycles,
     materialize_cycle,
@@ -196,6 +197,31 @@ def test_require_square():
         require_square(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         require_square(np.zeros(4))
+
+
+def test_hermitian_defect_matches_dense_form():
+    rng = np.random.default_rng(1)
+    for n in (1, 5, 33, 100):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        dense = np.linalg.norm(m - m.conj().T) / np.linalg.norm(m)
+        assert hermitian_defect(m) == pytest.approx(dense, rel=1e-12)
+        assert hermitian_defect(m + m.conj().T) == 0.0
+    assert hermitian_defect(np.zeros((4, 4))) == 0.0
+
+
+def test_hermitian_defect_streams():
+    import tracemalloc
+
+    n = 1024
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        hermitian_defect(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16 / 8
 
 
 def test_cycle_selection_normalizes():

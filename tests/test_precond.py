@@ -205,6 +205,20 @@ def test_pcg_input_validation():
         pcg_solve(skew, np.ones(2))
 
 
+def test_pcg_hermitian_check_bound():
+    rng = np.random.default_rng(3)
+    n = 300
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = h @ h.conj().T + n * np.eye(n)
+    bump = np.zeros((n, n), dtype=complex)
+    bump[0, 1] = 1e-8 * np.linalg.norm(a)
+    with pytest.raises(ValueError):
+        pcg_solve(a + bump, np.ones(n))
+    bump[0, 1] = 1e-12 * np.linalg.norm(a)
+    _, rep = pcg_solve(a + bump, np.ones(n))
+    assert rep.converged
+
+
 def test_pcg_breakdown_on_indefinite():
     a = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(NumericalError):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 import cspc.sparse as sparse_mod
 from cspc.core import (
@@ -19,10 +20,12 @@ from cspc.sparse import (
     bauer_fike_bound,
     direct_sparsify,
     dominant_cycle_order,
+    dominant_cycle_selections,
     eigen_error_report,
     pd_sufficient_check,
     select_dominant_cycles,
     sparsify,
+    spectrum,
 )
 from cspc.transform import similarity_transform
 
@@ -88,7 +91,8 @@ def test_select_dominant_cycles_reflection_tie_breaks_low():
     # arithmetic; summation roundoff must not pick the larger index
     a = scipy.linalg.toeplitz(np.random.default_rng(13).standard_normal(8))
     b = similarity_transform(a)
-    assert select_dominant_cycles(b, 6).indices == (0, 1, 2, 3, 6, 7)
+    # the order is [0, 1, 7, 2, 6, 3, 5, 4]: a sixth cycle would split 3 from 5
+    assert select_dominant_cycles(b, 6).indices == (0, 1, 2, 6, 7)
 
 
 def test_cycle_scans_stream():
@@ -112,10 +116,26 @@ def test_dominant_cycle_order_prefixes_are_selections():
     b[cycle_positions(n, [3, 61])] = 1.0  # a reflection pair tied exactly
     order = dominant_cycle_order(b)
     assert sorted(order) == list(range(n))
-    for k in range(1, n + 1):
-        assert select_dominant_cycles(b, k) == CycleSelection.of(n, order[:k])
     where = list(order)
     assert where.index(61) == where.index(3) + 1
+    for k in range(1, n + 1):
+        # the one prefix that ends between 3 and 61 gives up its last cycle
+        expected = order[: k - 1] if k == where.index(61) else order[:k]
+        assert select_dominant_cycles(b, k) == CycleSelection.of(n, expected)
+
+
+def test_sparsify_of_hermitian_b_is_hermitian_for_every_k():
+    n = 64
+    a = scipy.linalg.toeplitz(np.random.default_rng(8).standard_normal(n))
+    b = similarity_transform(a)
+    sels = dominant_cycle_selections(b, range(1, n + 1))
+    for k, sel in enumerate(sels, start=1):
+        assert len(sel) in (k - 1, k)
+        ks = sel.as_array()
+        assert set((n - ks) % n) == set(ks)
+        dense = sparsify(b, sel).densify()
+        assert np.linalg.norm(dense - dense.conj().T) <= 1e-14 * np.linalg.norm(dense)
+    assert sels == [select_dominant_cycles(b, k) for k in range(1, n + 1)]
 
 
 def test_select_dominant_cycles_range():
@@ -151,6 +171,70 @@ def test_approx_eigenvalues_circulant_exact():
     got = np.sort_complex(approx_eigenvalues(sp))
     # the circulant's eigenvalues: the positive-kernel DFT of its first row
     assert np.allclose(got, np.sort_complex(n * np.fft.ifft(r)), atol=1e-10)
+
+
+def test_spectrum_routes_by_hermitian_check(monkeypatch):
+    n = 40
+    h = _random_b(n, 9)
+    # Hermitian to roundoff only, as every transformed B is
+    h = similarity_transform(h + h.conj().T)
+    general = _random_b(n, 10)
+    want_h = np.sort(np.linalg.eigvals(h).real)
+    want_general = np.linalg.eigvals(general)
+
+    def refuse(m):
+        raise AssertionError("wrong eigensolver")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", refuse)
+        got = spectrum(h)
+    assert np.isrealobj(got) and np.all(np.diff(got) >= 0)
+    assert np.abs(got - want_h).max() <= 1e-12 * np.abs(want_h).max()
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", refuse)
+        got = spectrum(general)
+    assert np.array_equal(got, want_general)
+
+
+def test_spectrum_maps_solver_failure(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericalError):
+        spectrum(np.eye(3))
+
+
+def test_sorted_matching_is_l1_optimal():
+    rng = np.random.default_rng(11)
+    for n in (5, 37, 200):
+        ref = rng.standard_normal(n) * 10
+        approx = ref + rng.standard_normal(n)
+        rep = eigen_error_report(approx, ref)
+        total = np.abs(ref - approx[rep.matching]).sum()
+        rows, cols = scipy.optimize.linear_sum_assignment(np.abs(ref[:, None] - approx[None, :]))
+        assert total == pytest.approx(np.abs(ref[rows] - approx[cols]).sum(), rel=1e-12)
+
+
+def test_sorted_matching_ignores_input_order():
+    rng = np.random.default_rng(12)
+    ref = rng.standard_normal(50)
+    approx = ref + 0.3 * rng.standard_normal(50)
+    base = eigen_error_report(approx, ref)
+    for a, r in ((rng.permutation(approx), ref), (approx, rng.permutation(ref))):
+        rep = eigen_error_report(a, r)
+        assert rep.mean_relative_error == pytest.approx(base.mean_relative_error, rel=1e-14)
+        assert rep.std_relative_error == pytest.approx(base.std_relative_error, rel=1e-14)
+
+
+def test_sorted_matching_beats_greedy_above_hungarian_limit():
+    rng = np.random.default_rng(13)
+    n = 800
+    ref = rng.standard_normal(n) * 10
+    approx = ref + rng.standard_normal(n)
+    rep = eigen_error_report(approx, ref)
+    greedy = sparse_mod._assignment_matching(ref.astype(complex), approx.astype(complex))
+    assert np.abs(ref - approx[rep.matching]).sum() <= np.abs(ref - approx[greedy]).sum()
 
 
 def test_eigen_error_report_exact_match_any_order():
