@@ -228,12 +228,17 @@ def run_sparsifier_compare(cfg: ExperimentConfig) -> str:
 def run_precond_table(cfg: ExperimentConfig) -> str:
     if not cfg.budgets:
         raise ConfigError("precond-table needs --budgets")
-    rows = [
-        (r.method, r.budget, r.iterations, r.converged, r.final_residual)
-        for r in precond_benchmark(cfg.spec, cfg.budgets, tol=cfg.tol)
-    ]
+    results = precond_benchmark(cfg.spec, cfg.budgets, tol=cfg.tol)
+    rows = [(r.method, r.budget, r.iterations, r.converged, r.final_residual) for r in results]
     header = ["method", "budget", "iterations", "converged", "final_residual"]
-    return _write_rows(cfg, header, rows)
+    routes = Counter(r.matvec for r in results)
+    diagnostics = {
+        "matvec": {name: routes[name] for name in ("toeplitz-fft", "dense")},
+        "pd_margins": [
+            {"budget": r.budget, "pd_margin": r.pd_margin} for r in results if r.method == "cycles"
+        ],
+    }
+    return _write_rows(cfg, header, rows, diagnostics)
 
 
 def run_symbol_compare(cfg: ExperimentConfig) -> str:

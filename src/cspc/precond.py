@@ -29,6 +29,21 @@ positive definite systems with x0 = 0.  Iteration counts are sensitive
 to residual bookkeeping, so the policy is fixed: the recurrence residual
 is replaced by the true residual b - A x every 50 iterations, and
 convergence is declared on |r| / |b| < tol right after the x update.
+
+The product A x takes one of two routes, chosen from A itself.  When A
+is exactly Toeplitz (core.toeplitz_diagonals: every entry equal to its
+down-right neighbour, checked in 32-row blocks), it is the leading
+block of a circulant of size 2n whose first column is
+[first column, 0, first row reversed without its head], so A x is
+ifft(fft(c) * fft(x, 2n))[:n], O(n log n) (T. Chan 1988; Chan & Ng,
+SIAM Review 1996).  fft(c) is taken once per solve and serves both the
+search-direction products and the true residuals.  The Hermitian check
+then needs only the 2n - 1 diagonals: diagonal d holds n - |d| equal
+entries, so |A - A*|_F^2 = sum_d (n - |d|) |t_d - conj(t_-d)|^2 and |A|_F^2
+carries the same weights, O(n).  Every other A, including a Toeplitz
+matrix perturbed by one ulp, takes the dense product a @ x and
+core.hermitian_defect.  The report names the route that ran
+("toeplitz-fft" or "dense").
 """
 
 from __future__ import annotations
@@ -40,9 +55,15 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .core import ConfigError, NumericalError, hermitian_defect, require_square
+from .core import (
+    ConfigError,
+    NumericalError,
+    hermitian_defect,
+    require_square,
+    toeplitz_diagonals,
+)
 from .generators import StructuredMatrixSpec, generate
-from .sparse import select_dominant_cycles, sparsify
+from .sparse import pd_sufficient_check, select_dominant_cycles, sparsify
 from .transform import similarity_transform
 
 __all__ = [
@@ -64,10 +85,15 @@ class MaskPreconditioner:
     ifft.  A factor that SuperLU reports exactly singular, or whose
     smallest U pivot is negligible next to its largest, raises
     NumericalError("<label> is singular").
+
+    pd_margin is the slack of sparse.pd_sufficient_check on S where the
+    builder could run it (negative: S is not shown definite), else None.
+    It is recorded only; nothing is raised or damped on it.
     """
 
-    def __init__(self, mask, label: str):
+    def __init__(self, mask, label: str, pd_margin: float | None = None):
         self.nnz = mask.nnz
+        self.pd_margin = pd_margin
         singular = f"{label} is singular"
         try:
             self._lu = scipy.sparse.linalg.splu(mask)
@@ -90,8 +116,13 @@ def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
         raise ValueError(f"cycle count {k_cycles} out of range [1, {n}]")
     b = similarity_transform(a)
     sel = select_dominant_cycles(b, k_cycles)
+    s = sparsify(b, sel)
+    try:
+        margin = pd_sufficient_check(s).margin
+    except ValueError:  # selection without cycle 0 or not reflection-closed
+        margin = None
     label = f"cycle preconditioner with cycles {sel.indices}"
-    return MaskPreconditioner(sparsify(b, sel).to_scipy(), label)
+    return MaskPreconditioner(s.to_scipy(), label, pd_margin=margin)
 
 
 def corner_block_side(n: int, nnz_budget: int) -> int:
@@ -124,6 +155,26 @@ class PcgReport:
     relative_residuals: list[float]
     converged: bool
     tolerance: float
+    matvec: str  # "toeplitz-fft" or "dense", the route A x took
+
+
+def _toeplitz_matvec(col: np.ndarray, row: np.ndarray):
+    """x -> T x for the Toeplitz T with first column col and first row
+    row, through T's circulant embedding of size 2n."""
+    n = col.size
+    eig = np.fft.fft(np.concatenate([col, [0], row[:0:-1]]))
+    return lambda x: np.fft.ifft(eig * np.fft.fft(x, 2 * n))[:n]
+
+
+def _toeplitz_hermitian_defect(col: np.ndarray, row: np.ndarray) -> float:
+    """hermitian_defect of the Toeplitz matrix with first column col and
+    first row row, from its 2n - 1 diagonals in O(n)."""
+    n = col.size
+    t = np.concatenate([col[:0:-1], row])  # t[n - 1 + d] holds diagonal d = q - p
+    weights = n - np.abs(np.arange(1 - n, n))
+    diff2 = weights @ np.abs(t - t[::-1].conj()) ** 2
+    norm2 = weights @ np.abs(t) ** 2
+    return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
 
 
 def pcg_solve(
@@ -139,14 +190,22 @@ def pcg_solve(
     preconditioning).  Returns the solution and a report with the
     per-iteration relative residuals |b - A x| / |b|.  Definiteness is
     only checked along the way: a search direction with Re(p* A p) <= 0
-    raises NumericalError.  Hermitian symmetry is checked up front.
+    raises NumericalError.  Hermitian symmetry is checked up front.  An
+    exactly Toeplitz A is applied through its circulant embedding (see
+    the module docstring); the report's matvec names the route.
     """
     a = require_square(a)
     n = a.shape[0]
     b = np.asarray(b, dtype=np.complex128).ravel()
     if b.size != n:
         raise ValueError(f"rhs has length {b.size}, matrix has n={n}")
-    if hermitian_defect(a) > 1e-10:
+    diagonals = toeplitz_diagonals(a)
+    if diagonals is None:
+        route, matvec, defect = "dense", a.__matmul__, hermitian_defect(a)
+    else:
+        route, matvec = "toeplitz-fft", _toeplitz_matvec(*diagonals)
+        defect = _toeplitz_hermitian_defect(*diagonals)
+    if defect > 1e-10:
         raise ValueError("matrix is not Hermitian to working tolerance")
     if max_iter is None:
         max_iter = max(10 * n, 100)
@@ -155,7 +214,7 @@ def pcg_solve(
     nb = np.linalg.norm(b)
     residuals: list[float] = []
     if nb == 0:
-        return x, PcgReport(0, residuals, True, tol)
+        return x, PcgReport(0, residuals, True, tol, route)
 
     r = b.copy()
     z = m.apply(r) if m is not None else r.copy()
@@ -164,7 +223,7 @@ def pcg_solve(
     it = 0
     converged = False
     while it < max_iter:
-        ap = a @ p
+        ap = matvec(p)
         denom = np.vdot(p, ap).real
         if denom <= 0:
             raise NumericalError(f"conjugate gradient breakdown at iteration {it}: p*Ap = {denom:g}")
@@ -172,7 +231,7 @@ def pcg_solve(
         x += alpha * p
         it += 1
         if it % 50 == 0:
-            r = b - a @ x
+            r = b - matvec(x)
         else:
             r = r - alpha * ap
         rel = np.linalg.norm(r) / nb
@@ -185,7 +244,7 @@ def pcg_solve(
         beta = rho_new / rho
         rho = rho_new
         p = z + beta * p
-    return x, PcgReport(it, residuals, converged, tol)
+    return x, PcgReport(it, residuals, converged, tol, route)
 
 
 @dataclass(frozen=True)
@@ -195,6 +254,8 @@ class BenchmarkRow:
     iterations: int
     converged: bool
     final_residual: float
+    matvec: str  # PcgReport.matvec of the solve
+    pd_margin: float | None  # MaskPreconditioner.pd_margin; None without one
 
 
 def precond_benchmark(
@@ -222,7 +283,11 @@ def precond_benchmark(
     ]
     rows = []
     for method, budget, build in runs:
-        _, rep = pcg_solve(a, rhs, build(), tol=tol, max_iter=max_iter)
+        m = build()
+        _, rep = pcg_solve(a, rhs, m, tol=tol, max_iter=max_iter)
         final = rep.relative_residuals[-1] if rep.relative_residuals else 0.0
-        rows.append(BenchmarkRow(method, budget, rep.iterations, rep.converged, final))
+        margin = None if m is None else m.pd_margin
+        rows.append(
+            BenchmarkRow(method, budget, rep.iterations, rep.converged, final, rep.matvec, margin)
+        )
     return rows

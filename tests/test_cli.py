@@ -175,6 +175,26 @@ def test_precond_table(tmp_path):
         ("cycles", "64"), ("cycles", "192"),
     ]
     assert all(r[3] == "True" for r in rows)
+    manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+    # Example 1 is exactly Toeplitz: every solve takes the FFT matvec
+    assert manifest["matvec"] == {"toeplitz-fft": 5, "dense": 0}
+    margins = manifest["pd_margins"]
+    assert [m["budget"] for m in margins] == [64, 192]
+    assert margins[0]["pd_margin"] >= 0  # k = 1, cycle 0 alone
+    assert margins[1]["pd_margin"] < 0  # k = 3, Example 1's indefinite {0, 1, n - 1}
+
+
+def test_precond_table_block_toeplitz_takes_dense_matvec(tmp_path):
+    spec_file = tmp_path / "block.json"
+    spec_file.write_text(json.dumps(
+        {"kind": "block_toeplitz", "n": 40, "m": 4, "symmetric": True, "make_pd": True, "seed": 3}
+    ))
+    out = tmp_path / "block.csv"
+    assert _run(["precond-table", "--spec", spec_file, "--budgets", "n", "--out", out]) == 0
+    _, rows = _read_csv(out)
+    assert all(r[3] == "True" for r in rows)
+    manifest = json.loads((tmp_path / "block.csv.manifest.json").read_text())
+    assert manifest["matvec"] == {"toeplitz-fft": 0, "dense": 3}
 
 
 def test_symbol_compare_default_symbol(tmp_path):

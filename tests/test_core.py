@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cspc.core import (
     CycleSelection,
@@ -16,7 +17,9 @@ from cspc.core import (
     materialize_cycle,
     relaxation_diagonal,
     require_square,
+    toeplitz_diagonals,
 )
+from cspc.generators import StructuredMatrixSpec, SymbolSpec, gen_example1, generate
 
 MAGIC = np.array([[8, 1, 6], [3, 5, 7], [4, 9, 2]], dtype=float)
 
@@ -218,6 +221,57 @@ def test_hermitian_defect_streams():
     tracemalloc.start()
     try:
         hermitian_defect(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16 / 8
+
+
+def _toeplitz_cases(n):
+    sym = SymbolSpec(form="product", poly=(1.0, 1.0), trig={1: 1.0})
+    specs = {
+        "toeplitz": StructuredMatrixSpec(kind="toeplitz", n=n, seed=4),
+        "symmetric": StructuredMatrixSpec(kind="toeplitz", n=n, symmetric=True, seed=4),
+        "symbol": StructuredMatrixSpec(kind="symbol_toeplitz", n=n, symbol=sym),
+    }
+    return {"example1": gen_example1(n)[0], **{k: generate(s)[0] for k, s in specs.items()}}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+def test_toeplitz_diagonals_round_trip(n):
+    for name, a in _toeplitz_cases(n).items():
+        diagonals = toeplitz_diagonals(a)
+        assert diagonals is not None, name
+        col, row = diagonals
+        assert np.array_equal(scipy.linalg.toeplitz(col, row), a), name
+        # a transposed view is not C-contiguous; its diagonals swap
+        col_t, row_t = toeplitz_diagonals(a.T)
+        assert np.array_equal(col_t, row) and np.array_equal(row_t, col), name
+
+
+def test_toeplitz_diagonals_rejects_other_structure():
+    block = generate(StructuredMatrixSpec(kind="block_toeplitz", n=64, m=4, seed=1))[0]
+    quasi_spec = StructuredMatrixSpec(kind="quasi_periodic", n=64, periods=(4, 5, 10), seed=6)
+    quasi = generate(quasi_spec)[0]
+    assert toeplitz_diagonals(block) is None
+    assert toeplitz_diagonals(quasi) is None
+    # one ulp off in the last row: only the last 32-row block differs
+    n = 1000
+    a, _ = gen_example1(n)
+    a[n - 1, 500] = np.nextafter(a[n - 1, 500].real, 0.0)
+    assert toeplitz_diagonals(a) is None
+    assert toeplitz_diagonals(a.T) is None
+
+
+def test_toeplitz_diagonals_streams():
+    import tracemalloc
+
+    n = 1024
+    a, _ = gen_example1(n)
+    tracemalloc.start()
+    try:
+        assert toeplitz_diagonals(a) is not None
+        assert toeplitz_diagonals(a.T) is not None  # gathered block by block
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cspc.core import (
     ConfigError,
@@ -7,7 +8,9 @@ from cspc.core import (
     NumericalError,
     cycle_positions,
     fourier_matrix,
+    hermitian_defect,
     materialize_cycle,
+    toeplitz_diagonals,
 )
 from cspc.generators import StructuredMatrixSpec, gen_example1, generate
 from cspc.precond import (
@@ -15,6 +18,8 @@ from cspc.precond import (
     build_cycle_preconditioner,
     build_tchan_preconditioner,
     corner_block_side,
+    _toeplitz_hermitian_defect,
+    _toeplitz_matvec,
     pcg_solve,
     precond_benchmark,
 )
@@ -217,6 +222,86 @@ def test_pcg_hermitian_check_bound():
     bump[0, 1] = 1e-12 * np.linalg.norm(a)
     _, rep = pcg_solve(a + bump, np.ones(n))
     assert rep.converged
+    assert rep.matvec == "dense"
+
+
+def _random_toeplitz(n, seed):
+    rng = np.random.default_rng(seed)
+    col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    row[0] = col[0]
+    return col, row
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 2048])
+def test_toeplitz_matvec_matches_dense_product(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    col, row = _random_toeplitz(n, seed=n)  # complex, not Hermitian
+    example1, _ = gen_example1(n)
+    for a in (scipy.linalg.toeplitz(col, row), example1):
+        want = a @ x
+        got = _toeplitz_matvec(*toeplitz_diagonals(a))(x)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_toeplitz_hermitian_defect_matches_dense_scan():
+    for n in (1, 2, 7, 300):
+        col, row = _random_toeplitz(n, seed=n + 1)
+        a = scipy.linalg.toeplitz(col, row)
+        assert _toeplitz_hermitian_defect(col, row) == pytest.approx(hermitian_defect(a), rel=1e-12)
+    n = 2048
+    a, _ = gen_example1(n)
+    assert _toeplitz_hermitian_defect(*toeplitz_diagonals(a)) <= n * np.finfo(float).eps
+    assert _toeplitz_hermitian_defect(np.zeros(3), np.zeros(3)) == 0.0
+
+
+def test_pcg_toeplitz_hermitian_check_bound():
+    # Hermitian, diagonally dominant (so PD) Toeplitz; bumping t_1 against
+    # t_-1 = conj(t_1) moves n - 1 entries above and n - 1 below the diagonal
+    rng = np.random.default_rng(5)
+    n = 300
+    t = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.arange(1, n + 1) ** 2
+    t[0] = 2 * np.abs(t[1:]).sum() + 1.0
+    a = scipy.linalg.toeplitz(t.conj(), t)
+    unit = np.linalg.norm(a) / np.sqrt(2 * (n - 1))  # a bump of unit * eps has defect eps
+    for defect, ok in ((1e-8, False), (1e-12, True)):
+        row = t.copy()
+        row[1] += defect * unit
+        bumped = scipy.linalg.toeplitz(t.conj(), row)
+        assert hermitian_defect(bumped) == pytest.approx(defect, rel=1e-6)
+        if not ok:
+            with pytest.raises(ValueError):
+                pcg_solve(bumped, np.ones(n))
+            continue
+        x, rep = pcg_solve(bumped, np.ones(n))
+        assert rep.converged
+        assert rep.matvec == "toeplitz-fft"
+        assert np.linalg.norm(np.ones(n) - bumped @ x) / np.sqrt(n) < 1e-6
+
+
+def test_pcg_example1_iterations_at_2048():
+    n = 2048
+    a, rhs = gen_example1(n)
+    cases = ((build_cycle_preconditioner(a, 1), 31), (build_tchan_preconditioner(a, 3 * n), 24))
+    for m, iterations in cases:
+        x, rep = pcg_solve(a, rhs, m)
+        assert (rep.iterations, rep.converged, rep.matvec) == (iterations, True, "toeplitz-fft")
+        assert np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs) < 1e-6
+
+
+def test_preconditioner_pd_margin_is_recorded():
+    n = 1000
+    a, _ = gen_example1(n)
+    # the known indefinite mask {0, 1, n - 1} of Example 1 reports a negative margin
+    assert build_cycle_preconditioner(a, 3).pd_margin < 0
+    assert build_cycle_preconditioner(a, 1).pd_margin >= 0
+    assert build_tchan_preconditioner(a, 3 * n).pd_margin is None
+    # a selection without its reflection partners is not checked
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)) + 8 * np.eye(16)
+    assert select_dominant_cycles(similarity_transform(a), 2).indices == (0, 5)
+    assert build_cycle_preconditioner(a, 2).pd_margin is None
 
 
 def test_pcg_breakdown_on_indefinite():
@@ -265,6 +350,8 @@ def test_precond_benchmark_rows():
         ("cycles", 192),
     ]
     assert all(r.converged for r in rows)
+    assert {r.matvec for r in rows} == {"toeplitz-fft"}
+    assert [r.pd_margin is None for r in rows] == [True, True, True, False, False]
     ident = rows[0].iterations
     assert all(r.iterations <= ident for r in rows[1:])
     assert all(r.final_residual < 1e-6 for r in rows)
