@@ -232,8 +232,10 @@ def run_precond_table(cfg: ExperimentConfig) -> str:
     rows = [(r.method, r.budget, r.iterations, r.converged, r.final_residual) for r in results]
     header = ["method", "budget", "iterations", "converged", "final_residual"]
     routes = Counter(r.matvec for r in results)
+    sources = Counter(r.source for r in results)
     diagnostics = {
         "matvec": {name: routes[name] for name in ("toeplitz-fft", "dense")},
+        "source": {name: sources[name] for name in ("toeplitz-diagonals", "transform")},
         "pd_margins": [
             {"budget": r.budget, "pd_margin": r.pd_margin} for r in results if r.method == "cycles"
         ],

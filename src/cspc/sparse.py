@@ -115,13 +115,13 @@ class SparseCycleMatrix:
         return float(np.linalg.norm(self.cycles))
 
 
-def _ranking(b) -> tuple[np.ndarray, np.ndarray]:
-    """(order, splits) from one norm scan of b.
+def _ranking(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, splits) from the n cycle norms of a matrix.
 
-    order is dominant_cycle_order(b); splits[k], for k in [0, n], says that
-    order[:k] ends between the two cycles of a tied reflection pair.
+    order is dominant_cycle_order of that matrix; splits[k], for k in
+    [0, n], says that order[:k] ends between the two cycles of a tied
+    reflection pair.
     """
-    norms = cycle_norms(b)
     n = norms.size
     tol = n * np.finfo(float).eps * norms.max()
     by_norm = np.argsort(-norms, kind="stable")
@@ -135,6 +135,17 @@ def _ranking(b) -> tuple[np.ndarray, np.ndarray]:
     return order, splits
 
 
+def _selections_from_norms(norms: np.ndarray, ks) -> list[CycleSelection]:
+    """dominant_cycle_selections for a matrix whose n cycle norms are given."""
+    n = norms.size
+    ks = [int(k) for k in ks]
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"cycle count {k} out of range [1, {n}]")
+    order, splits = _ranking(norms)
+    return [CycleSelection.of(n, order[: k - 1 if splits[k] and k > 1 else k]) for k in ks]
+
+
 def dominant_cycle_order(b) -> np.ndarray:
     """All n cycle indices of b, largest l2 norm first.
 
@@ -145,7 +156,7 @@ def dominant_cycle_order(b) -> np.ndarray:
     select_dominant_cycles(b, k) is the first k entries, or the first
     k - 1 where the k-th entry's tied partner would be cut off.
     """
-    return _ranking(b)[0]
+    return _ranking(cycle_norms(b))[0]
 
 
 def dominant_cycle_selections(b, ks) -> list[CycleSelection]:
@@ -158,14 +169,7 @@ def dominant_cycle_selections(b, ks) -> list[CycleSelection]:
     k = 1 with a tied pair in the lead, where the leading cycle is kept
     alone rather than selecting nothing.
     """
-    b = require_square(b)
-    n = b.shape[0]
-    ks = [int(k) for k in ks]
-    for k in ks:
-        if not 1 <= k <= n:
-            raise ValueError(f"cycle count {k} out of range [1, {n}]")
-    order, splits = _ranking(b)
-    return [CycleSelection.of(n, order[: k - 1 if splits[k] and k > 1 else k]) for k in ks]
+    return _selections_from_norms(cycle_norms(b), ks)
 
 
 def select_dominant_cycles(b, k: int) -> CycleSelection:

@@ -178,6 +178,8 @@ def test_precond_table(tmp_path):
     manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
     # Example 1 is exactly Toeplitz: every solve takes the FFT matvec
     assert manifest["matvec"] == {"toeplitz-fft": 5, "dense": 0}
+    # and every mask is read from its diagonals, B never formed
+    assert manifest["source"] == {"toeplitz-diagonals": 4, "transform": 0}
     margins = manifest["pd_margins"]
     assert [m["budget"] for m in margins] == [64, 192]
     assert margins[0]["pd_margin"] >= 0  # k = 1, cycle 0 alone
@@ -195,6 +197,7 @@ def test_precond_table_block_toeplitz_takes_dense_matvec(tmp_path):
     assert all(r[3] == "True" for r in rows)
     manifest = json.loads((tmp_path / "block.csv.manifest.json").read_text())
     assert manifest["matvec"] == {"toeplitz-fft": 0, "dense": 3}
+    assert manifest["source"] == {"toeplitz-diagonals": 0, "transform": 2}
 
 
 def test_symbol_compare_default_symbol(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+
+import cspc.precond
 
 from cspc.core import (
     ConfigError,
@@ -24,7 +27,7 @@ from cspc.precond import (
     precond_benchmark,
 )
 from cspc.decomposition import circulant_dense
-from cspc.sparse import SparseCycleMatrix, select_dominant_cycles, sparsify
+from cspc.sparse import SparseCycleMatrix, pd_sufficient_check, select_dominant_cycles, sparsify
 from cspc.transform import inverse_similarity_transform, similarity_transform
 
 
@@ -304,6 +307,66 @@ def test_preconditioner_pd_margin_is_recorded():
     assert build_cycle_preconditioner(a, 2).pd_margin is None
 
 
+def _dense_oracle(b, build, arg):
+    """Preconditioner and pd margin from the mask cut out of the dense B."""
+    n = b.shape[0]
+    if build is build_tchan_preconditioner:
+        s = corner_block_side(n, arg)
+        mask = scipy.sparse.block_diag(
+            [scipy.sparse.diags(np.diag(b)[: n - s]), b[n - s :, n - s :]], format="csc"
+        )
+        return MaskPreconditioner(mask, "oracle"), None
+    sp = sparsify(b, select_dominant_cycles(b, arg))
+    return MaskPreconditioner(sp.to_scipy(), "oracle"), pd_sufficient_check(sp).margin
+
+
+@pytest.mark.parametrize(
+    "build,arg",
+    [
+        (build_cycle_preconditioner, 1),
+        (build_cycle_preconditioner, 3),
+        (build_tchan_preconditioner, 256),
+        (build_tchan_preconditioner, 3 * 256),
+    ],
+    ids=["k1", "k3", "tchan-n", "tchan-3n"],
+)
+def test_toeplitz_builders_never_form_b(monkeypatch, build, arg):
+    n = 256
+    a, _ = gen_example1(n)
+    oracle, margin = _dense_oracle(similarity_transform(a), build, arg)
+
+    def refuse(_):
+        raise AssertionError("similarity_transform called on a Toeplitz A")
+
+    monkeypatch.setattr(cspc.precond, "similarity_transform", refuse)
+    m = build(a, arg)
+    assert m.source == "toeplitz-diagonals"
+    assert m.nnz == oracle.nnz
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = oracle.apply(v)
+    assert np.linalg.norm(m.apply(v) - want) <= 1e-12 * np.linalg.norm(want)
+    if margin is None:
+        assert m.pd_margin is None
+    else:
+        assert abs(m.pd_margin - margin) <= 1e-12 * max(1.0, abs(margin))
+
+
+def test_non_toeplitz_builders_transform(monkeypatch):
+    spec = StructuredMatrixSpec(kind="block_toeplitz", n=40, m=4, symmetric=True, make_pd=True, seed=3)
+    a, _ = generate(spec)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return similarity_transform(x)
+
+    monkeypatch.setattr(cspc.precond, "similarity_transform", counted)
+    for m in (build_cycle_preconditioner(a, 4), build_tchan_preconditioner(a, 3 * 40)):
+        assert m.source == "transform"
+    assert len(calls) == 2
+
+
 def test_pcg_breakdown_on_indefinite():
     a = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(NumericalError):
@@ -338,6 +401,21 @@ def test_pcg_long_run_uses_recomputed_residual():
     assert np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs) < 1e-9
 
 
+def test_pcg_refresh_is_the_true_residual():
+    # iteration 50 replaces the recurrence residual by b - A x, computed the
+    # same way as here; on this slowly converging (dense, non-Toeplitz)
+    # system the recurrence residual has drifted from it by then
+    rng = np.random.default_rng(2)
+    n = 120
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.geomspace(1, 1e5, n)) @ q.T
+    a = ((a + a.T) / 2).astype(complex)
+    rhs = rng.standard_normal(n).astype(complex)
+    x, rep = pcg_solve(a, rhs, tol=1e-14, max_iter=50)
+    assert (rep.iterations, rep.converged, rep.matvec) == (50, False, "dense")
+    assert rep.relative_residuals[49] == np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs)
+
+
 def test_precond_benchmark_rows():
     spec = StructuredMatrixSpec(kind="example1", n=64)
     rows = precond_benchmark(spec, budgets=(64, 192), tol=1e-6)
@@ -352,6 +430,7 @@ def test_precond_benchmark_rows():
     assert all(r.converged for r in rows)
     assert {r.matvec for r in rows} == {"toeplitz-fft"}
     assert [r.pd_margin is None for r in rows] == [True, True, True, False, False]
+    assert [r.source for r in rows] == [None] + ["toeplitz-diagonals"] * 4
     ident = rows[0].iterations
     assert all(r.iterations <= ident for r in rows[1:])
     assert all(r.final_residual < 1e-6 for r in rows)

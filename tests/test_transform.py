@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cspc.core import CycleSelection, apply_cycle_mask, fourier_matrix
-from cspc.decomposition import circulant_dense
+from cspc.core import (
+    CycleSelection,
+    apply_cycle_mask,
+    cycle_norms,
+    fourier_matrix,
+    toeplitz_diagonals,
+)
+from cspc.decomposition import circulant_dense, toeplitz_s0
+from cspc.generators import gen_example1
+from cspc.sparse import sparsify
 from cspc.transform import (
     OpCounter,
     extract_cycles,
     inverse_similarity_transform,
     similarity_transform,
+    toeplitz_cycle_norms,
+    toeplitz_cycles,
 )
 
 
@@ -130,3 +141,43 @@ def test_op_counter_accumulates_across_calls():
 
 def test_op_counter_empty():
     assert OpCounter().per_vector is None
+
+
+def _toeplitz_case(kind, n):
+    if kind == "example1":
+        return gen_example1(n)[0]
+    rng = np.random.default_rng(n + 7)  # complex, not Hermitian
+    col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    row[0] = col[0]
+    return scipy.linalg.toeplitz(col, row)
+
+
+@pytest.mark.parametrize("kind", ["random", "example1"])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 2048])
+def test_toeplitz_closed_form_matches_transform(kind, n):
+    a = _toeplitz_case(kind, n)
+    col, row = toeplitz_diagonals(a)
+    b = similarity_transform(a)
+    roundoff = n * np.finfo(float).eps
+    # cycles read along the rows (2j > n) as well as down the columns
+    picks = range(n) if n == 64 else [0, 1, 2, n // 3, n // 2, n // 2 + 1, 2 * n // 3, n - 2, n - 1]
+    sel = CycleSelection.of(n, [j % n for j in picks])
+    got = toeplitz_cycles(col, row, sel.indices)
+    assert np.abs(got - sparsify(b, sel).cycles).max() <= roundoff * np.abs(b).max()
+
+    norms = toeplitz_cycle_norms(col, row)
+    want = cycle_norms(b)
+    assert np.abs(norms - want).max() <= roundoff * want.max()
+    assert np.array_equal(norms[1:], norms[1:][::-1])  # j and n - j, bit for bit
+    entries = np.concatenate([col[:0:-1], row])  # a_{-(n-1)} .. a_{n-1}
+    assert norms[0] ** 2 / np.sum(norms**2) == pytest.approx(toeplitz_s0(entries), rel=1e-12)
+
+
+def test_toeplitz_closed_form_validation():
+    with pytest.raises(ValueError):
+        toeplitz_cycle_norms(np.ones(3), np.ones(4))
+    with pytest.raises(ValueError):
+        toeplitz_cycles(np.ones(0), np.ones(0), [0])
+    with pytest.raises(ValueError):
+        toeplitz_cycles(np.ones(4), np.ones(4), [4])
