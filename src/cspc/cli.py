@@ -111,14 +111,6 @@ def run_cycle_norms(cfg: ExperimentConfig) -> str:
     return _write_rows(cfg, ["cycle_index", "folded_index", "l2_norm"], rows)
 
 
-def _counted_spectrum(m, solvers: Counter) -> np.ndarray:
-    """spectrum(m), counting the solver it went through in solvers."""
-    values = spectrum(m)
-    # spectrum returns a real array exactly when eigvalsh ran
-    solvers["eigvalsh" if np.isrealobj(values) else "eigvals"] += 1
-    return values
-
-
 def _eig_error_stats(
     a: np.ndarray, b: np.ndarray, reference: np.ndarray, sel: CycleSelection, solvers: Counter
 ) -> tuple[float, float, float]:
@@ -129,13 +121,18 @@ def _eig_error_stats(
     dropped cycles alone and reads exactly 0 when every cycle is kept.
     """
     dense = sparsify(b, sel).densify()
-    rep = eigen_error_report(_counted_spectrum(dense, solvers), reference)
+    rep = eigen_error_report(spectrum(dense, solvers), reference)
     ratio = float(np.linalg.norm(b - dense, "fro") / np.linalg.norm(a, "fro"))
     return rep.mean_relative_error, rep.std_relative_error, ratio
 
 
 def _solver_counts(solvers: Counter) -> dict:
-    return {"spectra": {name: solvers[name] for name in ("eigvalsh", "eigvals")}}
+    """Manifest fields: how many spectra each solver computed, and how many
+    of them were solved as a real matrix."""
+    return {
+        "spectra": {name: solvers[name] for name in ("eigvalsh", "eigvals")},
+        "real_form": solvers["real_form"],
+    }
 
 
 def run_eig_errors(cfg: ExperimentConfig) -> str:
@@ -149,7 +146,7 @@ def run_eig_errors(cfg: ExperimentConfig) -> str:
     def one(seed):
         a, _ = generate(with_seed(cfg.spec, seed))
         b = similarity_transform(a)
-        reference = _counted_spectrum(a, solvers)
+        reference = spectrum(a, solvers)
         # one norm ranking per trial serves every k
         sels = dominant_cycle_selections(b, cfg.cycles)
         stats = [_eig_error_stats(a, b, reference, sel, solvers) for sel in sels]
@@ -189,7 +186,7 @@ def run_eig_vs_n(cfg: ExperimentConfig) -> str:
 
         def one(seed):
             a, _ = generate(with_seed(spec_n, seed))
-            reference = _counted_spectrum(a, solvers)
+            reference = spectrum(a, solvers)
             return _eig_error_stats(a, similarity_transform(a), reference, sel, solvers)
 
         stats = np.array([one(seed) for seed in seeds])

@@ -33,6 +33,7 @@ __all__ = [
     "relaxation_diagonal",
     "frobenius_inner",
     "hermitian_defect",
+    "reflection_defect",
     "toeplitz_diagonals",
     "cycle_positions",
     "apply_cycle_mask",
@@ -44,7 +45,7 @@ __all__ = [
 
 
 _CYCLE_BLOCK_ENTRIES = 1 << 14  # per gather in iter_cycles, iter_cycle_blocks
-_DEFECT_BLOCK_ROWS = 32  # rows per step of hermitian_defect and toeplitz_diagonals
+_DEFECT_BLOCK_ROWS = 32  # rows per step of the two defects and toeplitz_diagonals
 
 
 class ConfigError(ValueError):
@@ -55,19 +56,26 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed: singular factor, breakdown, non-convergence."""
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, rejecting anything else."""
-    m = np.asarray(a, dtype=np.complex128)
+def _as_matrix(a, dtype) -> np.ndarray:
+    m = np.asarray(a, dtype=dtype)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
     return m
 
 
-def require_square(a) -> np.ndarray:
-    m = as_complex_matrix(a)
+def _square(m: np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a 2-d complex128 array, rejecting anything else."""
+    return _as_matrix(a, np.complex128)
+
+
+def require_square(a) -> np.ndarray:
+    return _square(as_complex_matrix(a))
 
 
 def _check_dim(n: int) -> int:
@@ -130,13 +138,37 @@ def hermitian_defect(m) -> float:
     """|m - m*|_F / |m|_F of square matrix m; 0.0 for the zero matrix.
 
     Summed over blocks of 32 rows against the matching column slices, so
-    the temporaries are 32 x n and nothing of size n x n is formed.
+    the temporaries are 32 x n and nothing of size n x n is formed.  A
+    real m is checked as it is, without a complex copy.
     """
-    m = require_square(m)
+    m = _square(_as_matrix(m, np.complex128 if np.iscomplexobj(m) else np.float64))
     diff2 = norm2 = 0.0
     for r0 in range(0, m.shape[0], _DEFECT_BLOCK_ROWS):
         rows = m[r0 : r0 + _DEFECT_BLOCK_ROWS]
         diff2 += np.linalg.norm(rows - m[:, r0 : r0 + _DEFECT_BLOCK_ROWS].conj().T) ** 2
+        norm2 += np.linalg.norm(rows) ** 2
+    return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
+
+
+def reflection_defect(m) -> float:
+    """|conj(m) - P m P|_F / |m|_F of square matrix m, P the index
+    reflection p -> (-p) mod n; 0.0 for the zero matrix.
+
+    The defect is zero, up to roundoff, for B = W A W* of a real A
+    (conj(W) = P W), and a matrix with conj(m) = P m P
+    ("centrohermitian") is similar to a real one.  (P m P)[p, q] = m[(-p) mod n, (-q) mod n], so each block of 32
+    rows is compared with rows (-r) mod n, columns reversed mod n, and
+    nothing of size n x n is formed.
+    """
+    m = require_square(m)
+    n = m.shape[0]
+    reflect = -np.arange(n) % n
+    diff2 = norm2 = 0.0
+    for r0 in range(0, n, _DEFECT_BLOCK_ROWS):
+        rows = m[r0 : r0 + _DEFECT_BLOCK_ROWS]
+        # rows (-r) mod n, columns reversed and rolled by one: (-q) mod n
+        mirrored = np.roll(m[reflect[r0 : r0 + _DEFECT_BLOCK_ROWS], ::-1], 1, axis=1)
+        diff2 += np.linalg.norm(rows.conj() - mirrored) ** 2
         norm2 += np.linalg.norm(rows) ** 2
     return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
 

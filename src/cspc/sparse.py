@@ -6,8 +6,8 @@ largest l2 norm, and treat the rest as the perturbation Delta.  Because
 distinct cycles are orthogonal slices of the matrix, norm bookkeeping is
 exact: |B|_F^2 = |B~|_F^2 + |Delta|_F^2.
 
-Three rules keep Hermitian problems Hermitian and their statistics well
-defined:
+Four rules keep Hermitian problems Hermitian, real problems real and
+their statistics well defined:
 
 * Selection never splits a tied reflection pair.  For Hermitian B the
   cycles j and n - j have equal norms, and a top-k cut that kept one
@@ -15,6 +15,10 @@ defined:
   cycles instead, so |S| <= k and the nnz budget holds.
 * spectrum() is the one eigenvalue entry point: Hermitian input (to
   n * eps relative) goes through eigvalsh, anything else through eigvals.
+* spectrum() solves in real arithmetic whenever the matrix has a real
+  form: its real part when Im m is zero, or Q* m Q when conj(m) = P m P
+  for the index reflection P (to n * eps relative), as holds for
+  B = W A W* of a real A and every reflection-closed B~ of it.
 * Two real spectra (to roundoff) are matched by sorting both, the
   canonical matching that minimizes the total |lambda - lambda~|;
   complex spectra go through an optimal assignment.
@@ -22,6 +26,7 @@ defined:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +40,7 @@ from .core import (
     cycle_norms,
     cycle_positions,
     hermitian_defect,
+    reflection_defect,
     require_square,
 )
 
@@ -208,22 +214,58 @@ def direct_sparsify(a, nnz: int) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def spectrum(m) -> np.ndarray:
+def _real_form(m: np.ndarray) -> np.ndarray | None:
+    """The real matrix spectrum() solves in place of m, or None."""
+    n = m.shape[0]
+    if not m.imag.any():
+        return m.real
+    if reflection_defect(m) > n * np.finfo(float).eps:
+        return None
+    # columns (-q) mod n: reversed, then rolled by one
+    out = np.roll(m.imag[:, ::-1], 1, axis=1)
+    return np.subtract(m.real, out, out=out)
+
+
+def spectrum(m, solvers: Counter | None = None) -> np.ndarray:
     """All n eigenvalues of the dense square matrix m.
 
-    The route depends on m alone: when hermitian_defect(m) <= n * eps,
-    np.linalg.eigvalsh (which reads one triangle) returns them as a real
-    array in ascending order; otherwise np.linalg.eigvals returns them as
-    a complex array.  A solver that fails to converge raises
-    NumericalError.
+    The route depends on m alone.  First, when m has a real form (see
+    below), the solver gets that real matrix in its place.  Then, when
+    hermitian_defect <= n * eps, np.linalg.eigvalsh (which reads one
+    triangle) returns the eigenvalues as a real array in ascending order;
+    otherwise np.linalg.eigvals returns them as a complex128 array.  A
+    solver that fails to converge raises NumericalError.  When solvers is
+    given, it counts the solver that ran ("eigvalsh" or "eigvals") and
+    "real_form" when the matrix solved was real.
+
+    The real form is m.real when Im m is exactly zero.  Otherwise, if
+    conj(m) = P m P to n * eps relative (core.reflection_defect), with P
+    the index reflection p -> (-p) mod n, as holds for B = W A W* of a
+    real A and for every reflection-closed cycle selection of it, m is
+    similar to the real M = Q* m Q = Re(m) - Im(m) P through the unitary
+    Q = (I + iP) / sqrt(2) (Lee, LAA 29, 1980; Hill, Bates & Waters,
+    SIMAX 11, 1990): M[p, q] = Re m[p, q] - Im m[p, (-q) mod n], one
+    column gather and a subtraction.  M is symmetric when m is Hermitian.
+    Every other m is solved as it is, in complex arithmetic.
     """
     m = require_square(m)
+    real = _real_form(m)
+    if real is not None:
+        m = real
+    hermitian = hermitian_defect(m) <= m.shape[0] * np.finfo(float).eps
     try:
-        if hermitian_defect(m) <= m.shape[0] * np.finfo(float).eps:
-            return np.linalg.eigvalsh(m)
-        return np.linalg.eigvals(m)
+        if hermitian:
+            values = np.linalg.eigvalsh(m)
+        else:
+            # numpy returns float64 when a real matrix has only real eigenvalues
+            values = np.linalg.eigvals(m).astype(np.complex128, copy=False)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"eigensolver failed to converge: {e}") from e
+    if solvers is not None:
+        solvers["eigvalsh" if hermitian else "eigvals"] += 1
+        if real is not None:
+            solvers["real_form"] += 1
+    return values
 
 
 def approx_eigenvalues(b_sparse: SparseCycleMatrix) -> np.ndarray:

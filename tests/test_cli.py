@@ -136,6 +136,9 @@ def test_eig_errors_manifest_records_kept_cycles_and_solvers(tmp_path):
     # symmetric Toeplitz: the reference and every reflection-closed B~ are
     # Hermitian, one reference and one approximation per k and trial
     assert manifest["spectra"] == {"eigvalsh": trials * (1 + len(cycles)), "eigvals": 0}
+    # A is real and every kept B~ is reflection-closed, so each is solved
+    # through a real matrix
+    assert manifest["real_form"] == trials * (1 + len(cycles))
 
 
 def test_eig_vs_n_sweep(tmp_path):
@@ -145,6 +148,12 @@ def test_eig_vs_n_sweep(tmp_path):
     header, rows = _read_csv(out)
     assert header == ["n", "mean_rel_err", "std_rel_err", "frob_residual_ratio"]
     assert [r[0] for r in rows] == ["100", "200"]
+    # symmetric block-Toeplitz with cycles {0, n/2}: every spectrum is
+    # Hermitian and has a real form, a reference and an approximation per
+    # n and trial
+    manifest = json.loads((tmp_path / "vsn.csv.manifest.json").read_text())
+    assert manifest["spectra"] == {"eigvalsh": 2 * 2 * 2, "eigvals": 0}
+    assert manifest["real_form"] == 2 * 2 * 2
     assert _run(["eig-vs-n", "--n", "50", "--out", tmp_path / "y.csv"]) == 2
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,6 +17,7 @@ from cspc.core import (
     iter_cycle_blocks,
     iter_cycles,
     materialize_cycle,
+    reflection_defect,
     relaxation_diagonal,
     require_square,
     toeplitz_diagonals,
@@ -225,6 +228,73 @@ def test_hermitian_defect_streams():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 16 / 8
+
+
+def test_hermitian_defect_checks_real_input_as_real():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((40, 40))
+    dense = np.linalg.norm(m - m.T) / np.linalg.norm(m)
+    assert hermitian_defect(m) == pytest.approx(dense, rel=1e-12)
+    assert hermitian_defect(m + m.T) == 0.0
+    # a real view of a complex matrix is read in place: no complex copy
+    # (16 n^2 bytes), only 32-row blocks
+    n = 512
+    view = (rng.standard_normal((n, n)) + 0j).real
+    tracemalloc.start()
+    try:
+        hermitian_defect(view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+    with pytest.raises(ValueError):
+        hermitian_defect(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        hermitian_defect(np.zeros(4))
+
+
+def _reflect(m):
+    """P m P for the index reflection P: p -> (-p) mod n, as a dense oracle."""
+    n = m.shape[0]
+    p = np.zeros((n, n))
+    p[-np.arange(n) % n, np.arange(n)] = 1.0
+    return p @ m @ p
+
+
+def test_reflection_defect_matches_dense_form():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5, 33, 100):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        dense = np.linalg.norm(m.conj() - _reflect(m)) / np.linalg.norm(m)
+        assert reflection_defect(m) == pytest.approx(dense, rel=1e-12)
+        # the average of m and its reflected conjugate is reflection-symmetric
+        assert reflection_defect(m + _reflect(m).conj()) == 0.0
+    assert reflection_defect(np.zeros((4, 4))) == 0.0
+
+
+def test_reflection_defect_streams():
+    n = 1024
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        reflection_defect(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16 / 8
+
+
+def test_reflection_defect_large_on_complex_hermitian():
+    # Hermitian is not reflection-symmetric: a random complex Hermitian
+    # matrix has no real form of this kind
+    n = 64
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = m + m.conj().T
+    assert hermitian_defect(h) == 0.0
+    assert reflection_defect(h) > 0.1
+    assert reflection_defect(h) > 1e10 * n * np.finfo(float).eps
 
 
 def _toeplitz_cases(n):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from cspc.core import (
     NumericalError,
     apply_cycle_mask,
     cycle_positions,
+    hermitian_defect,
     materialize_cycle,
+    reflection_defect,
 )
 from cspc.decomposition import circulant_dense, cycle_weights
+from cspc.generators import StructuredMatrixSpec, generate
 from cspc.sparse import (
     SparseCycleMatrix,
     approx_eigenvalues,
@@ -203,6 +207,114 @@ def test_spectrum_maps_solver_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(NumericalError):
         spectrum(np.eye(3))
+
+
+def _complex_route(m):
+    """The solver spectrum() uses for m when m has no real form."""
+    if hermitian_defect(m) <= m.shape[0] * np.finfo(float).eps:
+        return np.linalg.eigvalsh(m)
+    return np.linalg.eigvals(m)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+@pytest.mark.parametrize("n", [8, 31, 64, 256])
+def test_spectrum_real_form_matches_complex_solver(n, symmetric):
+    a, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=n, symmetric=symmetric))
+    b = similarity_transform(a)
+    # every k up to 64; at n = 256 (one complex eigvals ~35 ms) both ends,
+    # both parities and powers of two
+    ks = range(1, n + 1) if n <= 64 else (1, 2, 3, 4, 5, 16, 17, 64, 127, 128, 255, 256)
+    for sel in dominant_cycle_selections(b, ks):
+        m = sparsify(b, sel).densify()
+        got, want = spectrum(m), _complex_route(m)
+        tol = 1e-12 * np.abs(want).max()
+        if np.isrealobj(want):
+            assert np.isrealobj(got)
+            assert np.abs(got - want).max() <= tol
+        else:
+            assert got.dtype == np.complex128
+            rows, cols = scipy.optimize.linear_sum_assignment(
+                np.abs(want[:, None] - got[None, :])
+            )
+            assert np.abs(want[rows] - got[cols]).max() <= tol
+
+
+def _record_solver_inputs(monkeypatch):
+    """Wrap np.linalg.eigvalsh/eigvals, recording (name, input dtype, output dtype)."""
+    calls = []
+    for name in ("eigvalsh", "eigvals"):
+        solver = getattr(np.linalg, name)
+
+        def wrapped(m, _name=name, _solver=solver):
+            values = _solver(m)
+            calls.append((_name, m.dtype, values.dtype))
+            return values
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    return calls
+
+
+def test_spectrum_solver_sees_real_input_on_real_route(monkeypatch):
+    n = 64
+    a, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=1, symmetric=True))
+    b = similarity_transform(a)
+    closed = sparsify(b, select_dominant_cycles(b, 9)).densify()
+    assert np.abs(closed.imag).max() > 0
+    h = _random_b(n, 3)
+    h = h + h.conj().T
+    calls = _record_solver_inputs(monkeypatch)
+    for m in (a, closed, h):
+        spectrum(m)
+    assert [(name, dtype) for name, dtype, _ in calls] == [
+        ("eigvalsh", np.float64),  # Im A is exactly zero
+        ("eigvalsh", np.float64),  # reflection-symmetric, through Q* m Q
+        ("eigvalsh", np.complex128),  # Hermitian, not reflection-symmetric
+    ]
+
+
+def test_spectrum_real_form_needs_reflection_symmetry(monkeypatch):
+    n = 64
+    a, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=2))
+    m = similarity_transform(a)
+    eps = np.finfo(float).eps
+    assert reflection_defect(m) <= n * eps
+    bumped = m.copy()
+    bumped[1, 2] += 100 * n * eps * np.linalg.norm(m)
+    assert reflection_defect(bumped) > n * eps
+    want = np.linalg.eigvals(bumped)
+    calls = _record_solver_inputs(monkeypatch)
+    got = spectrum(bumped)
+    assert [(name, dtype) for name, dtype, _ in calls] == [("eigvals", np.complex128)]
+    assert np.array_equal(got, want)
+
+
+def test_spectrum_real_form_returns_complex_for_real_eigenvalues(monkeypatch):
+    # B = W A W* of a real triangular A: non-Hermitian, reflection-symmetric,
+    # with the real eigenvalues diag(A)
+    n = 16
+    rng = np.random.default_rng(8)
+    a = np.triu(rng.standard_normal((n, n))) + np.diag(np.arange(1.0, n + 1))
+    b = similarity_transform(a)
+    calls = _record_solver_inputs(monkeypatch)
+    got = spectrum(b)
+    # numpy's eigvals returned float64 for the real matrix; spectrum does not
+    assert calls == [("eigvals", np.float64, np.float64)]
+    assert got.dtype == np.complex128
+    assert np.allclose(np.sort(got.real), np.sort(np.diag(a)), rtol=0, atol=1e-12 * n)
+    assert not got.imag.any()
+
+
+def test_spectrum_counts_solvers():
+    n = 32
+    a, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=4))
+    b = similarity_transform(a)
+    solvers = Counter()
+    spectrum(a, solvers)  # real, non-symmetric
+    spectrum(b, solvers)  # real form of the same matrix
+    spectrum(_random_b(n, 5), solvers)  # complex, no real form
+    h = _random_b(n, 6)
+    spectrum(h + h.conj().T, solvers)  # complex Hermitian
+    assert solvers == Counter(eigvals=3, eigvalsh=1, real_form=2)
 
 
 def test_sorted_matching_is_l1_optimal():

@@ -7,11 +7,12 @@ from cspc.core import (
     apply_cycle_mask,
     cycle_norms,
     fourier_matrix,
+    reflection_defect,
     toeplitz_diagonals,
 )
 from cspc.decomposition import circulant_dense, toeplitz_s0
-from cspc.generators import gen_example1
-from cspc.sparse import sparsify
+from cspc.generators import StructuredMatrixSpec, gen_example1, generate
+from cspc.sparse import dominant_cycle_selections, sparsify
 from cspc.transform import (
     OpCounter,
     extract_cycles,
@@ -181,3 +182,63 @@ def test_toeplitz_closed_form_validation():
         toeplitz_cycles(np.ones(0), np.ones(0), [0])
     with pytest.raises(ValueError):
         toeplitz_cycles(np.ones(4), np.ones(4), [4])
+
+
+def _real_generator_output(kind, n):
+    specs = {
+        "toeplitz": dict(kind="toeplitz"),
+        "toeplitz-symmetric": dict(kind="toeplitz", symmetric=True),
+        "block_toeplitz": dict(kind="block_toeplitz", m=3 if n % 2 else 4),
+        "block_toeplitz-pd": dict(
+            kind="block_toeplitz", m=3 if n % 2 else 4, symmetric=True, make_pd=True
+        ),
+        "quasi_periodic": dict(kind="quasi_periodic", periods=(2, 3, 5)),
+        "example1": dict(kind="example1"),
+    }
+    a, _ = generate(StructuredMatrixSpec(n=n, seed=n, **specs[kind]))
+    assert not a.imag.any()
+    return a
+
+
+def _conj_reflection_gap(m):
+    """|conj(m) - P m P|_F / |m|_F with P the index reflection p -> (-p) mod n,
+    formed densely as the oracle for core.reflection_defect."""
+    n = m.shape[0]
+    p = np.zeros((n, n))
+    p[-np.arange(n) % n, np.arange(n)] = 1.0
+    return np.linalg.norm(m.conj() - p @ m @ p) / np.linalg.norm(m)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["toeplitz", "toeplitz-symmetric", "block_toeplitz", "block_toeplitz-pd",
+     "quasi_periodic", "example1"],
+)
+@pytest.mark.parametrize("n", [27, 64])
+def test_transform_of_real_matrix_is_reflection_symmetric(kind, n):
+    # conj(W) = P W, so for real A, conj(B) = P B P with B = W A W*: the
+    # property spectrum()'s real route rests on
+    a = _real_generator_output(kind, n)
+    b = similarity_transform(a)
+    roundoff = n * np.finfo(float).eps
+    assert _conj_reflection_gap(b) <= roundoff
+    assert reflection_defect(b) <= roundoff
+
+    # P maps cycle j to cycle n - j, so a reflection-closed cycle selection
+    # keeps the identity and one that breaks a pair does not
+    closed = [
+        sel
+        for sel in dominant_cycle_selections(b, range(1, n + 1))
+        if set(sel) == {(n - j) % n for j in sel}
+    ]
+    # real A ties every pair j, n - j, so only k = 1 may keep half a pair
+    assert len(closed) >= n - 1
+    for sel in closed:
+        assert reflection_defect(sparsify(b, sel).densify()) <= roundoff
+    split = sparsify(b, CycleSelection.of(n, [0, 1])).densify()
+    assert reflection_defect(split) > 1e6 * roundoff
+
+    # a complex A breaks it
+    rng = np.random.default_rng(n)
+    complex_a = a + 1j * rng.standard_normal((n, n)) * np.abs(a).max()
+    assert reflection_defect(similarity_transform(complex_a)) > 1e6 * roundoff
