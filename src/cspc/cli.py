@@ -31,9 +31,9 @@ from .generators import (
 )
 from .precond import precond_benchmark
 from .sparse import (
-    dominant_cycle_selections,
     eigen_error_report,
     select_dominant_cycles,
+    selections_from_norms,
     sparsify,
     spectrum,
 )
@@ -112,17 +112,23 @@ def run_cycle_norms(cfg: ExperimentConfig) -> str:
 
 
 def _eig_error_stats(
-    a: np.ndarray, b: np.ndarray, reference: np.ndarray, sel: CycleSelection, solvers: Counter
+    a: np.ndarray,
+    b: np.ndarray,
+    norms: np.ndarray,
+    reference: np.ndarray,
+    sel: CycleSelection,
+    solvers: Counter,
 ) -> tuple[float, float, float]:
     """(mean, std) relative eigenvalue error of the cycles sel of b = W A W*
     against the reference eigenvalues of a, and |B - B~|_F / |A|_F.
 
-    The kept entries of B - B~ cancel exactly, so the ratio measures the
-    dropped cycles alone and reads exactly 0 when every cycle is kept.
+    B - B~ is the dropped cycles, so the ratio is the l2 norm of their
+    norms (norms holds all n cycle norms of b), with no n x n difference,
+    and reads exactly 0 when every cycle is kept.
     """
-    dense = sparsify(b, sel).densify()
-    rep = eigen_error_report(spectrum(dense, solvers), reference)
-    ratio = float(np.linalg.norm(b - dense, "fro") / np.linalg.norm(a, "fro"))
+    rep = eigen_error_report(spectrum(sparsify(b, sel).densify(), solvers), reference)
+    dropped = np.delete(norms, sel.as_array())
+    ratio = float(np.linalg.norm(dropped) / np.linalg.norm(a, "fro"))
     return rep.mean_relative_error, rep.std_relative_error, ratio
 
 
@@ -147,9 +153,10 @@ def run_eig_errors(cfg: ExperimentConfig) -> str:
         a, _ = generate(with_seed(cfg.spec, seed))
         b = similarity_transform(a)
         reference = spectrum(a, solvers)
-        # one norm ranking per trial serves every k
-        sels = dominant_cycle_selections(b, cfg.cycles)
-        stats = [_eig_error_stats(a, b, reference, sel, solvers) for sel in sels]
+        # one norm scan per trial ranks every k and prices what each drops
+        norms = cycle_norms(b)
+        sels = selections_from_norms(norms, cfg.cycles)
+        stats = [_eig_error_stats(a, b, norms, reference, sel, solvers) for sel in sels]
         return stats, [len(sel) for sel in sels]
 
     stats, sizes = zip(*(one(seed) for seed in _trial_seeds(cfg.seed, cfg.trials)))
@@ -186,8 +193,9 @@ def run_eig_vs_n(cfg: ExperimentConfig) -> str:
 
         def one(seed):
             a, _ = generate(with_seed(spec_n, seed))
+            b = similarity_transform(a)
             reference = spectrum(a, solvers)
-            return _eig_error_stats(a, similarity_transform(a), reference, sel, solvers)
+            return _eig_error_stats(a, b, cycle_norms(b), reference, sel, solvers)
 
         stats = np.array([one(seed) for seed in seeds])
         rows.append(

@@ -13,13 +13,19 @@ entries of the matrix.  Orientation is fixed here once and inherited by
 every other module: cycle_positions is the one owner of the order in
 which a cycle's entries are read, and every gather or scatter of cycle
 values goes through it.
+
+Toeplitz is the one representation of a Toeplitz matrix: its 2n - 1
+diagonals, from which its product, norms and the cycles of its
+transform are read without an n x n array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "ConfigError",
@@ -34,18 +40,17 @@ __all__ = [
     "frobenius_inner",
     "hermitian_defect",
     "reflection_defect",
-    "toeplitz_diagonals",
+    "Toeplitz",
     "cycle_positions",
     "apply_cycle_mask",
-    "iter_cycles",
     "iter_cycle_blocks",
     "cycle_norms",
     "materialize_cycle",
 ]
 
 
-_CYCLE_BLOCK_ENTRIES = 1 << 14  # per gather in iter_cycles, iter_cycle_blocks
-_DEFECT_BLOCK_ROWS = 32  # rows per step of the two defects and toeplitz_diagonals
+_CYCLE_BLOCK_ENTRIES = 1 << 14  # per gather in iter_cycle_blocks
+_DEFECT_BLOCK_ROWS = 32  # rows per step of the two defects and Toeplitz.of
 
 
 class ConfigError(ValueError):
@@ -173,26 +178,153 @@ def reflection_defect(m) -> float:
     return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
 
 
-def toeplitz_diagonals(m) -> tuple[np.ndarray, np.ndarray] | None:
-    """(first column, first row) of square matrix m if m is exactly
-    Toeplitz, None otherwise.
+class Toeplitz:
+    """The n x n Toeplitz matrix A(p, q) = t_{q-p}, held as its 2n - 1
+    diagonals t = (t_{-(n-1)}, ..., t_{n-1}): t[n - 1 + d] is diagonal
+    d = q - p, so t is the first column read upward, then the first row
+    after its head.
 
-    Every entry is compared with its down-right neighbour, in blocks of
-    32 rows, so the temporaries are 32 x n and the scan stops at the
-    first block that differs.  The comparison is exact: a matrix that is
-    Toeplitz only to roundoff is not Toeplitz here.
+    Everything here comes from t in O(n) or O(n log n), without an n x n
+    array, except dense() (scipy.linalg.toeplitz), which forms A:
+
+    * frobenius_norm and hermitian_defect: diagonal d holds n - |d| equal
+      entries, so |A|_F^2 = sum_d (n - |d|) |t_d|^2, and |A - A*|_F^2 is
+      the same sum over t_d - conj(t_{-d}).
+    * matvec: A is the leading block of the circulant of size 2n whose
+      first column is c = (t_0, t_{-1}, ..., t_{-(n-1)}, 0, t_{n-1}, ...,
+      t_1), so A x = ifft(fft(c) * fft(x, 2n))[:n] (T. Chan 1988; Chan &
+      Ng, SIAM Review 1996).  fft(c) is taken once per value.
+    * cycles and cycle_norms: the cycles of B = W A W* in closed form.
+      With u_d = t_d - t_{d-n} for d = 1..n-1 and u_0 = 0, cycle j != 0
+      read down the columns is
+
+          B((q + j) mod n, q) = ifft(h_j)[q],
+          h_j(d) = u_d (1 - e^{2 pi i j d / n}) / (1 - e^{-2 pi i j / n}),
+
+      and cycle 0 (the diagonal) is ifft(h_0) with h_0(d) = (n - d) t_d +
+      d t_{d-n}, h_0(0) = n t_0.  Only cycle 0 sees the circulant part of
+      A.  The factor 1 - e^{2 pi i j d / n} shifts ifft(u) by j, so B(p, q)
+      on cycle j != 0 is (U[q] - U[p]) / (1 - e^{-2 pi i j / n}) with
+      U = ifft(u): any set of cycles costs two length-n FFTs, ifft(u) and
+      ifft(h_0), plus O(n) per cycle.  By Parseval all n cycle norms cost
+      one real FFT,
+
+          |cycle j|^2 = (sum |u|^2 - Re F_j) / (2 n sin^2(pi j / n)),  F = fft(|u|^2),
+
+      so cycles j and n - j have equal norms for every Toeplitz A.  For
+      k = 1 the mask is T. Chan's optimal circulant.
+
+    Precision: the sine is taken at the reduced argument pi min(j, n - j) / n
+    and F at index min(j, n - j) (an rfft), so reflection partners get
+    bit-identical norms; the plain sin(pi j / n) loses the argument's
+    roundoff near pi (random complex Toeplitz, n = 2048: 7e-14 of the
+    largest norm against 3e-16).  The subtraction sum |u|^2 - Re F_j still
+    cancels where u is concentrated at d near 0 or n: on Example 1
+    (n = 64, 1000, 2048) the worst error is 1.6e-15 of the largest norm
+    and 2.8e-12 relative (cycle 1 at n = 1000), against a long-double
+    evaluation of the same sum, about 140 times inside the n * eps * max
+    tie tolerance of the cycle selection.  In cycles, the denominator
+    1 - e^{-2 pi i j / n} is evaluated as 2i sin(pi j / n) e^{-pi i j / n}
+    with the same reduced sine; the difference taken directly would carry
+    a relative error of about eps / |1 - e^{-2 pi i j / n}| (~300 eps at
+    j = 1, n = 2048).
     """
-    m = require_square(m)
-    n = m.shape[0]
-    for r0 in range(0, n - 1, _DEFECT_BLOCK_ROWS):
-        # 33 rows, the last one shared with the next block, read as float64
-        # (re, im) pairs, so one column is two floats: float == gives the
-        # same answer as complex == and ran 2-3x faster (n = 2048, one
-        # core of a 2-core Intel Xeon VM)
-        rows = np.ascontiguousarray(m[r0 : r0 + _DEFECT_BLOCK_ROWS + 1]).view(np.float64)
-        if not np.array_equal(rows[1:, 2:], rows[:-1, :-2]):
-            return None
-    return m[:, 0].copy(), m[0].copy()
+
+    def __init__(self, t):
+        t = np.asarray(t, dtype=np.complex128)
+        if t.ndim != 1 or t.size % 2 == 0:
+            raise ValueError(f"expected a vector of 2n - 1 diagonals, got shape {t.shape}")
+        self.t = t
+        self.n = (t.size + 1) // 2
+
+    @classmethod
+    def of(cls, m) -> "Toeplitz | None":
+        """The diagonals of square matrix m if m is exactly Toeplitz, None
+        otherwise.
+
+        Every entry is compared with its down-right neighbour, in blocks of
+        32 rows, so the temporaries are 32 x n and the scan stops at the
+        first block that differs.  The comparison is exact: a matrix that is
+        Toeplitz only to roundoff is not Toeplitz here.
+        """
+        m = require_square(m)
+        for r0 in range(0, m.shape[0] - 1, _DEFECT_BLOCK_ROWS):
+            # 33 rows, the last one shared with the next block, read as float64
+            # (re, im) pairs, so one column is two floats: float == gives the
+            # same answer as complex == and ran 2-3x faster (n = 2048, one
+            # core of a 2-core Intel Xeon VM)
+            rows = np.ascontiguousarray(m[r0 : r0 + _DEFECT_BLOCK_ROWS + 1]).view(np.float64)
+            if not np.array_equal(rows[1:, 2:], rows[:-1, :-2]):
+                return None
+        return cls(np.concatenate([m[:0:-1, 0], m[0]]))
+
+    def dense(self) -> np.ndarray:
+        return scipy.linalg.toeplitz(self.t[self.n - 1 :: -1], self.t[self.n - 1 :])
+
+    def _weighted_norm(self, v: np.ndarray) -> float:
+        # the Frobenius norm of the Toeplitz matrix with diagonals v
+        weights = self.n - np.abs(np.arange(1 - self.n, self.n))
+        return float(np.sqrt(weights @ np.abs(v) ** 2))
+
+    def frobenius_norm(self) -> float:
+        return self._weighted_norm(self.t)
+
+    def hermitian_defect(self) -> float:
+        """core.hermitian_defect of A, from the diagonals; 0.0 for A = 0."""
+        norm = self.frobenius_norm()
+        return self._weighted_norm(self.t - self.t[::-1].conj()) / norm if norm else 0.0
+
+    @cached_property
+    def _embedding(self) -> np.ndarray:
+        n = self.n
+        return np.fft.fft(np.concatenate([self.t[n - 1 :: -1], [0], self.t[: n - 1 : -1]]))
+
+    def matvec(self, x) -> np.ndarray:
+        """A x through the circulant embedding of size 2n."""
+        return np.fft.ifft(self._embedding * np.fft.fft(x, 2 * self.n))[: self.n]
+
+    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, h_0) of the closed form."""
+        n = self.n
+        row = self.t[n - 1 :]
+        back = np.concatenate([[0], self.t[: n - 1]])  # t_{d-n}, d >= 1
+        u = row - back
+        u[0] = 0
+        return u, (n - np.arange(n)) * row + np.arange(n) * back
+
+    def _sines(self, ks: np.ndarray) -> np.ndarray:
+        """sin(pi j / n) at the reduced argument pi min(j, n - j) / n."""
+        return np.sin(np.pi * np.minimum(ks, self.n - ks) / self.n)
+
+    def cycle_norms(self) -> np.ndarray:
+        """The l2 norms of all n cycles of W A W*, from one real FFT of
+        |u|^2; cycles j and n - j come out bit-identical."""
+        u, h0 = self._terms()
+        n = self.n
+        w = np.abs(u) ** 2
+        f = np.fft.rfft(w).real
+        j = np.arange(1, n)
+        norms = np.empty(n)
+        norms[0] = np.linalg.norm(h0) / np.sqrt(n)
+        # sum w (1 - cos) >= 0 in exact arithmetic; roundoff may dip below
+        energy = np.maximum(w.sum() - f[np.minimum(j, n - j)], 0.0)
+        norms[1:] = np.sqrt(energy / (2 * n * self._sines(j) ** 2))
+        return norms
+
+    def cycles(self, ks) -> np.ndarray:
+        """Cycles ks of W A W* as a (len(ks), n) array in the reading order
+        of cycle_positions, from two length-n FFTs whatever len(ks) is."""
+        u, h0 = self._terms()
+        ks = np.asarray(ks, dtype=np.int64).ravel()
+        rows, cols = cycle_positions(self.n, ks)
+        # 1 - e^{-2 pi i j / n}, see the class docstring
+        den = 2j * self._sines(ks) * np.exp(-1j * np.pi * ks / self.n)
+        diagonal = ks == 0
+        den[diagonal] = 1.0
+        u_hat = np.fft.ifft(u)
+        out = (u_hat[cols] - u_hat[rows]) * (1 / den)[:, None]
+        out[diagonal] = np.fft.ifft(h0)
+        return out
 
 
 def cycle_positions(n: int, k) -> tuple[np.ndarray, np.ndarray]:
@@ -242,17 +374,6 @@ def _cycle_ranges(n: int):
     return (range(start, min(start + step, n)) for start in range(0, n, step))
 
 
-def iter_cycles(a):
-    """Yield the n cycles of square matrix a in index order.
-
-    Each is a length-n vector in reading order, equal to
-    apply_cycle_mask(a, k), gathered in blocks of about 16k entries.
-    """
-    a = require_square(a)
-    for ks in _cycle_ranges(a.shape[0]):
-        yield from apply_cycle_mask(a, ks)
-
-
 def iter_cycle_blocks(a):
     """Yield the n cycles of square matrix a as (ks, cols, values) blocks.
 
@@ -260,7 +381,7 @@ def iter_cycle_blocks(a):
     array apply_cycle_mask(a, ks) and cols its column indices from
     cycle_positions, so a caller that needs another order (the column
     walk: np.put_along_axis(out, cols, values, axis=1)) takes it from
-    here.  Blocks are the ~16k-entry ones of iter_cycles.
+    here.  Blocks hold about 16k entries each.
     """
     a = require_square(a)
     n = a.shape[0]
@@ -270,8 +391,12 @@ def iter_cycle_blocks(a):
 
 
 def cycle_norms(a) -> np.ndarray:
-    """The l2 norms of all n cycles of square matrix a, via iter_cycles."""
-    return np.array([np.linalg.norm(c) for c in iter_cycles(a)])
+    """The l2 norms of all n cycles of square matrix a, via iter_cycle_blocks.
+
+    One norm per cycle row: np.linalg.norm(block, axis=1) differs from
+    np.linalg.norm(apply_cycle_mask(a, k)) in the last bits.
+    """
+    return np.array([np.linalg.norm(c) for _, _, block in iter_cycle_blocks(a) for c in block])
 
 
 def materialize_cycle(values, n: int, k: int) -> np.ndarray:

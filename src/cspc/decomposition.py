@@ -30,6 +30,7 @@ from .core import (
     ConfigError,
     CycleSelection,
     NumericalError,
+    Toeplitz,
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
@@ -279,36 +280,18 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
     )
 
 
-def _toeplitz_parts(entries) -> tuple[int, np.ndarray, np.ndarray, complex]:
-    e = np.asarray(entries, dtype=np.complex128).ravel()
-    if e.size % 2 == 0 or e.size < 1:
-        raise ValueError(f"expected 2n-1 diagonal entries, got {e.size}")
-    n = (e.size + 1) // 2
-    a0 = e[n - 1]
-    # a_minus[i] = a_{-i}, a_plus[j] = a_j, both 1-based into the vector
-    a_minus = e[n - 2 :: -1] if n > 1 else np.zeros(0, dtype=np.complex128)
-    a_plus = e[n:]
-    return n, a_minus, a_plus, a0
-
-
 def toeplitz_s0(entries) -> float:
     """Closed-form weight of cycle 0 of W A W* for a Toeplitz matrix A.
 
     entries lists the diagonal values a_{-(n-1)} .. a_{n-1} of
-    A(p, q) = a_{q-p}.  Equals cycle_weights(similarity_transform(A))[0]
-    without forming the matrix.
+    A(p, q) = a_{q-p}, the t of core.Toeplitz.  Equals
+    cycle_weights(similarity_transform(A))[0] without forming the matrix.
     """
-    n, a_minus, a_plus, a0 = _toeplitz_parts(entries)
-    i = np.arange(1, n)
-    fro2 = n * abs(a0) ** 2
-    if n > 1:
-        fro2 += np.sum((n - i) * np.abs(a_minus) ** 2) + np.sum((n - i) * np.abs(a_plus) ** 2)
-    if fro2 == 0:
+    a = Toeplitz(entries)
+    fro = a.frobenius_norm()
+    if fro == 0:
         raise ValueError("all-zero entries")
-    num = n * n * abs(a0) ** 2
-    if n > 1:
-        num += np.sum(np.abs((n - i) * a_minus + i * a_plus[::-1]) ** 2)
-    return float(num / (n * fro2))
+    return float(np.linalg.norm(a.cycles([0])) ** 2 / fro**2)
 
 
 def toeplitz_partial_energy(entries, i: int, k: int) -> float:
@@ -319,20 +302,18 @@ def toeplitz_partial_energy(entries, i: int, k: int) -> float:
     profile.  Valid for 1 <= i, k <= n-1; the k = 0 share is
     1 - sum over k >= 1, or toeplitz_s0 for the whole-matrix view.
     """
-    n, a_minus, a_plus, _ = _toeplitz_parts(entries)
+    a = Toeplitz(entries)
+    n, t = a.n, a.t
     if not 1 <= i <= n - 1:
         raise ValueError(f"cycle index {i} out of range [1, {n - 1}]")
     if not 1 <= k <= n - 1:
         raise ValueError(f"frequency index {k} out of range [1, {n - 1}]")
-    am = a_minus[i - 1]
-    ap = a_plus[n - i - 1]
+    am = t[n - 1 - i]
+    ap = t[2 * n - 1 - i]
     denom = (n - i) * abs(am) ** 2 + i * abs(ap) ** 2
     if denom == 0:
         raise ValueError(f"cycle {i} is zero, partial energy undefined")
-    s = np.sin(np.pi * k / n)
-    # removable singularity guard; unreachable for k in range but kept for
-    # callers evaluating the formula off-domain
-    ratio = i if abs(s) < 1e-12 else np.sin(np.pi * k * i / n) / s
+    ratio = np.sin(np.pi * k * i / n) / np.sin(np.pi * k / n)
     return float(abs(am - ap) ** 2 * ratio**2 / (n * denom))
 
 

@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from .core import ConfigError
+from .core import ConfigError, Toeplitz
 
 __all__ = [
     "SymbolSpec",
@@ -140,13 +139,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _toeplitz_from_diag_values(vals: np.ndarray, n: int) -> np.ndarray:
-    # vals[d + n - 1] is the constant on diagonal d = q - p
-    first_col = vals[n - 1 :: -1]
-    first_row = vals[n - 1 :]
-    return scipy.linalg.toeplitz(first_col, first_row).astype(np.complex128, copy=False)
-
-
 def gen_toeplitz(spec: StructuredMatrixSpec) -> np.ndarray:
     """Random Toeplitz: one N(0,1) draw per diagonal, mirrored if symmetric."""
     if spec.kind != "toeplitz":
@@ -158,7 +150,7 @@ def gen_toeplitz(spec: StructuredMatrixSpec) -> np.ndarray:
         vals = np.concatenate([half[:0:-1], half])
     else:
         vals = rng.standard_normal(2 * n - 1)
-    return _toeplitz_from_diag_values(vals.astype(np.complex128), n)
+    return Toeplitz(vals.astype(np.complex128)).dense()
 
 
 def gen_example1(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +166,9 @@ def gen_example1(n: int) -> tuple[np.ndarray, np.ndarray]:
     first[0] = 2.0
     if n > 1:
         first[1:] = -(0.5 ** np.arange(1, n))
-    a = scipy.linalg.toeplitz(first).astype(np.complex128, copy=False)
+    # the first row is conj(first), as scipy.linalg.toeplitz(first) reads
+    # it, so the imaginary parts above the diagonal are -0.0
+    a = Toeplitz(np.concatenate([first[:0:-1], first[:1], first[1:].conj()])).dense()
     b = np.arange(1, n + 1, dtype=np.complex128)
     return a, b
 
@@ -321,21 +315,21 @@ def gen_symbol_toeplitz(sym: SymbolSpec, n: int) -> np.ndarray:
     """Toeplitz matrix whose diagonals are the symbol's Fourier coefficients."""
     if n < 1:
         raise ConfigError(f"dimension must be >= 1, got {n}")
-    return _toeplitz_from_diag_values(symbol_coefficients(sym, n), n)
+    return Toeplitz(symbol_coefficients(sym, n)).dense()
 
 
 def banded_diag_sequence(first_row, first_col, n: int) -> np.ndarray:
     """Transform diagonal of a banded Toeplitz matrix, in closed form.
 
     first_row holds a_0 .. a_l (upper band), first_col holds a_0 .. a_{-m}
-    (lower band); both start with a_0 and must agree there.  Builds the
-    length-n weighted sequence
+    (lower band); both start with a_0 and must agree there.  Returns
+    cycle 0 of core.Toeplitz, the positive-kernel DFT of the length-n
+    weighted sequence
 
         (a_0, (n-1)/n a_1, ..., (n-l)/n a_l, 0, ..., 0,
-         (n-m)/n a_{-m}, ..., (n-1)/n a_{-1})
+         (n-m)/n a_{-m}, ..., (n-1)/n a_{-1}),
 
-    and returns its positive-kernel DFT, which equals
-    diag(similarity_transform(A)) for the banded Toeplitz A.
+    which equals diag(similarity_transform(A)) for the banded Toeplitz A.
     """
     fr = np.asarray(first_row, dtype=np.complex128).ravel()
     fc = np.asarray(first_col, dtype=np.complex128).ravel()
@@ -344,16 +338,12 @@ def banded_diag_sequence(first_row, first_col, n: int) -> np.ndarray:
     l, m = fr.size - 1, fc.size - 1
     if l + m > n - 1:
         raise ConfigError(f"band width l+m = {l + m} too wide for dimension {n}")
-    a0 = fr[0]
-    if abs(fc[0] - a0) > 1e-12 * max(1.0, abs(a0)):
+    if abs(fc[0] - fr[0]) > 1e-12 * max(1.0, abs(fr[0])):
         raise ConfigError("first_row[0] and first_col[0] must both be a_0")
-    seq = np.zeros(n, dtype=np.complex128)
-    seq[0] = a0
-    d = np.arange(1, l + 1)
-    seq[d] = (n - d) / n * fr[1:]
-    j = np.arange(1, m + 1)
-    seq[n - j] = (n - j) / n * fc[1:]
-    return np.fft.ifft(seq) * n
+    t = np.zeros(2 * n - 1, dtype=np.complex128)
+    t[n - 1 : n + l] = fr
+    t[n - 1 - m : n - 1] = fc[:0:-1]
+    return Toeplitz(t).cycles([0])[0]
 
 
 def generate(spec: StructuredMatrixSpec):

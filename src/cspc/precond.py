@@ -26,15 +26,15 @@ are built here:
   corner is read from the 2s - 1 cycles through it.
 
 Both builders choose how to read B once, from A.  When A is exactly
-Toeplitz (core.toeplitz_diagonals), B is never formed: all n cycle norms
-come from one real FFT of the 2n - 1 diagonals and the selected cycles
-from two more (transform.toeplitz_cycle_norms, transform.toeplitz_cycles;
-the transform module docstring gives the identity and its precision), so
-a build is O(n log n) plus the diagonal scan.  The selection goes through
-the same tie rule as sparse.select_dominant_cycles, and the norms of
-reflection partners j and n - j of a Toeplitz B tie bit for bit.  Every
-other A is transformed once, O(n^2 log n), and its cycles are gathered
-from B.  At n = 2048 on Example 1 the closed form took 9 / 10 / 17 ms
+Toeplitz (core.Toeplitz.of), B is never formed: all n cycle norms come
+from one real FFT of the 2n - 1 diagonals and the selected cycles from
+two more (core.Toeplitz.cycle_norms and cycles; the class docstring
+gives the identity and its precision), so a build is O(n log n) plus
+the diagonal scan.  The selection goes through the same tie rule as
+sparse.select_dominant_cycles, and the norms of reflection partners
+j and n - j of a Toeplitz B tie bit for bit.  Every other A is
+transformed once, O(n^2 log n), and its cycles are gathered from B.
+At n = 2048 on Example 1 the closed form took 9 / 10 / 17 ms
 for the k = 1, k = 3 and 3n corner-block builds against 266 / 266 /
 152 ms through the transform (one core of a 2-core Intel Xeon VM,
 single-threaded BLAS), with the same selections and PCG iteration counts
@@ -48,19 +48,13 @@ is replaced by the true residual b - A x every 50 iterations, and
 convergence is declared on |r| / |b| < tol right after the x update.
 
 The product A x takes one of two routes, chosen from A itself.  When A
-is exactly Toeplitz (core.toeplitz_diagonals: every entry equal to its
-down-right neighbour, checked in 32-row blocks), it is the leading
-block of a circulant of size 2n whose first column is
-[first column, 0, first row reversed without its head], so A x is
-ifft(fft(c) * fft(x, 2n))[:n], O(n log n) (T. Chan 1988; Chan & Ng,
-SIAM Review 1996).  fft(c) is taken once per solve and serves both the
-search-direction products and the true residuals.  The Hermitian check
-then needs only the 2n - 1 diagonals: diagonal d holds n - |d| equal
-entries, so |A - A*|_F^2 = sum_d (n - |d|) |t_d - conj(t_-d)|^2 and |A|_F^2
-carries the same weights, O(n).  Every other A, including a Toeplitz
-matrix perturbed by one ulp, takes the dense product a @ x and
-core.hermitian_defect.  The report names the route that ran
-("toeplitz-fft" or "dense").
+is exactly Toeplitz (core.Toeplitz.of: every entry equal to its
+down-right neighbour, checked in 32-row blocks), it goes through the
+circulant embedding of size 2n, O(n log n), and the Hermitian check
+through the 2n - 1 diagonals, O(n) (core.Toeplitz.matvec and
+hermitian_defect).  Every other A, including a Toeplitz matrix perturbed
+by one ulp, takes the dense product a @ x and core.hermitian_defect.
+The report names the route that ran ("toeplitz-fft" or "dense").
 """
 
 from __future__ import annotations
@@ -75,16 +69,16 @@ import scipy.sparse.linalg
 from .core import (
     ConfigError,
     NumericalError,
+    Toeplitz,
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
     hermitian_defect,
     require_square,
-    toeplitz_diagonals,
 )
 from .generators import StructuredMatrixSpec, generate
-from .sparse import SparseCycleMatrix, _selections_from_norms, pd_sufficient_check
-from .transform import similarity_transform, toeplitz_cycle_norms, toeplitz_cycles
+from .sparse import SparseCycleMatrix, pd_sufficient_check, selections_from_norms
+from .transform import similarity_transform
 
 __all__ = [
     "MaskPreconditioner",
@@ -140,13 +134,9 @@ def _cycle_source(a: np.ndarray):
     reading order.  An exactly Toeplitz A takes both from its diagonals
     in O(n log n) and B is never formed; any other A is transformed once.
     """
-    diagonals = toeplitz_diagonals(a)
-    if diagonals is not None:
-        return (
-            "toeplitz-diagonals",
-            partial(toeplitz_cycle_norms, *diagonals),
-            partial(toeplitz_cycles, *diagonals),
-        )
+    toeplitz = Toeplitz.of(a)
+    if toeplitz is not None:
+        return "toeplitz-diagonals", toeplitz.cycle_norms, toeplitz.cycles
     b = similarity_transform(a)
     return "transform", partial(cycle_norms, b), partial(apply_cycle_mask, b)
 
@@ -157,7 +147,7 @@ def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
     if not 1 <= k_cycles <= n:
         raise ValueError(f"cycle count {k_cycles} out of range [1, {n}]")
     source, norms, cycles = _cycle_source(a)
-    sel = _selections_from_norms(norms(), [k_cycles])[0]
+    sel = selections_from_norms(norms(), [k_cycles])[0]
     s = SparseCycleMatrix(n, sel, cycles(sel.indices))
     try:
         margin = pd_sufficient_check(s).margin
@@ -206,25 +196,6 @@ class PcgReport:
     matvec: str  # "toeplitz-fft" or "dense", the route A x took
 
 
-def _toeplitz_matvec(col: np.ndarray, row: np.ndarray):
-    """x -> T x for the Toeplitz T with first column col and first row
-    row, through T's circulant embedding of size 2n."""
-    n = col.size
-    eig = np.fft.fft(np.concatenate([col, [0], row[:0:-1]]))
-    return lambda x: np.fft.ifft(eig * np.fft.fft(x, 2 * n))[:n]
-
-
-def _toeplitz_hermitian_defect(col: np.ndarray, row: np.ndarray) -> float:
-    """hermitian_defect of the Toeplitz matrix with first column col and
-    first row row, from its 2n - 1 diagonals in O(n)."""
-    n = col.size
-    t = np.concatenate([col[:0:-1], row])  # t[n - 1 + d] holds diagonal d = q - p
-    weights = n - np.abs(np.arange(1 - n, n))
-    diff2 = weights @ np.abs(t - t[::-1].conj()) ** 2
-    norm2 = weights @ np.abs(t) ** 2
-    return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
-
-
 def pcg_solve(
     a,
     b,
@@ -247,12 +218,11 @@ def pcg_solve(
     b = np.asarray(b, dtype=np.complex128).ravel()
     if b.size != n:
         raise ValueError(f"rhs has length {b.size}, matrix has n={n}")
-    diagonals = toeplitz_diagonals(a)
-    if diagonals is None:
+    toeplitz = Toeplitz.of(a)
+    if toeplitz is None:
         route, matvec, defect = "dense", a.__matmul__, hermitian_defect(a)
     else:
-        route, matvec = "toeplitz-fft", _toeplitz_matvec(*diagonals)
-        defect = _toeplitz_hermitian_defect(*diagonals)
+        route, matvec, defect = "toeplitz-fft", toeplitz.matvec, toeplitz.hermitian_defect()
     if defect > 1e-10:
         raise ValueError("matrix is not Hermitian to working tolerance")
     if max_iter is None:

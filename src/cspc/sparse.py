@@ -52,6 +52,7 @@ __all__ = [
     "dominant_cycle_order",
     "dominant_cycle_selections",
     "select_dominant_cycles",
+    "selections_from_norms",
     "sparsify",
     "direct_sparsify",
     "spectrum",
@@ -141,7 +142,7 @@ def _ranking(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, splits
 
 
-def _selections_from_norms(norms: np.ndarray, ks) -> list[CycleSelection]:
+def selections_from_norms(norms: np.ndarray, ks) -> list[CycleSelection]:
     """dominant_cycle_selections for a matrix whose n cycle norms are given."""
     n = norms.size
     ks = [int(k) for k in ks]
@@ -175,7 +176,7 @@ def dominant_cycle_selections(b, ks) -> list[CycleSelection]:
     k = 1 with a tied pair in the lead, where the leading cycle is kept
     alone rather than selecting nothing.
     """
-    return _selections_from_norms(cycle_norms(b), ks)
+    return selections_from_norms(cycle_norms(b), ks)
 
 
 def select_dominant_cycles(b, k: int) -> CycleSelection:

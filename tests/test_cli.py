@@ -3,6 +3,7 @@ files, manifests and exit codes they are contracted to produce."""
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,24 @@ def test_eig_vs_n_sweep(tmp_path):
     assert manifest["spectra"] == {"eigvalsh": 2 * 2 * 2, "eigvals": 0}
     assert manifest["real_form"] == 2 * 2 * 2
     assert _run(["eig-vs-n", "--n", "50", "--out", tmp_path / "y.csv"]) == 2
+
+
+def test_eig_vs_n_frob_ratio_is_dropped_cycle_norm(tmp_path):
+    out = tmp_path / "vsn.csv"
+    seed, trials = 2, 2
+    assert _run(["eig-vs-n", "--n", 200, "--trials", trials, "--seed", seed, "--out", out]) == 0
+    _, rows = _read_csv(out)
+    spec = StructuredMatrixSpec(kind="block_toeplitz", n=100, m=5, symmetric=True, seed=seed)
+    for row in rows:
+        n = int(row[0])
+        ratios = []
+        for s in _trial_seeds(seed, trials):
+            a, _ = generate(with_seed(replace(spec, n=n), s))
+            b = similarity_transform(a)
+            dropped = CycleSelection.of(n, {0, n // 2}).complement()
+            energy = sum(np.linalg.norm(apply_cycle_mask(b, j)) ** 2 for j in dropped)
+            ratios.append(np.sqrt(energy) / np.linalg.norm(a))
+        assert float(row[3]) == pytest.approx(np.mean(ratios), rel=1e-12)
 
 
 def test_sparsifier_compare(tmp_path):

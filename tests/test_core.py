@@ -2,10 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from cspc.core import (
     CycleSelection,
+    Toeplitz,
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
@@ -15,12 +15,10 @@ from cspc.core import (
     full_cycle_matrix,
     hermitian_defect,
     iter_cycle_blocks,
-    iter_cycles,
     materialize_cycle,
     reflection_defect,
     relaxation_diagonal,
     require_square,
-    toeplitz_diagonals,
 )
 from cspc.generators import StructuredMatrixSpec, SymbolSpec, gen_example1, generate
 
@@ -181,9 +179,6 @@ def test_apply_cycle_mask_and_materialize():
     # n = 300 streams in several blocks, the last one short
     big = rng.standard_normal((300, 300)) + 0j
     per_cycle = [apply_cycle_mask(big, k) for k in range(300)]
-    streamed = list(iter_cycles(big))
-    assert len(streamed) == 300
-    assert all(np.array_equal(s, c) for s, c in zip(streamed, per_cycle))
     assert np.array_equal(cycle_norms(big), [np.linalg.norm(c) for c in per_cycle])
     blocks = list(iter_cycle_blocks(big))
     assert len(blocks) > 1
@@ -310,27 +305,35 @@ def _toeplitz_cases(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
 def test_toeplitz_diagonals_round_trip(n):
     for name, a in _toeplitz_cases(n).items():
-        diagonals = toeplitz_diagonals(a)
-        assert diagonals is not None, name
-        col, row = diagonals
-        assert np.array_equal(scipy.linalg.toeplitz(col, row), a), name
-        # a transposed view is not C-contiguous; its diagonals swap
-        col_t, row_t = toeplitz_diagonals(a.T)
-        assert np.array_equal(col_t, row) and np.array_equal(row_t, col), name
+        toeplitz = Toeplitz.of(a)
+        assert toeplitz is not None, name
+        assert toeplitz.n == n, name
+        assert np.array_equal(toeplitz.dense(), a), name
+        assert toeplitz.frobenius_norm() == pytest.approx(np.linalg.norm(a), rel=1e-12), name
+        # a transposed view is not C-contiguous; its diagonals reverse
+        assert np.array_equal(Toeplitz.of(a.T).t, toeplitz.t[::-1]), name
 
 
 def test_toeplitz_diagonals_rejects_other_structure():
     block = generate(StructuredMatrixSpec(kind="block_toeplitz", n=64, m=4, seed=1))[0]
     quasi_spec = StructuredMatrixSpec(kind="quasi_periodic", n=64, periods=(4, 5, 10), seed=6)
     quasi = generate(quasi_spec)[0]
-    assert toeplitz_diagonals(block) is None
-    assert toeplitz_diagonals(quasi) is None
+    assert Toeplitz.of(block) is None
+    assert Toeplitz.of(quasi) is None
     # one ulp off in the last row: only the last 32-row block differs
     n = 1000
     a, _ = gen_example1(n)
     a[n - 1, 500] = np.nextafter(a[n - 1, 500].real, 0.0)
-    assert toeplitz_diagonals(a) is None
-    assert toeplitz_diagonals(a.T) is None
+    assert Toeplitz.of(a) is None
+    assert Toeplitz.of(a.T) is None
+
+
+def test_toeplitz_rejects_even_length():
+    # t holds 2n - 1 diagonals, so its length is odd
+    for t in (np.ones(0), np.ones(2), np.ones(8), np.ones((3, 3))):
+        with pytest.raises(ValueError):
+            Toeplitz(t)
+    assert Toeplitz(np.ones(9)).n == 5
 
 
 def test_toeplitz_diagonals_streams():
@@ -340,8 +343,8 @@ def test_toeplitz_diagonals_streams():
     a, _ = gen_example1(n)
     tracemalloc.start()
     try:
-        assert toeplitz_diagonals(a) is not None
-        assert toeplitz_diagonals(a.T) is not None  # gathered block by block
+        assert Toeplitz.of(a) is not None
+        assert Toeplitz.of(a.T) is not None  # gathered block by block
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -3,8 +3,9 @@ kind promises, and the symbol machinery."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from cspc.core import ConfigError, CycleSelection
+from cspc.core import ConfigError, CycleSelection, Toeplitz
 from cspc.decomposition import dominance_relation
 from cspc.generators import (
     StructuredMatrixSpec,
@@ -220,6 +221,45 @@ def test_gen_symbol_toeplitz_diagonals_are_coefficients():
     assert np.allclose(d[1], -1.0)
     assert np.allclose(d[-1], -1.0)
     assert np.allclose(d[3], 0.0)
+
+
+def _drawn_diagonals(spec):
+    """The 2n - 1 diagonals a Toeplitz spec draws, t[n - 1 + d] on d = q - p,
+    and the matrix scipy.linalg.toeplitz builds from them."""
+    n = spec.n
+    if spec.kind == "example1":
+        first = np.zeros(n, dtype=np.complex128)
+        first[0] = 2.0
+        first[1:] = -(0.5 ** np.arange(1, n))
+        return np.concatenate([first[:0:-1], first]), scipy.linalg.toeplitz(first)
+    if spec.kind == "symbol_toeplitz":
+        t = symbol_coefficients(spec.symbol, n)
+    else:
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        if spec.symmetric:
+            half = rng.standard_normal(n)
+            t = np.concatenate([half[:0:-1], half]).astype(np.complex128)
+        else:
+            t = rng.standard_normal(2 * n - 1).astype(np.complex128)
+    return t, scipy.linalg.toeplitz(t[n - 1 :: -1], t[n - 1 :])
+
+
+@pytest.mark.parametrize("n", [1, 2, 33, 256])
+def test_toeplitz_kinds_round_trip_through_diagonals(n):
+    sym = SymbolSpec(form="product", poly=(1.0, 1.0), trig={1: 1.0})
+    specs = [
+        StructuredMatrixSpec(kind="toeplitz", n=n, seed=3),
+        StructuredMatrixSpec(kind="toeplitz", n=n, symmetric=True, seed=3),
+        StructuredMatrixSpec(kind="example1", n=n),
+        StructuredMatrixSpec(kind="symbol_toeplitz", n=n, symbol=sym),
+    ]
+    for spec in specs:
+        a = generate(spec)[0]
+        t, want = _drawn_diagonals(spec)
+        assert a.dtype == np.complex128 and a.tobytes() == want.tobytes(), spec.kind
+        toeplitz = Toeplitz.of(a)
+        assert np.array_equal(toeplitz.t, t), spec.kind
+        assert toeplitz.dense().tobytes() == a.tobytes(), spec.kind
 
 
 def test_gen_symbol_toeplitz_truncation_guard():

@@ -9,11 +9,11 @@ from cspc.core import (
     ConfigError,
     CycleSelection,
     NumericalError,
+    Toeplitz,
     cycle_positions,
     fourier_matrix,
     hermitian_defect,
     materialize_cycle,
-    toeplitz_diagonals,
 )
 from cspc.generators import StructuredMatrixSpec, gen_example1, generate
 from cspc.precond import (
@@ -21,8 +21,6 @@ from cspc.precond import (
     build_cycle_preconditioner,
     build_tchan_preconditioner,
     corner_block_side,
-    _toeplitz_hermitian_defect,
-    _toeplitz_matvec,
     pcg_solve,
     precond_benchmark,
 )
@@ -244,7 +242,7 @@ def test_toeplitz_matvec_matches_dense_product(n):
     example1, _ = gen_example1(n)
     for a in (scipy.linalg.toeplitz(col, row), example1):
         want = a @ x
-        got = _toeplitz_matvec(*toeplitz_diagonals(a))(x)
+        got = Toeplitz.of(a).matvec(x)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -252,11 +250,12 @@ def test_toeplitz_hermitian_defect_matches_dense_scan():
     for n in (1, 2, 7, 300):
         col, row = _random_toeplitz(n, seed=n + 1)
         a = scipy.linalg.toeplitz(col, row)
-        assert _toeplitz_hermitian_defect(col, row) == pytest.approx(hermitian_defect(a), rel=1e-12)
+        t = np.concatenate([col[:0:-1], row])
+        assert Toeplitz(t).hermitian_defect() == pytest.approx(hermitian_defect(a), rel=1e-12)
     n = 2048
     a, _ = gen_example1(n)
-    assert _toeplitz_hermitian_defect(*toeplitz_diagonals(a)) <= n * np.finfo(float).eps
-    assert _toeplitz_hermitian_defect(np.zeros(3), np.zeros(3)) == 0.0
+    assert Toeplitz.of(a).hermitian_defect() <= n * np.finfo(float).eps
+    assert Toeplitz(np.zeros(5)).hermitian_defect() == 0.0
 
 
 def test_pcg_toeplitz_hermitian_check_bound():

@@ -4,11 +4,11 @@ import scipy.linalg
 
 from cspc.core import (
     CycleSelection,
+    Toeplitz,
     apply_cycle_mask,
     cycle_norms,
     fourier_matrix,
     reflection_defect,
-    toeplitz_diagonals,
 )
 from cspc.decomposition import circulant_dense, toeplitz_s0
 from cspc.generators import StructuredMatrixSpec, gen_example1, generate
@@ -18,8 +18,6 @@ from cspc.transform import (
     extract_cycles,
     inverse_similarity_transform,
     similarity_transform,
-    toeplitz_cycle_norms,
-    toeplitz_cycles,
 )
 
 
@@ -158,30 +156,29 @@ def _toeplitz_case(kind, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 2048])
 def test_toeplitz_closed_form_matches_transform(kind, n):
     a = _toeplitz_case(kind, n)
-    col, row = toeplitz_diagonals(a)
+    toeplitz = Toeplitz.of(a)
     b = similarity_transform(a)
     roundoff = n * np.finfo(float).eps
     # cycles read along the rows (2j > n) as well as down the columns
     picks = range(n) if n == 64 else [0, 1, 2, n // 3, n // 2, n // 2 + 1, 2 * n // 3, n - 2, n - 1]
     sel = CycleSelection.of(n, [j % n for j in picks])
-    got = toeplitz_cycles(col, row, sel.indices)
+    got = toeplitz.cycles(sel.indices)
     assert np.abs(got - sparsify(b, sel).cycles).max() <= roundoff * np.abs(b).max()
 
-    norms = toeplitz_cycle_norms(col, row)
+    norms = toeplitz.cycle_norms()
     want = cycle_norms(b)
     assert np.abs(norms - want).max() <= roundoff * want.max()
     assert np.array_equal(norms[1:], norms[1:][::-1])  # j and n - j, bit for bit
-    entries = np.concatenate([col[:0:-1], row])  # a_{-(n-1)} .. a_{n-1}
-    assert norms[0] ** 2 / np.sum(norms**2) == pytest.approx(toeplitz_s0(entries), rel=1e-12)
+    assert norms[0] ** 2 / np.sum(norms**2) == pytest.approx(toeplitz_s0(toeplitz.t), rel=1e-12)
 
 
 def test_toeplitz_closed_form_validation():
     with pytest.raises(ValueError):
-        toeplitz_cycle_norms(np.ones(3), np.ones(4))
+        Toeplitz(np.ones(6)).cycle_norms()
     with pytest.raises(ValueError):
-        toeplitz_cycles(np.ones(0), np.ones(0), [0])
+        Toeplitz(np.ones(0)).cycles([0])
     with pytest.raises(ValueError):
-        toeplitz_cycles(np.ones(4), np.ones(4), [4])
+        Toeplitz(np.ones(7)).cycles([4])
 
 
 def _real_generator_output(kind, n):
