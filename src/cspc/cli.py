@@ -66,6 +66,8 @@ class ExperimentConfig:
 
 
 def _trial_seeds(seed: int, trials: int) -> list[int]:
+    if trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
     ss = np.random.SeedSequence(seed)
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in ss.spawn(trials)]
 
@@ -210,6 +212,8 @@ def run_sparsifier_compare(cfg: ExperimentConfig) -> str:
 
     k = cfg.cycles[0] if cfg.cycles else 5
     n = cfg.spec.n
+    if not 1 <= k <= n:
+        raise ConfigError(f"cycle count {k} must lie in [1, {n}]")
     nnz = k * n
     seeds = _trial_seeds(cfg.seed, cfg.trials)
 

@@ -1,5 +1,4 @@
-"""Fourier engines: the two-sided similarity transform and pruned cycle
-extraction.
+"""Fourier engines: the two-sided similarity transform and cycle extraction.
 
 Sign convention, fixed once: the similarity transform conjugates by the
 unitary Fourier matrix W (negative kernel, 1/sqrt(n)): B = W A W*.
@@ -7,11 +6,20 @@ Implemented as two passes of one-dimensional FFTs,
 B = ifft(fft(A, axis=0), axis=1); the explicit triple product is only
 ever used as a test oracle.
 
-extract_cycles computes selected cycles of B without forming B.  The
-column pass runs in full; the row pass is outputs-pruned down to the
-dependency cone of the requested positions (see _kernels).  Cost per row
-for k selected cycles on power-of-two n is at most (n-k) + n*log2(k)
-butterfly/leaf operations, which the optional OpCounter reports.
+extract_cycles reads selected cycles of B, by one of two routes chosen
+from the selection size k and n alone:
+
+* k <= log2 n, streamed from A's cycles without forming B.  With c_d
+  cycle d of A and b_j cycle j of B, both on the column walk
+  (c_d[q] = A((q + d) mod n, q)), and w = exp(-2 pi i / n),
+
+      b_j = fft_d(w^{jd} h_j(d)) / n,   h_j(d) = sum_q c_d[q] w^{jq},
+
+  the identity circulant_decompose_via_transform rests on, taken at k
+  frequencies: O(n^2 k) work and O(n k) memory beside A.
+* k > log2 n: the full transform, masked.  Its two FFT passes cost
+  about 2 n^2 log2 n, and at k = log2 n the two routes ran about even
+  (n = 1024 and 2048, one BLAS thread).
 
 A Toeplitz A needs neither: B's cycles and their norms have a closed
 form in its 2n - 1 diagonals, core.Toeplitz.cycles and cycle_norms (the
@@ -22,8 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-from .core import CycleSelection, cycle_positions, require_square
+from .core import CycleSelection, cycle_positions, iter_cycle_blocks, require_square
 from .sparse import SparseCycleMatrix, sparsify
 
 __all__ = [
@@ -47,13 +54,14 @@ def inverse_similarity_transform(b) -> np.ndarray:
 
 
 class OpCounter:
-    """Collects the arithmetic-operation count of a pruned extraction.
+    """Collects the arithmetic-operation count of a streamed extraction.
 
-    Counting convention: one operation per butterfly output written, and
-    s*log2(s) for a full size-s leaf FFT.  The count covers the pruned
-    row pass only; the full column pass is delegated to the FFT library
-    and not instrumented.  ``ops`` is None when the pruned path was not
-    taken (non-power-of-two n).
+    Counting convention: one operation per complex multiply-add, and
+    ceil(log2 n) per output of a length-n FFT.  Each of the k selected
+    cycles costs n per cycle of A for the dot products h_j, then 1 for
+    the phase and ceil(log2 n) for the FFT per output entry, so one call
+    adds k * n * (n + 1 + ceil(log2 n)) ops over n vectors (the cycles
+    of A).  ``ops`` is None when the full transform was taken instead.
     """
 
     def __init__(self):
@@ -68,36 +76,36 @@ class OpCounter:
 
 
 def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> SparseCycleMatrix:
-    """Selected cycles of W A W*, without forming the rest of it.
+    """Selected cycles of W A W*.
 
-    For power-of-two n the row pass touches only the dependency cone of
-    the requested outputs; otherwise it falls back to the full transform
-    plus masking (counter.ops stays None).  Values match the masked full
-    transform to roundoff either way.
+    Up to log2 n cycles stream from A's cycles and B is never formed;
+    more take the masked full transform (counter.ops stays None), whose
+    result this is bit for bit.  The streamed values match it to about
+    eps * max|B|: the phases w^{jq} are taken at the reduced exponent
+    (j q) mod n, since the unreduced argument 2 pi j q / n carries an
+    absolute error that grows with j q.
     """
     a = require_square(a)
     n = a.shape[0]
     if sel.n != n:
         raise ValueError(f"selection is for n={sel.n}, matrix has n={n}")
-    if len(sel) == 0:
+    k = len(sel)
+    if k == 0:
         raise ValueError("empty cycle selection")
-
-    if n & (n - 1):
+    if k >= n.bit_length():  # k > log2 n
         return sparsify(similarity_transform(a), sel)
 
-    reflected = (n - sel.as_array()) % n
-    base = np.unique(reflected)
-    plan = _kernels.build_plan(n, tuple(base.tolist()))
-    y = np.fft.fft(a, axis=0)
-    w_plus = np.exp(2j * np.pi * np.arange(n) / n)
-    out = _kernels.pruned_rows_numpy(y, plan, w_plus) / n
+    js = sel.as_array()
+    phase = np.exp(-2j * np.pi * (np.outer(np.arange(n), js) % n) / n)  # w^{qj}, (n, k)
+    h = np.empty((n, k), dtype=np.complex128)
+    for ks, cols, block in iter_cycle_blocks(a):
+        walk = np.empty_like(block)
+        np.put_along_axis(walk, cols, block, axis=1)
+        h[ks] = walk @ phase
+    walks = np.fft.fft(phase * h, axis=0) / n  # column t: cycle js[t] on the column walk
     if counter is not None:
-        counter.ops = (counter.ops or 0) + plan[4] * n
+        counter.ops = (counter.ops or 0) + k * n * (n + 1 + (n - 1).bit_length())
         counter.vectors += n
 
-    # column t of the kernel output corresponds to base[t]; map back to
-    # the requested cycle order.  Entry p of a column is B(p, (p - j) mod n),
-    # the row walk; taking entry rows[t, q] of it puts it in reading order.
-    rows, _ = cycle_positions(n, sel.indices)
-    cycles = np.take_along_axis(out[:, np.searchsorted(base, reflected)].T, rows, axis=1)
-    return SparseCycleMatrix(n, sel, cycles)
+    _, cols = cycle_positions(n, js)
+    return SparseCycleMatrix(n, sel, np.take_along_axis(walks.T, cols, axis=1))

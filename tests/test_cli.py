@@ -70,6 +70,9 @@ def test_eig_errors_requires_cycles(tmp_path):
     assert _run(["eig-errors", "--n", "12", "--out", tmp_path / "x.csv"]) == 2
     for bad in ("0,4", "4,13"):
         assert _run(["eig-errors", "--n", "12", "--cycles", bad, "--out", tmp_path / "x.csv"]) == 2
+    for trials in ("0", "-1"):
+        args = ["eig-errors", "--n", "12", "--cycles", "4", "--trials", trials]
+        assert _run([*args, "--out", tmp_path / "x.csv"]) == 2
 
 
 def test_eig_errors_runs(tmp_path):
@@ -156,6 +159,8 @@ def test_eig_vs_n_sweep(tmp_path):
     assert manifest["spectra"] == {"eigvalsh": 2 * 2 * 2, "eigvals": 0}
     assert manifest["real_form"] == 2 * 2 * 2
     assert _run(["eig-vs-n", "--n", "50", "--out", tmp_path / "y.csv"]) == 2
+    for trials in ("0", "-1"):
+        assert _run(["eig-vs-n", "--n", "200", "--trials", trials, "--out", tmp_path / "y.csv"]) == 2
 
 
 def test_eig_vs_n_frob_ratio_is_dropped_cycle_norm(tmp_path):
@@ -188,6 +193,10 @@ def test_sparsifier_compare(tmp_path):
     assert len(rows) == 6
     assert {r[1] for r in rows} == {"cycle", "direct"}
     assert all(r[2] == "32" for r in rows)
+    bad = [("--cycles", "0"), ("--cycles", "40"), ("--trials", "0"), ("--trials", "-2")]
+    for flag, value in bad:
+        assert _run(["sparsifier-compare", "--n", "16", flag, value, "--out", tmp_path / "bad.csv"]) == 2
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_precond_table(tmp_path):

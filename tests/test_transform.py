@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -76,28 +78,34 @@ def test_extract_cycles_matches_masked_transform(n, indices):
     assert np.allclose(got.cycles, _reference_cycles(a, sel), atol=1e-10)
 
 
-@pytest.mark.parametrize("fallback", [0, 1])
-def test_extract_cycles_both_kernel_paths(fallback):
-    # Power-of-two n runs the pruned kernel and counts its operations; any
-    # other n falls back to the full transform plus masking, uncounted.
-    n = 24 if fallback else 32
-    rng = np.random.default_rng(42)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    sel = CycleSelection.of(n, [0, 7, 16, 23])
-    counter = OpCounter()
-    got = extract_cycles(a, sel, counter)
-    assert (counter.ops is None) == bool(fallback)
-    assert np.allclose(got.cycles, _reference_cycles(a, sel), atol=1e-10)
+@pytest.mark.parametrize("streamed", [0, 1])
+def test_extract_cycles_both_kernel_paths(streamed):
+    # Up to log2 n cycles stream from A's cycles and are counted; one more
+    # takes the full transform plus masking, uncounted and bit-identical.
+    for n in (24, 32):
+        rng = np.random.default_rng(42 + n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        k = int(np.log2(n)) + (not streamed)
+        sel = CycleSelection.of(n, rng.choice(n, size=k, replace=False))
+        counter = OpCounter()
+        got = extract_cycles(a, sel, counter)
+        assert (counter.ops is not None) == bool(streamed)
+        if streamed:
+            assert np.allclose(got.cycles, _reference_cycles(a, sel), atol=1e-12)
+        else:
+            assert np.array_equal(got.cycles, _reference_cycles(a, sel))
 
 
 def test_extract_cycles_non_power_of_two_falls_back():
+    # n = 12 is no obstacle: two cycles stream and are counted
+    n = 12
     rng = np.random.default_rng(9)
-    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    sel = CycleSelection.of(12, [0, 5])
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    sel = CycleSelection.of(n, [0, 5])
     counter = OpCounter()
     got = extract_cycles(a, sel, counter)
-    assert counter.ops is None
-    assert np.allclose(got.cycles, _reference_cycles(a, sel), atol=1e-10)
+    assert counter.ops == 2 * n * (n + 1 + 4)
+    assert np.allclose(got.cycles, _reference_cycles(a, sel), atol=1e-12)
 
 
 def test_extract_cycles_validation():
@@ -114,8 +122,8 @@ def test_single_cycle_op_count(n):
     counter = OpCounter()
     extract_cycles(a, CycleSelection.of(n, [1]), counter)
     assert counter.vectors == n
-    # one output cone: n-1 butterfly writes per vector, under the 2(n-1) bound
-    assert counter.per_vector == n - 1
+    # one dot product per cycle of A, then one phase and one FFT output
+    assert counter.per_vector == n + 1 + np.log2(n)
     assert counter.per_vector <= 2 * (n - 1)
 
 
@@ -123,8 +131,37 @@ def test_full_selection_op_count_is_full_fft():
     n = 64
     a = np.random.default_rng(0).standard_normal((n, n)) + 0j
     counter = OpCounter()
-    extract_cycles(a, CycleSelection.of(n, range(n)), counter)
-    assert counter.per_vector == n * np.log2(n)
+    got = extract_cycles(a, CycleSelection.of(n, range(n)), counter)
+    assert counter.ops is None
+    assert np.array_equal(got.cycles, apply_cycle_mask(similarity_transform(a), range(n)))
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_extract_cycles_streams_in_small_memory(k):
+    # B alone is n^2 * 16 bytes; the streamed route holds a block of A's
+    # cycles and O(n k) more
+    n = 1024
+    a = np.random.default_rng(k).standard_normal((n, n)) + 0j
+    sel = CycleSelection.of(n, range(0, n, n // k)[:k])
+    tracemalloc.start()
+    try:
+        extract_cycles(a, sel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16 / 8
+
+
+def test_streamed_cycles_precision():
+    # the phases w^{jq} are taken at (j q) mod n; the unreduced argument
+    # 2 pi j q / n puts the error near n * eps * max|B| at n = 1024
+    n = 1024
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    sel = CycleSelection.of(n, [1, 97, 511, 512, 1000, 1023])
+    b = similarity_transform(a)
+    gap = np.abs(extract_cycles(a, sel).cycles - apply_cycle_mask(b, sel.indices)).max()
+    assert gap <= 16 * np.finfo(float).eps * np.abs(b).max()
 
 
 def test_op_counter_accumulates_across_calls():
