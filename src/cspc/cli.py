@@ -309,7 +309,10 @@ _DEFAULT_KINDS = {
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+    try:
+        return tuple(int(tok) for tok in raw.replace(",", " ").split())
+    except ValueError as e:
+        raise ConfigError(f"malformed integer list {raw!r}: {e}") from e
 
 
 def _parse_budgets(raw: str, n: int) -> tuple[int, ...]:
@@ -317,23 +320,26 @@ def _parse_budgets(raw: str, n: int) -> tuple[int, ...]:
     out = []
     for tok in raw.replace(",", " ").split():
         t = tok.strip().lower()
-        if t.endswith("n"):
-            mult = t[:-1]
-            out.append(int(float(mult) * n) if mult else n)
-        else:
-            out.append(int(t))
+        try:
+            if t.endswith("n"):
+                mult = t[:-1]
+                out.append(int(float(mult) * n) if mult else n)
+            else:
+                out.append(int(t))
+        except (ValueError, OverflowError) as e:  # "xn", "infn"
+            raise ConfigError(f"malformed budget {tok!r}") from e
     return tuple(out)
 
 
 def _build_spec(args) -> StructuredMatrixSpec:
     if args.spec:
         spec = StructuredMatrixSpec.from_json_file(args.spec)
-        if args.n:
+        if args.n is not None:
             spec = replace(spec, n=args.n)
         if args.seed is not None:
             spec = with_seed(spec, args.seed)
         return spec
-    if not args.n:
+    if args.n is None:
         raise ConfigError("give either --spec FILE or --n")
     kind = _DEFAULT_KINDS[args.experiment]
     kwargs = {"kind": kind, "n": args.n, "seed": args.seed or 0}

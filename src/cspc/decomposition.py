@@ -11,7 +11,10 @@ The components come by two independent routes: recursive peeling
 (circulant_decompose_recursive) and the FFT of A's cycles
 (circulant_decompose_via_transform).  The second rests on the identity:
 with c_d cycle d of A read down the columns, c_d[q] = A((q+d) mod n, q),
-entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n.
+entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n.  A real A
+(Im A exactly zero) has real cycles, whose spectra satisfy
+fft(c)[n - k] = conj(fft(c)[k]); the FFT routes here then take rffts,
+half the work, and read the other half by that symmetry.
 
 The dominance identity ties the two pictures together: the energy that
 the cycles of A concentrate on a frequency set S equals the share of
@@ -138,14 +141,24 @@ def circulant_decompose_via_transform(a) -> list[CirculantComponent]:
     of A's cycles, from which B = W A W* is one more FFT away; B itself
     is never formed.  The array is filled a block of cycles at a time,
     and component k's first row is a view of its row k.
+
+    For a real A (Im A exactly zero) the cycles are real, so fft(c)[n - k]
+    = conj(fft(c)[k]): rows 0..n//2 come from an rfft of the walks and
+    row n - k is written as the conjugate of row k, in place.
     """
     a = require_square(a)
     n = a.shape[0]
+    real = not a.imag.any()
+    filled = n // 2 + 1 if real else n
     first_rows = np.empty((n, n), dtype=np.complex128)
     for ks, cols, block in iter_cycle_blocks(a):
-        walk = np.empty_like(block)
-        np.put_along_axis(walk, cols, block, axis=1)
-        first_rows[:, (-np.asarray(ks)) % n] = np.fft.fft(walk, axis=1, norm="forward").T
+        values = block.real if real else block
+        walk = np.empty_like(values)
+        np.put_along_axis(walk, cols, values, axis=1)
+        spectra = (np.fft.rfft if real else np.fft.fft)(walk, axis=1, norm="forward")
+        first_rows[:filled, (-np.asarray(ks)) % n] = spectra.T
+    if real:
+        np.conjugate(first_rows[1 : (n + 1) // 2], out=first_rows[n - 1 : n // 2 : -1])
     return [CirculantComponent(k, first_rows[k]) for k in range(n)]
 
 
@@ -237,6 +250,8 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
     freq_set.  Zero cycles of A carry zero weight; their (undefined)
     energies are reported as 0.  Disagreement beyond 1e-9 means the
     inputs broke an exact identity, so it raises instead of returning.
+    A real A takes rffts of its cycles on the predicted side and the
+    real route of similarity_transform on the direct side.
     """
     a = require_square(a)
     n = a.shape[0]
@@ -252,14 +267,27 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
     s_direct = np.linalg.norm(apply_cycle_mask(b, reflected.indices)) ** 2 / b_total
 
     # one pass over A's cycles gives both factors of every term: the
-    # weights, and partial_energy batched as one FFT per block
+    # weights, and partial_energy batched as one FFT per block.  A real
+    # cycle's spectrum has gamma_j = gamma_{n-j}, so a real A takes the
+    # rfft, read at min(j, n - j), and its Parseval total weights the
+    # bins 1, 2, ..., 2, ending in 1 for even n
+    real = not a.imag.any()
     freq = freq_set.as_array()
+    if real:
+        freq = np.minimum(freq, n - freq)
+        fold = np.ones(n // 2 + 1)
+        fold[1 : (n + 1) // 2] = 2.0
     weights = np.empty(n)
     energies = np.zeros(n)
     for ks, _, block in iter_cycle_blocks(a):
+        block = block.real if real else block
         weights[ks.start : ks.stop] = np.linalg.norm(block, axis=1) ** 2 / total
-        gamma = np.abs(np.fft.ifft(block, axis=1, norm="forward")) ** 2
-        gamma_total = gamma.sum(axis=1)
+        if real:
+            gamma = np.abs(np.fft.rfft(block, axis=1)) ** 2
+            gamma_total = gamma @ fold
+        else:
+            gamma = np.abs(np.fft.ifft(block, axis=1, norm="forward")) ** 2
+            gamma_total = gamma.sum(axis=1)
         np.divide(
             gamma[:, freq].sum(axis=1),
             gamma_total,

@@ -292,6 +292,21 @@ def test_missing_spec_and_n_is_config_error(tmp_path):
     assert _run(["cycle-norms", "--out", tmp_path / "z.csv"]) == 2
 
 
+def test_malformed_tokens_and_zero_n_are_config_errors(tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    for bad in ("1,x", "3q", "xn"):
+        assert _run(["eig-errors", "--n", "12", "--cycles", bad, "--out", out]) == 2
+        assert _run(["precond-table", "--n", "16", "--budgets", bad, "--out", out]) == 2
+    assert _run(["precond-table", "--n", "16", "--budgets", "infn", "--out", out]) == 2
+    capsys.readouterr()
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"kind": "toeplitz", "n": 6}))
+    for args in (["--n", "0"], ["--spec", spec_file, "--n", "0"]):
+        assert _run(["cycle-norms", *args, "--out", out]) == 2
+        assert "dimension must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # indefinite symmetric Toeplitz: conjugate gradient breaks down
     spec_file = tmp_path / "indef.json"

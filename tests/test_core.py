@@ -181,12 +181,31 @@ def test_apply_cycle_mask_and_materialize():
     big = rng.standard_normal((300, 300)) + 0j
     per_cycle = [apply_cycle_mask(big, k) for k in range(300)]
     assert np.array_equal(cycle_norms(big), [np.linalg.norm(c) for c in per_cycle])
+    for n in (1, 2, 7):
+        small = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        per_cycle = [apply_cycle_mask(small, k) for k in range(n)]
+        assert np.array_equal(cycle_norms(small), [np.linalg.norm(c) for c in per_cycle])
     blocks = list(iter_cycle_blocks(big))
     assert len(blocks) > 1
     assert [k for ks, _, _ in blocks for k in ks] == list(range(300))
     for ks, cols, values in blocks:
         assert np.array_equal(values, apply_cycle_mask(big, ks))
         assert np.array_equal(cols, cycle_positions(300, ks)[1])
+
+
+def test_iter_cycle_blocks_reads_any_layout():
+    # the flat gather copies a non-C-contiguous matrix once; the blocks
+    # are the 2-d gather's bit for bit
+    rng = np.random.default_rng(2)
+    big = rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600))
+    a = big[:300, :300].copy()
+    for view in (a.T, np.asfortranarray(a), big[::2, ::2]):
+        assert not view.flags.c_contiguous
+        blocks = list(iter_cycle_blocks(view))
+        assert [k for ks, _, _ in blocks for k in ks] == list(range(300))
+        for ks, cols, values in blocks:
+            assert np.array_equal(values, apply_cycle_mask(view, ks))
+            assert np.array_equal(cols, cycle_positions(300, ks)[1])
 
 
 def test_materialize_cycle_length_check():

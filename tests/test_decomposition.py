@@ -13,6 +13,7 @@ from cspc.core import (
     NumericalError,
     apply_cycle_mask,
     cycle_positions,
+    fourier_matrix,
 )
 from cspc.decomposition import (
     CirculantComponent,
@@ -98,6 +99,34 @@ def test_via_transform_matches_b_formula(n):
     got = np.array([c.first_row for c in comps])
     assert [c.k for c in comps] == list(range(n))
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 31, 64])
+def test_real_routes_match_oracles(n):
+    # a real A (float64 or complex with Im exactly 0) takes the rfft in
+    # circulant_decompose_via_transform and in dominance_relation's A side
+    rng = np.random.default_rng(n + 300)
+    a = rng.standard_normal((n, n))
+    sel = CycleSelection.of(n, [0, 1 % n, n // 2, n - 1])
+    w = fourier_matrix(n)
+    b = w @ a @ w.conj().T
+    direct = np.linalg.norm(apply_cycle_mask(b, index_reflect(sel).indices)) ** 2 / np.linalg.norm(b) ** 2
+    cycles = apply_cycle_mask(a, range(n))
+    energies = [partial_energy(c, sel) for c in cycles]
+    for real_a in (a, a + 0j):
+        via = circulant_decompose_via_transform(real_a)
+        rec = circulant_decompose_recursive(real_a)
+        assert [c.k for c in via] == list(range(n))
+        for x, y in zip(rec, via):
+            assert np.abs(x.first_row - y.first_row).max() <= 1e-12 * np.abs(a).max()
+        for k in range(1, n):
+            assert np.array_equal(via[n - k].first_row, via[k].first_row.conj())
+        assert np.allclose(recompose(via, n), a, atol=1e-12)
+
+        rep = dominance_relation(real_a, sel)
+        assert rep.relative_magnitude == pytest.approx(direct, abs=1e-12)
+        assert rep.weighted_sum == pytest.approx(direct, abs=1e-12)
+        assert np.abs(rep.partial_energies - energies).max() <= 1e-14
 
 
 def test_via_transform_never_forms_b(monkeypatch):

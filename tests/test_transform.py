@@ -31,6 +31,37 @@ def test_similarity_transform_equals_triple_product(n):
     assert np.allclose(similarity_transform(a), w @ a @ w.conj().T, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 27, 64, 255, 256, 1000])
+def test_real_route_matches_complex_formula(n):
+    # a real A (float64, or complex with Im exactly +-0.0) takes the
+    # half-spectrum route; a complex A keeps the two full FFT passes
+    rng = np.random.default_rng(n + 200)
+    a = rng.standard_normal((n, n))
+    expect = np.fft.ifft(np.fft.fft(a + 0j, axis=0), axis=1)
+    negative_zero = a + 0j
+    negative_zero.imag = -0.0
+    for real_a in (a, a + 0j, negative_zero):
+        b = similarity_transform(real_a)
+        assert b.dtype == np.complex128
+        assert np.abs(b - expect).max() <= n * np.finfo(float).eps * np.abs(expect).max()
+        assert reflection_defect(b) == 0.0
+    c = a + 1j * rng.standard_normal((n, n))
+    assert np.array_equal(similarity_transform(c), np.fft.ifft(np.fft.fft(c, axis=0), axis=1))
+
+
+def test_real_route_memory():
+    # B itself, the half spectrum of n // 2 + 1 rows and FFT scratch
+    n = 1024
+    a = np.random.default_rng(5).standard_normal((n, n)) + 0j
+    tracemalloc.start()
+    try:
+        similarity_transform(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 16
+
+
 @pytest.mark.parametrize("n", [2, 5, 16, 64])
 def test_similarity_round_trip(n):
     rng = np.random.default_rng(n + 100)
@@ -251,12 +282,13 @@ def _conj_reflection_gap(m):
 @pytest.mark.parametrize("n", [27, 64])
 def test_transform_of_real_matrix_is_reflection_symmetric(kind, n):
     # conj(W) = P W, so for real A, conj(B) = P B P with B = W A W*: the
-    # property spectrum()'s real route rests on
+    # property spectrum()'s real route rests on, and the one
+    # similarity_transform fills half of B from, so it holds exactly
     a = _real_generator_output(kind, n)
     b = similarity_transform(a)
     roundoff = n * np.finfo(float).eps
-    assert _conj_reflection_gap(b) <= roundoff
-    assert reflection_defect(b) <= roundoff
+    assert _conj_reflection_gap(b) == 0.0
+    assert reflection_defect(b) == 0.0
 
     # P maps cycle j to cycle n - j, so a reflection-closed cycle selection
     # keeps the identity and one that breaks a pair does not
