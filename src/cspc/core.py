@@ -15,8 +15,10 @@ which a cycle's entries are read, and every gather or scatter of cycle
 values goes through it.
 
 Toeplitz is the one representation of a Toeplitz matrix: its 2n - 1
-diagonals, from which its product, norms and the cycles of its
-transform are read without an n x n array.
+diagonals, from which its product, norms and the entries of its
+transform are read without an n x n array.  Its n x n form, dense(), is
+a read-only view of those diagonals, and Toeplitz.of recognises that
+layout without reading the entries.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "ConfigError",
@@ -184,9 +185,13 @@ class Toeplitz:
     d = q - p, so t is the first column read upward, then the first row
     after its head.
 
-    Everything here comes from t in O(n) or O(n log n), without an n x n
-    array, except dense() (scipy.linalg.toeplitz), which forms A:
+    Everything here comes from t in O(n) or O(n log n), and nothing of
+    size n x n is formed:
 
+    * dense and of: dense() is A as a read-only n x n view of t with
+      strides (-s, s), s the stride of t.  Entry (p, q) lies s (q - p)
+      bytes from t_0, so any array with those strides is Toeplitz whatever
+      its values, and of() reads its diagonals in O(n) without a scan.
     * frobenius_norm and hermitian_defect: diagonal d holds n - |d| equal
       entries, so |A|_F^2 = sum_d (n - |d|) |t_d|^2, and |A - A*|_F^2 is
       the same sum over t_d - conj(t_{-d}).
@@ -194,9 +199,9 @@ class Toeplitz:
       first column is c = (t_0, t_{-1}, ..., t_{-(n-1)}, 0, t_{n-1}, ...,
       t_1), so A x = ifft(fft(c) * fft(x, 2n))[:n] (T. Chan 1988; Chan &
       Ng, SIAM Review 1996).  fft(c) is taken once per value.
-    * cycles and cycle_norms: the cycles of B = W A W* in closed form.
-      With u_d = t_d - t_{d-n} for d = 1..n-1 and u_0 = 0, cycle j != 0
-      read down the columns is
+    * entries, cycles and cycle_norms: B = W A W* in closed form.  With
+      u_d = t_d - t_{d-n} for d = 1..n-1 and u_0 = 0, cycle j != 0 read
+      down the columns is
 
           B((q + j) mod n, q) = ifft(h_j)[q],
           h_j(d) = u_d (1 - e^{2 pi i j d / n}) / (1 - e^{-2 pi i j / n}),
@@ -204,10 +209,10 @@ class Toeplitz:
       and cycle 0 (the diagonal) is ifft(h_0) with h_0(d) = (n - d) t_d +
       d t_{d-n}, h_0(0) = n t_0.  Only cycle 0 sees the circulant part of
       A.  The factor 1 - e^{2 pi i j d / n} shifts ifft(u) by j, so B(p, q)
-      on cycle j != 0 is (U[q] - U[p]) / (1 - e^{-2 pi i j / n}) with
-      U = ifft(u): any set of cycles costs two length-n FFTs, ifft(u) and
-      ifft(h_0), plus O(n) per cycle.  By Parseval all n cycle norms cost
-      one real FFT,
+      on cycle j = (p - q) mod n != 0 is (U[q] - U[p]) / (1 - e^{-2 pi i j
+      / n}) with U = ifft(u): any set of entries costs two length-n FFTs,
+      ifft(u) and ifft(h_0), plus O(1) per entry.  By Parseval all n
+      cycle norms cost one real FFT,
 
           |cycle j|^2 = (sum |u|^2 - Re F_j) / (2 n sin^2(pi j / n)),  F = fft(|u|^2),
 
@@ -223,7 +228,7 @@ class Toeplitz:
     (n = 64, 1000, 2048) the worst error is 1.6e-15 of the largest norm
     and 2.8e-12 relative (cycle 1 at n = 1000), against a long-double
     evaluation of the same sum, about 140 times inside the n * eps * max
-    tie tolerance of the cycle selection.  In cycles, the denominator
+    tie tolerance of the cycle selection.  In entries, the denominator
     1 - e^{-2 pi i j / n} is evaluated as 2i sin(pi j / n) e^{-pi i j / n}
     with the same reduced sine; the difference taken directly would carry
     a relative error of about eps / |1 - e^{-2 pi i j / n}| (~300 eps at
@@ -242,24 +247,40 @@ class Toeplitz:
         """The diagonals of square matrix m if m is exactly Toeplitz, None
         otherwise.
 
-        Every entry is compared with its down-right neighbour, in blocks of
-        32 rows, so the temporaries are 32 x n and the scan stops at the
-        first block that differs.  The comparison is exact: a matrix that is
-        Toeplitz only to roundoff is not Toeplitz here.
+        An m laid out like dense(), strides[0] == -strides[1], stores entry
+        (p, q) at an offset that depends on q - p alone, so it is Toeplitz
+        by construction and its diagonals are read from its first column
+        and row in O(n).  Views of it that keep the layout (m.T, m[::2,
+        ::2], m[1:, :-1], m[::-1, ::-1]) are Toeplitz the same way.
+
+        Any other m is scanned: every entry is compared with its down-right
+        neighbour, in blocks of 32 rows, so the temporaries are 32 x n and
+        the scan stops at the first block that differs.  The comparison is
+        exact: a matrix that is Toeplitz only to roundoff is not Toeplitz
+        here.
         """
         m = require_square(m)
-        for r0 in range(0, m.shape[0] - 1, _DEFECT_BLOCK_ROWS):
-            # 33 rows, the last one shared with the next block, read as float64
-            # (re, im) pairs, so one column is two floats: float == gives the
-            # same answer as complex == and ran 2-3x faster (n = 2048, one
-            # core of a 2-core Intel Xeon VM)
-            rows = np.ascontiguousarray(m[r0 : r0 + _DEFECT_BLOCK_ROWS + 1]).view(np.float64)
-            if not np.array_equal(rows[1:, 2:], rows[:-1, :-2]):
-                return None
+        if m.strides[0] != -m.strides[1]:  # else Toeplitz by its layout
+            for r0 in range(0, m.shape[0] - 1, _DEFECT_BLOCK_ROWS):
+                # 33 rows, the last one shared with the next block, read as
+                # float64 (re, im) pairs, so one column is two floats: float ==
+                # gives the same answer as complex == and ran 2-3x faster
+                # (n = 2048, one core of a 2-core Intel Xeon VM)
+                rows = np.ascontiguousarray(m[r0 : r0 + _DEFECT_BLOCK_ROWS + 1]).view(np.float64)
+                if not np.array_equal(rows[1:, 2:], rows[:-1, :-2]):
+                    return None
         return cls(np.concatenate([m[:0:-1, 0], m[0]]))
 
     def dense(self) -> np.ndarray:
-        return scipy.linalg.toeplitz(self.t[self.n - 1 :: -1], self.t[self.n - 1 :])
+        """A as a read-only n x n view of t: entry (p, q) is t[n - 1 + q - p].
+
+        It shares t's memory and holds nothing else; writing into it raises
+        ValueError, and np.array(view) makes a C-order copy.
+        """
+        s = self.t.strides[0]
+        return np.lib.stride_tricks.as_strided(
+            self.t[self.n - 1 :], (self.n, self.n), (-s, s), writeable=False
+        )
 
     def _weighted_norm(self, v: np.ndarray) -> float:
         # the Frobenius norm of the Toeplitz matrix with diagonals v
@@ -311,20 +332,29 @@ class Toeplitz:
         norms[1:] = np.sqrt(energy / (2 * n * self._sines(j) ** 2))
         return norms
 
+    def entries(self, rows, cols) -> np.ndarray:
+        """Entries of W A W* at positions (rows, cols), integer arrays of one
+        shape, from two length-n FFTs whatever their size."""
+        u, h0 = self._terms()
+        n = self.n
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        ks = np.arange(n)
+        # 1 - e^{-2 pi i j / n} for every cycle j, see the class docstring
+        den = 2j * self._sines(ks) * np.exp(-1j * np.pi * ks / n)
+        den[0] = 1.0
+        cycle = rows - cols
+        cycle %= n
+        u_hat = np.fft.ifft(u)
+        out = (u_hat[cols] - u_hat[rows]) * (1 / den)[cycle]
+        diagonal = cycle == 0
+        out[diagonal] = np.fft.ifft(h0)[cols[diagonal]]
+        return out
+
     def cycles(self, ks) -> np.ndarray:
         """Cycles ks of W A W* as a (len(ks), n) array in the reading order
-        of cycle_positions, from two length-n FFTs whatever len(ks) is."""
-        u, h0 = self._terms()
+        of cycle_positions."""
         ks = np.asarray(ks, dtype=np.int64).ravel()
-        rows, cols = cycle_positions(self.n, ks)
-        # 1 - e^{-2 pi i j / n}, see the class docstring
-        den = 2j * self._sines(ks) * np.exp(-1j * np.pi * ks / self.n)
-        diagonal = ks == 0
-        den[diagonal] = 1.0
-        u_hat = np.fft.ifft(u)
-        out = (u_hat[cols] - u_hat[rows]) * (1 / den)[:, None]
-        out[diagonal] = np.fft.ifft(h0)
-        return out
+        return self.entries(*cycle_positions(self.n, ks))
 
 
 def cycle_positions(n: int, k) -> tuple[np.ndarray, np.ndarray]:
@@ -387,7 +417,8 @@ def iter_cycle_blocks(a):
     a.ravel(), which reads the same entries as a[rows, cols], bit for
     bit, at about half the cost of the 2-d index (n = 1024).  A C-order
     a is read in place; any other layout (a.T, a Fortran-order array, a
-    strided slice) is copied once per pass by ravel.
+    strided slice, the read-only Toeplitz.dense() view the Toeplitz
+    generators return) is copied once per pass by ravel.
     """
     a = require_square(a)
     n = a.shape[0]

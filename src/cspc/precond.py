@@ -22,21 +22,23 @@ are built here:
 * Corner-block mask (T. Chan style): S keeps the full diagonal plus a
   dense s x s bottom-right corner, s maximal under the nonzero budget
   (n - s) + s^2.  At s = 1 the two coincide (single dominant cycle of a
-  Toeplitz transform is the diagonal).  The diagonal is cycle 0 and the
-  corner is read from the 2s - 1 cycles through it.
+  Toeplitz transform is the diagonal).  The builder reads just those
+  n - s + s^2 entries of B.
 
 Both builders choose how to read B once, from A.  When A is exactly
 Toeplitz (core.Toeplitz.of), B is never formed: all n cycle norms come
-from one real FFT of the 2n - 1 diagonals and the selected cycles from
-two more (core.Toeplitz.cycle_norms and cycles; the class docstring
-gives the identity and its precision), so a build is O(n log n) plus
-the diagonal scan.  The selection goes through the same tie rule as
-sparse.select_dominant_cycles, and the norms of reflection partners
-j and n - j of a Toeplitz B tie bit for bit.  Every other A is
-transformed once, O(n^2 log n), and its cycles are gathered from B.
-At n = 2048 on Example 1 the closed form took 9 / 10 / 17 ms
-for the k = 1, k = 3 and 3n corner-block builds against 266 / 266 /
-152 ms through the transform (one core of a 2-core Intel Xeon VM,
+from one real FFT of the 2n - 1 diagonals and the entries the mask keeps
+from two more (core.Toeplitz.cycle_norms and entries; the class
+docstring gives the identity and its precision), so a build is
+O(n log n).  The Toeplitz generators return A as a read-only view of its
+diagonals, which Toeplitz.of reads in O(n) without a scan, so such an A
+is never held or read as n x n at all.  The selection goes through the
+same tie rule as sparse.select_dominant_cycles, and the norms of
+reflection partners j and n - j of a Toeplitz B tie bit for bit.  Every
+other A is transformed once, O(n^2 log n), and the entries are gathered
+from B.  At n = 2048 on Example 1 the closed form took 1.6 / 3.6 / 2.2 ms
+for the k = 1, k = 3 and 3n corner-block builds against 226 / 233 / 155 ms
+through the transform (one core of a 2-core Intel Xeon VM,
 single-threaded BLAS), with the same selections and PCG iteration counts
 31 and 24 for k = 1 and the corner block.  MaskPreconditioner.source
 names the route ("toeplitz-diagonals" or "transform").
@@ -48,7 +50,8 @@ is replaced by the true residual b - A x every 50 iterations, and
 convergence is declared on |r| / |b| < tol right after the x update.
 
 The product A x takes one of two routes, chosen from A itself.  When A
-is exactly Toeplitz (core.Toeplitz.of: every entry equal to its
+is exactly Toeplitz (core.Toeplitz.of: the generators' layout is
+Toeplitz by construction, any other array has every entry equal to its
 down-right neighbour, checked in 32-row blocks), it goes through the
 circulant embedding of size 2n, O(n log n), and the Hermitian check
 through the 2n - 1 diagonals, O(n) (core.Toeplitz.matvec and
@@ -70,7 +73,6 @@ from .core import (
     ConfigError,
     NumericalError,
     Toeplitz,
-    apply_cycle_mask,
     cycle_norms,
     cycle_positions,
     hermitian_defect,
@@ -128,17 +130,18 @@ class MaskPreconditioner:
 
 
 def _cycle_source(a: np.ndarray):
-    """(source, norms, cycles) through which the builders read B = W A W*.
+    """(source, norms, entries) through which the builders read B = W A W*.
 
-    norms() returns all n cycle norms of B and cycles(ks) the cycles ks in
-    reading order.  An exactly Toeplitz A takes both from its diagonals
-    in O(n log n) and B is never formed; any other A is transformed once.
+    norms() returns all n cycle norms of B and entries(rows, cols) B's
+    entries at those positions.  An exactly Toeplitz A takes both from its
+    diagonals in O(n log n) and B is never formed; any other A is
+    transformed once.
     """
     toeplitz = Toeplitz.of(a)
     if toeplitz is not None:
-        return "toeplitz-diagonals", toeplitz.cycle_norms, toeplitz.cycles
+        return "toeplitz-diagonals", toeplitz.cycle_norms, toeplitz.entries
     b = similarity_transform(a)
-    return "transform", partial(cycle_norms, b), partial(apply_cycle_mask, b)
+    return "transform", partial(cycle_norms, b), lambda rows, cols: b[rows, cols]
 
 
 def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
@@ -146,9 +149,9 @@ def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
     n = a.shape[0]
     if not 1 <= k_cycles <= n:
         raise ValueError(f"cycle count {k_cycles} out of range [1, {n}]")
-    source, norms, cycles = _cycle_source(a)
+    source, norms, entries = _cycle_source(a)
     sel = selections_from_norms(norms(), [k_cycles])[0]
-    s = SparseCycleMatrix(n, sel, cycles(sel.indices))
+    s = SparseCycleMatrix(n, sel, entries(*cycle_positions(n, sel.indices)))
     try:
         margin = pd_sufficient_check(s).margin
     except ValueError:  # selection without cycle 0 or not reflection-closed
@@ -174,15 +177,12 @@ def build_tchan_preconditioner(a, nnz_budget: int) -> MaskPreconditioner:
     a = require_square(a)
     n = a.shape[0]
     s = corner_block_side(n, nnz_budget)
-    source, _, cycles = _cycle_source(a)
-    # the diagonal is cycle 0; the s x s corner holds the 2s - 1 cycles
-    # (r - c) mod n with |r - c| < s
-    ks = np.unique(np.arange(1 - s, s) % n)
-    rows, cols = cycle_positions(n, ks)
-    keep = (rows == cols) | ((rows >= n - s) & (cols >= n - s))
-    mask = scipy.sparse.csc_matrix(
-        (cycles(ks)[keep], (rows[keep], cols[keep])), shape=(n, n)
-    )
+    source, _, entries = _cycle_source(a)
+    # the diagonal ahead of the corner, then the s x s corner row by row
+    head, corner = np.arange(n - s), np.arange(n - s, n)
+    rows = np.concatenate([head, np.repeat(corner, s)])
+    cols = np.concatenate([head, np.tile(corner, s)])
+    mask = scipy.sparse.csc_matrix((entries(rows, cols), (rows, cols)), shape=(n, n))
     label = f"corner-block preconditioner with corner side {s}"
     return MaskPreconditioner(mask, label, source=source)
 

@@ -344,12 +344,81 @@ def test_toeplitz_diagonals_rejects_other_structure():
     quasi = generate(quasi_spec)[0]
     assert Toeplitz.of(block) is None
     assert Toeplitz.of(quasi) is None
-    # one ulp off in the last row: only the last 32-row block differs
+    # one ulp off in the last row: only the last 32-row block differs (the
+    # generator's output is a read-only view, so the change goes into a copy)
     n = 1000
-    a, _ = gen_example1(n)
+    a = gen_example1(n)[0].copy()
     a[n - 1, 500] = np.nextafter(a[n - 1, 500].real, 0.0)
     assert Toeplitz.of(a) is None
     assert Toeplitz.of(a.T) is None
+
+
+def _layout_views(a):
+    """Views of a dense() layout that keep strides[0] == -strides[1]."""
+    return {
+        "a": a,
+        "a.T": a.T,
+        "a[::2, ::2]": a[::2, ::2],
+        "a[1:, :-1]": a[1:, :-1],
+        "a[::-1, ::-1]": a[::-1, ::-1],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_toeplitz_layout_certificate(n):
+    # a generator's output and the views that keep its layout are read from
+    # their first column and row; the scan of a C-order copy agrees
+    for name, a in _toeplitz_cases(n).items():
+        for label, view in _layout_views(a).items():
+            if min(view.shape) == 0:
+                continue
+            assert view.strides[0] == -view.strides[1], (name, label)
+            copy = np.array(view)
+            assert copy.flags.c_contiguous
+            scanned = Toeplitz.of(copy)
+            assert scanned is not None, (name, label)
+            assert np.array_equal(Toeplitz.of(view).t, scanned.t), (name, label)
+            assert Toeplitz.of(view).dense().tobytes() == copy.tobytes(), (name, label)
+    # every entry in one place: strides (0, 0), a constant matrix
+    assert np.array_equal(Toeplitz.of(np.broadcast_to(1 + 2j, (5, 5))).t, np.full(9, 1 + 2j))
+
+
+def test_toeplitz_generators_return_read_only_views():
+    for name, a in _toeplitz_cases(64).items():
+        assert not a.flags.writeable, name
+        # the n x n view spans the 2n - 1 diagonals and nothing more
+        low, high = np.lib.array_utils.byte_bounds(a)
+        assert high - low == (2 * 64 - 1) * 16, name
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            a.T[3, 1] = 1.0
+        a.copy()[0, 0] = 1.0  # a copy is an ordinary array
+
+
+def test_toeplitz_other_layouts_are_scanned():
+    n = 64
+    a = gen_example1(n)[0]
+    bumped = a.copy()
+    bumped[n - 1, 10] += 1e-3
+    row = np.arange(n) + 1j
+    cases = {
+        # a row repeated down the rows is Toeplitz only when it is constant
+        "broadcast row": (np.broadcast_to(row, (n, n)), None),
+        "broadcast constant": (np.broadcast_to(np.full(n, 2 - 1j), (n, n)), np.full(2 * n - 1, 2 - 1j)),
+        "fortran": (np.asfortranarray(a), Toeplitz.of(a).t),
+        "fortran bumped": (np.asfortranarray(bumped), None),
+        "conj": (a.conj(), Toeplitz.of(a).t.conj()),
+        "conj bumped": (bumped.conj(), None),
+    }
+    for label, (m, t) in cases.items():
+        assert m.strides[0] != -m.strides[1], label
+        toeplitz = Toeplitz.of(m)
+        if t is None:
+            assert toeplitz is None, label
+        else:
+            assert np.array_equal(toeplitz.t, t), label
+    assert np.broadcast_to(row, (n, n)).strides == (0, 16)
 
 
 def test_toeplitz_rejects_even_length():
@@ -365,10 +434,12 @@ def test_toeplitz_diagonals_streams():
 
     n = 1024
     a, _ = gen_example1(n)
+    fortran = np.asfortranarray(a)
     tracemalloc.start()
     try:
         assert Toeplitz.of(a) is not None
-        assert Toeplitz.of(a.T) is not None  # gathered block by block
+        assert Toeplitz.of(a.T) is not None
+        assert Toeplitz.of(fortran) is not None  # scanned block by block
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

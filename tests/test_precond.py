@@ -1,3 +1,8 @@
+import contextlib
+import io
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,11 +10,13 @@ import scipy.sparse
 
 import cspc.precond
 
+from cspc.cli import main
 from cspc.core import (
     ConfigError,
     CycleSelection,
     NumericalError,
     Toeplitz,
+    apply_cycle_mask,
     cycle_positions,
     fourier_matrix,
     hermitian_defect,
@@ -364,6 +371,89 @@ def test_non_toeplitz_builders_transform(monkeypatch):
     for m in (build_cycle_preconditioner(a, 4), build_tchan_preconditioner(a, 3 * 40)):
         assert m.source == "transform"
     assert len(calls) == 2
+
+
+def _corner_mask_from_cycles(a, s):
+    """The corner-block mask cut out of the 2s - 1 cycles through the corner."""
+    n = a.shape[0]
+    toeplitz = Toeplitz.of(a)
+    ks = np.unique(np.arange(1 - s, s) % n)
+    if toeplitz is not None:
+        cycles = toeplitz.cycles(ks)
+    else:
+        cycles = apply_cycle_mask(similarity_transform(a), ks)
+    rows, cols = cycle_positions(n, ks)
+    keep = (rows == cols) | ((rows >= n - s) & (cols >= n - s))
+    return scipy.sparse.csc_matrix((cycles[keep], (rows[keep], cols[keep])), shape=(n, n))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        gen_example1(64)[0],
+        gen_example1(2048)[0],
+        generate(
+            StructuredMatrixSpec(kind="block_toeplitz", n=60, m=4, symmetric=True, make_pd=True, seed=3)
+        )[0],
+    ],
+    ids=["example1-64", "example1-2048", "block-toeplitz-60"],
+)
+def test_corner_block_mask_matches_cycle_cut(monkeypatch, a):
+    # the builder reads only the diagonal head and the corner; the values
+    # are those of the 2s - 1 cycles through the corner, bit for bit
+    monkeypatch.setattr(cspc.precond, "MaskPreconditioner", lambda mask, label, source: (mask, source))
+    n = a.shape[0]
+    for budget in (n, 3 * n, 5 * n, n * n):
+        mask, source = build_tchan_preconditioner(a, budget)
+        assert source == ("transform" if n == 60 else "toeplitz-diagonals")
+        s = corner_block_side(n, budget)
+        want = _corner_mask_from_cycles(a, s)
+        assert mask.nnz == want.nnz == n - s + s * s
+        assert np.array_equal(mask.indptr, want.indptr)
+        assert np.array_equal(mask.indices, want.indices)
+        assert mask.data.tobytes() == want.data.tobytes()
+
+
+def test_precond_table_at_2000_is_unchanged(tmp_path):
+    # the corner-block mask and the certified Toeplitz layout leave every
+    # iteration count and residual of this table as they were, to the bit
+    out = tmp_path / "table.csv"
+    argv = ["precond-table", "--n", "2000", "--budgets", "n,3n,5n", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert out.read_text().splitlines() == [
+        "method,budget,iterations,converged,final_residual",
+        "identity,0,683,True,6.962479298836759e-07",
+        "tchan,2000,30,True,8.78781814963285e-07",
+        "tchan,6000,23,True,8.266519159665129e-07",
+        "tchan,10000,23,True,8.519854590600237e-07",
+        "cycles,2000,30,True,8.78781814963285e-07",
+        "cycles,6000,45,True,5.523706538614773e-07",
+        "cycles,10000,43,True,5.303036044832205e-07",
+    ]
+
+
+def test_toeplitz_solves_in_linear_memory():
+    # Example 1 at n = 65536: a dense A would take 64 GiB; the generator's
+    # view, both builds and both solves stay within a few vectors of size n.
+    # k = 3 is left out: the untapered 3-cycle mask stalls at this size
+    n = 65536
+    tracemalloc.start()
+    try:
+        a, info = generate(StructuredMatrixSpec(kind="example1", n=n))
+        builds = (
+            (partial(build_cycle_preconditioner, a, 1), 146),
+            (partial(build_tchan_preconditioner, a, 3 * n), 91),
+        )
+        for build, iterations in builds:
+            m = build()
+            assert m.source == "toeplitz-diagonals"
+            _, rep = pcg_solve(a, info["rhs"], m)
+            assert (rep.iterations, rep.converged, rep.matvec) == (iterations, True, "toeplitz-fft")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_pcg_breakdown_on_indefinite():
