@@ -16,7 +16,6 @@ from .core import (
     apply_cycle_mask,
     flip_matrix,
     fourier_matrix,
-    frobenius_inner,
     full_cycle_matrix,
     materialize_cycle,
     relaxation_diagonal,
@@ -24,7 +23,6 @@ from .core import (
 from .decomposition import (
     CirculantComponent,
     DominanceReport,
-    block_toeplitz_frequency_sets,
     circulant_decompose_recursive,
     circulant_decompose_via_transform,
     cycle_decompose,
@@ -54,8 +52,6 @@ from .sparse import (
     approx_eigenvalues,
     bauer_fike_bound,
     direct_sparsify,
-    dominant_cycle_order,
-    dominant_cycle_selections,
     eigen_error_report,
     pd_sufficient_check,
     select_dominant_cycles,
@@ -78,7 +74,6 @@ __all__ = [
     "flip_matrix",
     "fourier_matrix",
     "relaxation_diagonal",
-    "frobenius_inner",
     "apply_cycle_mask",
     "materialize_cycle",
     "OpCounter",
@@ -99,13 +94,10 @@ __all__ = [
     "dominance_relation",
     "toeplitz_s0",
     "toeplitz_partial_energy",
-    "block_toeplitz_frequency_sets",
     "SparseCycleMatrix",
     "EigenApproxResult",
     "BauerFikeBound",
     "PdCheckReport",
-    "dominant_cycle_order",
-    "dominant_cycle_selections",
     "select_dominant_cycles",
     "sparsify",
     "direct_sparsify",

@@ -41,17 +41,6 @@ from .transform import similarity_transform
 
 __all__ = ["main", "ExperimentConfig"]
 
-EXPERIMENTS = (
-    "cycle-norms",
-    "eig-errors",
-    "eig-vs-n",
-    "sparsifier-compare",
-    "precond-table",
-    "symbol-compare",
-    "heatmap",
-)
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -360,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in _RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--spec", help="JSON matrix spec file")
         p.add_argument("--n", type=int, help="matrix dimension (overrides spec)")

@@ -1,4 +1,4 @@
-"""Dense complex matrix substrate: cycles, special matrices, inner products.
+"""Dense complex matrix substrate: cycles, special matrices, symmetry defects.
 
 Matrices are plain numpy arrays with dtype complex128 throughout; a
 "ComplexMatrix" in the public API is any 2-d array-like coercible to that
@@ -32,13 +32,11 @@ __all__ = [
     "ConfigError",
     "NumericalError",
     "CycleSelection",
-    "as_complex_matrix",
     "require_square",
     "full_cycle_matrix",
     "flip_matrix",
     "fourier_matrix",
     "relaxation_diagonal",
-    "frobenius_inner",
     "hermitian_defect",
     "reflection_defect",
     "Toeplitz",
@@ -75,13 +73,9 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, rejecting anything else."""
-    return _as_matrix(a, np.complex128)
-
-
 def require_square(a) -> np.ndarray:
-    return _square(as_complex_matrix(a))
+    """Coerce to a square 2-d complex128 array, rejecting anything else."""
+    return _square(_as_matrix(a, np.complex128))
 
 
 def _check_dim(n: int) -> int:
@@ -131,29 +125,31 @@ def relaxation_diagonal(n: int, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * k * np.arange(n) / n)
 
 
-def frobenius_inner(a, b) -> complex:
-    """Frobenius inner product, conjugate-linear in the first argument."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+def _mirror_defect(m: np.ndarray, mirror) -> float:
+    """|m - conj(M)|_F / |m|_F of square matrix m, M its mirror image;
+    0.0 for the zero matrix.
+
+    mirror(r) gives the rows r (a slice) of M.  Summed over blocks of 32
+    rows, so the temporaries are 32 x n and nothing of size n x n is
+    formed.
+    """
+    diff2 = norm2 = 0.0
+    for r0 in range(0, m.shape[0], _DEFECT_BLOCK_ROWS):
+        r = slice(r0, r0 + _DEFECT_BLOCK_ROWS)
+        diff2 += np.linalg.norm(m[r] - mirror(r).conj()) ** 2
+        norm2 += np.linalg.norm(m[r]) ** 2
+    return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
 
 
 def hermitian_defect(m) -> float:
     """|m - m*|_F / |m|_F of square matrix m; 0.0 for the zero matrix.
 
-    Summed over blocks of 32 rows against the matching column slices, so
-    the temporaries are 32 x n and nothing of size n x n is formed.  A
-    real m is checked as it is, without a complex copy.
+    Each block of 32 rows is compared with the matching column slice, so
+    nothing of size n x n is formed.  A real m is checked as it is,
+    without a complex copy.
     """
     m = _square(_as_matrix(m, np.complex128 if np.iscomplexobj(m) else np.float64))
-    diff2 = norm2 = 0.0
-    for r0 in range(0, m.shape[0], _DEFECT_BLOCK_ROWS):
-        rows = m[r0 : r0 + _DEFECT_BLOCK_ROWS]
-        diff2 += np.linalg.norm(rows - m[:, r0 : r0 + _DEFECT_BLOCK_ROWS].conj().T) ** 2
-        norm2 += np.linalg.norm(rows) ** 2
-    return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
+    return _mirror_defect(m, lambda r: m[:, r].T)
 
 
 def reflection_defect(m) -> float:
@@ -162,21 +158,14 @@ def reflection_defect(m) -> float:
 
     The defect is zero, up to roundoff, for B = W A W* of a real A
     (conj(W) = P W), and a matrix with conj(m) = P m P
-    ("centrohermitian") is similar to a real one.  (P m P)[p, q] = m[(-p) mod n, (-q) mod n], so each block of 32
-    rows is compared with rows (-r) mod n, columns reversed mod n, and
-    nothing of size n x n is formed.
+    ("centrohermitian") is similar to a real one.  (P m P)[p, q] =
+    m[(-p) mod n, (-q) mod n]; summed as |m - conj(P m P)|_F, equal entry
+    by entry, in blocks of 32 rows, so nothing of size n x n is formed.
     """
     m = require_square(m)
-    n = m.shape[0]
-    reflect = -np.arange(n) % n
-    diff2 = norm2 = 0.0
-    for r0 in range(0, n, _DEFECT_BLOCK_ROWS):
-        rows = m[r0 : r0 + _DEFECT_BLOCK_ROWS]
-        # rows (-r) mod n, columns reversed and rolled by one: (-q) mod n
-        mirrored = np.roll(m[reflect[r0 : r0 + _DEFECT_BLOCK_ROWS], ::-1], 1, axis=1)
-        diff2 += np.linalg.norm(rows.conj() - mirrored) ** 2
-        norm2 += np.linalg.norm(rows) ** 2
-    return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
+    reflect = -np.arange(m.shape[0]) % m.shape[0]
+    # rows (-r) mod n, columns reversed and rolled by one: (-q) mod n
+    return _mirror_defect(m, lambda r: np.roll(m[reflect[r], ::-1], 1, axis=1))
 
 
 class Toeplitz:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError,
     CycleSelection,
     NumericalError,
     Toeplitz,
@@ -61,7 +60,6 @@ __all__ = [
     "dominance_relation",
     "toeplitz_s0",
     "toeplitz_partial_energy",
-    "block_toeplitz_frequency_sets",
 ]
 
 
@@ -343,16 +341,3 @@ def toeplitz_partial_energy(entries, i: int, k: int) -> float:
         raise ValueError(f"cycle {i} is zero, partial energy undefined")
     ratio = np.sin(np.pi * k * i / n) / np.sin(np.pi * k / n)
     return float(abs(am - ap) ** 2 * ratio**2 / (n * denom))
-
-
-def block_toeplitz_frequency_sets(n: int, m: int) -> tuple[CycleSelection, CycleSelection]:
-    """Frequencies and cycles that a block-Toeplitz structure privileges.
-
-    For block size m dividing n these are the m multiples of n/m, as
-    both the frequency set and its reflection (the set is symmetric).
-    """
-    if n < 1 or m < 1 or n % m:
-        raise ConfigError(f"block size {m} must divide dimension {n}")
-    step = n // m
-    s = CycleSelection.of(n, [(j * step) % n for j in range(1, m + 1)])
-    return s, index_reflect(s)

@@ -173,11 +173,6 @@ def gen_example1(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def example1_gershgorin_margin(n: int) -> float:
-    p = np.arange(n)
-    return float(np.min(2.0 ** (-p) + 2.0 ** (-(n - 1 - p))))
-
-
 def gen_block_toeplitz(spec: StructuredMatrixSpec, info: dict | None = None) -> np.ndarray:
     """Constant m x m blocks along block diagonals, N(0,1) block entries.
 
@@ -350,7 +345,7 @@ def generate(spec: StructuredMatrixSpec):
     """Build the matrix a spec describes.
 
     Returns (matrix, info): info carries the seed echo plus per-kind
-    extras (the rhs and Gershgorin margin for example1, the achieved
+    extras (the rhs for example1, the achieved
     condition number when make_pd is set).
     """
     info: dict = {"kind": spec.kind, "n": spec.n, "seed": spec.seed}
@@ -363,7 +358,6 @@ def generate(spec: StructuredMatrixSpec):
     elif spec.kind == "example1":
         a, rhs = gen_example1(spec.n)
         info["rhs"] = rhs
-        info["gershgorin_margin"] = example1_gershgorin_margin(spec.n)
     elif spec.kind == "symbol_toeplitz":
         if spec.symbol is None:
             raise ConfigError("symbol_toeplitz spec needs a symbol")

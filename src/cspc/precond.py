@@ -33,7 +33,7 @@ docstring gives the identity and its precision), so a build is
 O(n log n).  The Toeplitz generators return A as a read-only view of its
 diagonals, which Toeplitz.of reads in O(n) without a scan, so such an A
 is never held or read as n x n at all.  The selection goes through the
-same tie rule as sparse.select_dominant_cycles, and the norms of
+one tie rule, sparse.selections_from_norms, and the norms of
 reflection partners j and n - j of a Toeplitz B tie bit for bit.  Every
 other A is transformed once, O(n^2 log n), and the entries are gathered
 from B.  At n = 2048 on Example 1 the closed form took 1.6 / 3.6 / 2.2 ms

@@ -49,8 +49,6 @@ __all__ = [
     "EigenApproxResult",
     "BauerFikeBound",
     "PdCheckReport",
-    "dominant_cycle_order",
-    "dominant_cycle_selections",
     "select_dominant_cycles",
     "selections_from_norms",
     "sparsify",
@@ -64,10 +62,6 @@ __all__ = [
 
 # eigenvalues smaller than this are excluded from relative-error statistics
 RELATIVE_ERROR_FLOOR = 1e-14
-
-# optimal assignment of complex spectra is cubic; above this size a
-# greedy matching is used
-HUNGARIAN_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -122,14 +116,27 @@ class SparseCycleMatrix:
         return float(np.linalg.norm(self.cycles))
 
 
-def _ranking(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, splits) from the n cycle norms of a matrix.
+def selections_from_norms(norms: np.ndarray, ks) -> list[CycleSelection]:
+    """For each k in ks, the at most k dominant cycles of a matrix whose
+    n cycle l2 norms are given.
 
-    order is dominant_cycle_order of that matrix; splits[k], for k in
-    [0, n], says that order[:k] ends between the two cycles of a tied
-    reflection pair.
+    The cycles are ranked by norm, largest first.  Norms within
+    n * eps * max(norms) count as tied (for a Hermitian matrix, cycles j
+    and n - j tie in exact arithmetic, not in roundoff).  Within a tie,
+    reflection partners j and n - j come next to each other, pairs in
+    order of min(j, n - j), the smaller index first.  Each selection is
+    the first k of that ranking, or the first k - 1 when that prefix would
+    keep a cycle and drop its tied reflection partner.  So |S| <= k, the
+    selections for growing k are nested, and for a Hermitian b (where
+    every pair ties) S is closed under j -> n - j and sparsify(b, S) is
+    Hermitian.  The one exception is k = 1 with a tied pair in the lead,
+    where the leading cycle is kept alone rather than selecting nothing.
     """
     n = norms.size
+    ks = [int(k) for k in ks]
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"cycle count {k} out of range [1, {n}]")
     tol = n * np.finfo(float).eps * norms.max()
     by_norm = np.argsort(-norms, kind="stable")
     # consecutive norms (in descending order) closer than tol share a group
@@ -137,56 +144,16 @@ def _ranking(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # within a group, partners j and n - j sit side by side, lower index first
     perm = np.lexsort((by_norm, np.minimum(by_norm, n - by_norm), group))
     order, group = by_norm[perm], group[perm]
+    # splits[k]: order[:k] ends between the two cycles of a tied pair
     splits = np.zeros(n + 1, dtype=bool)
     splits[1:n] = (order[1:] == n - order[:-1]) & (group[1:] == group[:-1])
-    return order, splits
-
-
-def selections_from_norms(norms: np.ndarray, ks) -> list[CycleSelection]:
-    """dominant_cycle_selections for a matrix whose n cycle norms are given."""
-    n = norms.size
-    ks = [int(k) for k in ks]
-    for k in ks:
-        if not 1 <= k <= n:
-            raise ValueError(f"cycle count {k} out of range [1, {n}]")
-    order, splits = _ranking(norms)
     return [CycleSelection.of(n, order[: k - 1 if splits[k] and k > 1 else k]) for k in ks]
 
 
-def dominant_cycle_order(b) -> np.ndarray:
-    """All n cycle indices of b, largest l2 norm first.
-
-    Norms within n * eps * max(norms) count as tied (for Hermitian b,
-    cycles j and n - j tie in exact arithmetic, not in roundoff).  Within
-    a tie, reflection partners j and n - j come next to each other, pairs
-    in order of min(j, n - j), the smaller index first.
-    select_dominant_cycles(b, k) is the first k entries, or the first
-    k - 1 where the k-th entry's tied partner would be cut off.
-    """
-    return _ranking(cycle_norms(b))[0]
-
-
-def dominant_cycle_selections(b, ks) -> list[CycleSelection]:
-    """select_dominant_cycles(b, k) for each k in ks, from one norm scan.
-
-    Each is the first k of dominant_cycle_order(b), or the first k - 1 when
-    that prefix would keep a cycle and drop its tied reflection partner.
-    So |S| <= k, and for Hermitian b (where every pair ties) S is closed
-    under j -> n - j and sparsify(b, S) is Hermitian.  The one exception is
-    k = 1 with a tied pair in the lead, where the leading cycle is kept
-    alone rather than selecting nothing.
-    """
-    return selections_from_norms(cycle_norms(b), ks)
-
-
 def select_dominant_cycles(b, k: int) -> CycleSelection:
-    """Indices of at most k cycles of b with the largest l2 norm.
-
-    The first k of dominant_cycle_order(b), with its tie rule, less the
-    last one when it would split a tied reflection pair (see
-    dominant_cycle_selections).
-    """
-    return dominant_cycle_selections(b, [k])[0]
+    """Indices of at most k cycles of b with the largest l2 norm, by the
+    ranking and tie rule of selections_from_norms."""
+    return selections_from_norms(cycle_norms(b), [k])[0]
 
 
 def sparsify(b, sel: CycleSelection) -> SparseCycleMatrix:
@@ -290,28 +257,6 @@ class EigenApproxResult:
     n_excluded: int
 
 
-def _assignment_matching(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
-    """matching[i] = index into approx paired with reference[i], by optimal
-    assignment on |lambda - lambda~| up to HUNGARIAN_LIMIT, greedy beyond."""
-    n = len(reference)
-    cost = np.abs(reference[:, None] - approx[None, :])
-    if n <= HUNGARIAN_LIMIT:
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        matching = np.empty(n, dtype=np.int64)
-        matching[rows] = cols
-        return matching
-    # greedy fallback: biggest reference values pick first; suboptimal but
-    # deterministic and adequate for the trend statistics it feeds
-    matching = np.full(n, -1, dtype=np.int64)
-    taken = np.zeros(n, dtype=bool)
-    for i in np.argsort(-np.abs(reference), kind="stable"):
-        c = np.where(taken, np.inf, cost[i])
-        j = int(np.argmin(c))
-        matching[i] = j
-        taken[j] = True
-    return matching
-
-
 def _is_real(values: np.ndarray) -> bool:
     """No imaginary part above roundoff, n * eps * max |lambda|."""
     roundoff = values.size * np.finfo(float).eps * np.abs(values).max(initial=0.0)
@@ -319,13 +264,19 @@ def _is_real(values: np.ndarray) -> bool:
 
 
 def _match_eigenvalues(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
-    """matching[i] = index into approx paired with reference[i]."""
-    if not (_is_real(reference) and _is_real(approx)):
-        return _assignment_matching(reference, approx)
-    # on the real line, pairing in sorted order minimizes the total
-    # |lambda - lambda~| (and every convex cost of the differences)
+    """matching[i] = index into approx paired with reference[i]: sorted
+    order when both spectra are real, else the optimal assignment on
+    |lambda - lambda~| (scipy's linear_sum_assignment) at every n."""
     matching = np.empty(len(reference), dtype=np.int64)
-    matching[np.argsort(reference.real, kind="stable")] = np.argsort(approx.real, kind="stable")
+    if _is_real(reference) and _is_real(approx):
+        # on the real line, pairing in sorted order minimizes the total
+        # |lambda - lambda~| (and every convex cost of the differences)
+        by_reference = np.argsort(reference.real, kind="stable")
+        matching[by_reference] = np.argsort(approx.real, kind="stable")
+    else:
+        cost = np.abs(reference[:, None] - approx[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        matching[rows] = cols
     return matching
 
 
@@ -336,8 +287,9 @@ def eigen_error_report(approx, reference) -> EigenApproxResult:
     When both spectra are real (imaginary parts within n * eps * max
     |lambda|) it pairs them in sorted order of their real parts, which
     minimizes the total |lambda - lambda~| and does not depend on the
-    order either spectrum comes in; otherwise it is the optimal assignment
-    on |lambda - lambda~| up to HUNGARIAN_LIMIT and greedy beyond.
+    order either spectrum comes in; otherwise it is the assignment that
+    minimizes the total |lambda - lambda~| (linear_sum_assignment), at
+    every n.
     Relative error per pair is |lambda - lambda~| / |lambda|; pairs with
     |lambda| < RELATIVE_ERROR_FLOOR are excluded from the statistics and
     counted in n_excluded.  Std is the population standard deviation.

@@ -12,7 +12,6 @@ from cspc.core import (
     cycle_positions,
     flip_matrix,
     fourier_matrix,
-    frobenius_inner,
     full_cycle_matrix,
     hermitian_defect,
     iter_cycle_blocks,
@@ -142,24 +141,11 @@ def test_relaxation_diagonals_are_orthogonal():
     n = 7
     for i in range(n):
         for j in range(n):
-            inner = frobenius_inner(
+            inner = np.vdot(
                 np.diag(relaxation_diagonal(n, i)), np.diag(relaxation_diagonal(n, j))
             )
             expect = n if i == j else 0.0
             assert abs(inner - expect) < 1e-12
-
-
-def test_frobenius_inner_known_value():
-    assert frobenius_inner(MAGIC, MAGIC) == pytest.approx(285)
-
-
-def test_frobenius_inner_conjugate_order():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert frobenius_inner(a, b) == pytest.approx(np.conj(frobenius_inner(b, a)))
-    with pytest.raises(ValueError):
-        frobenius_inner(a, np.eye(3))
 
 
 def test_apply_cycle_mask_and_materialize():

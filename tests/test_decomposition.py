@@ -17,7 +17,6 @@ from cspc.core import (
 )
 from cspc.decomposition import (
     CirculantComponent,
-    block_toeplitz_frequency_sets,
     circulant_decompose_recursive,
     circulant_decompose_via_transform,
     circulant_dense,
@@ -369,14 +368,6 @@ def test_toeplitz_partial_energy_zero_cycle():
         toeplitz_partial_energy(entries, 2, 1)
 
 
-def test_block_toeplitz_frequency_sets():
-    s, t = block_toeplitz_frequency_sets(12, 3)
-    assert s.indices == (0, 4, 8)
-    assert t.indices == (0, 4, 8)
-    with pytest.raises(ConfigError):
-        block_toeplitz_frequency_sets(12, 5)
-
-
 def test_block_toeplitz_sets_capture_block_circulant():
     # a matrix built from blocks repeating with period m has all its mass on
     # the identified cycles
@@ -384,6 +375,6 @@ def test_block_toeplitz_sets_capture_block_circulant():
     rng = np.random.default_rng(15)
     block = rng.standard_normal((m, m))
     a = np.tile(block, (n // m, n // m))
-    s, _ = block_toeplitz_frequency_sets(n, m)
+    s = CycleSelection.of(n, range(0, n, n // m))
     rep = dominance_relation(a, s)
     assert rep.relative_magnitude == pytest.approx(1.0, abs=1e-12)

@@ -12,7 +12,6 @@ from cspc.generators import (
     SymbolSpec,
     banded_diag_sequence,
     eval_symbol,
-    example1_gershgorin_margin,
     gen_block_toeplitz,
     gen_example1,
     gen_quasi_periodic,
@@ -72,15 +71,13 @@ def test_example1_shape_and_rhs():
     assert np.linalg.eigvalsh(a.real).min() > 0
 
 
-def test_example1_gershgorin_margin():
+def test_example1_lambda_min_above_gershgorin_row_margin():
     n = 9
     a, _ = gen_example1(n)
     # worst-case row disc: diagonal minus sum of off-diagonal magnitudes
-    row_margins = [
-        a[p, p].real - np.abs(np.delete(a[p], p)).sum() for p in range(n)
-    ]
-    assert example1_gershgorin_margin(n) == pytest.approx(min(row_margins), abs=1e-13)
-    assert np.linalg.eigvalsh(a.real).min() >= example1_gershgorin_margin(n)
+    margin = min(a[p, p].real - np.abs(np.delete(a[p], p)).sum() for p in range(n))
+    assert margin > 0
+    assert np.linalg.eigvalsh(a.real).min() >= margin
 
 
 def test_block_toeplitz_block_structure():
@@ -301,7 +298,6 @@ def test_generate_dispatch_and_info():
     a, info = generate(StructuredMatrixSpec(kind="example1", n=5))
     assert info["kind"] == "example1"
     assert np.array_equal(info["rhs"], np.arange(1, 6, dtype=complex))
-    assert info["gershgorin_margin"] > 0
 
     spec = StructuredMatrixSpec(kind="toeplitz", n=5, seed=2)
     a, info = generate(spec)

@@ -6,11 +6,11 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-import cspc.sparse as sparse_mod
 from cspc.core import (
     CycleSelection,
     NumericalError,
     apply_cycle_mask,
+    cycle_norms,
     cycle_positions,
     hermitian_defect,
     materialize_cycle,
@@ -23,11 +23,10 @@ from cspc.sparse import (
     approx_eigenvalues,
     bauer_fike_bound,
     direct_sparsify,
-    dominant_cycle_order,
-    dominant_cycle_selections,
     eigen_error_report,
     pd_sufficient_check,
     select_dominant_cycles,
+    selections_from_norms,
     sparsify,
     spectrum,
 )
@@ -114,25 +113,27 @@ def test_cycle_scans_stream():
         assert peak < n * n * 16 / 8
 
 
-def test_dominant_cycle_order_prefixes_are_selections():
+def test_selections_are_nested_and_keep_a_tied_pair_together():
     n = 64
     b = _random_b(n, 5)
     b[cycle_positions(n, [3, 61])] = 1.0  # a reflection pair tied exactly
-    order = dominant_cycle_order(b)
-    assert sorted(order) == list(range(n))
-    where = list(order)
-    assert where.index(61) == where.index(3) + 1
-    for k in range(1, n + 1):
-        # the one prefix that ends between 3 and 61 gives up its last cycle
-        expected = order[: k - 1] if k == where.index(61) else order[:k]
-        assert select_dominant_cycles(b, k) == CycleSelection.of(n, expected)
+    sels = [set(sel) for sel in selections_from_norms(cycle_norms(b), range(1, n + 1))]
+    # the one prefix that ends between 3 and 61 keeps k - 1 cycles
+    short = [k for k, sel in enumerate(sels, start=1) if len(sel) == k - 1]
+    assert len(short) == 1 and short[0] > 1
+    split = short[0]
+    assert all(len(sel) == k for k, sel in enumerate(sels, start=1) if k != split)
+    for k in range(2, n + 1):
+        assert sels[k - 2] <= sels[k - 1]
+    assert sels[split - 1] == sels[split - 2]
+    assert sels[split] - sels[split - 1] == {3, 61}
 
 
 def test_sparsify_of_hermitian_b_is_hermitian_for_every_k():
     n = 64
     a = scipy.linalg.toeplitz(np.random.default_rng(8).standard_normal(n))
     b = similarity_transform(a)
-    sels = dominant_cycle_selections(b, range(1, n + 1))
+    sels = selections_from_norms(cycle_norms(b), range(1, n + 1))
     for k, sel in enumerate(sels, start=1):
         assert len(sel) in (k - 1, k)
         ks = sel.as_array()
@@ -224,7 +225,7 @@ def test_spectrum_real_form_matches_complex_solver(n, symmetric):
     # every k up to 64; at n = 256 (one complex eigvals ~35 ms) both ends,
     # both parities and powers of two
     ks = range(1, n + 1) if n <= 64 else (1, 2, 3, 4, 5, 16, 17, 64, 127, 128, 255, 256)
-    for sel in dominant_cycle_selections(b, ks):
+    for sel in selections_from_norms(cycle_norms(b), ks):
         m = sparsify(b, sel).densify()
         got, want = spectrum(m), _complex_route(m)
         tol = 1e-12 * np.abs(want).max()
@@ -339,14 +340,15 @@ def test_sorted_matching_ignores_input_order():
         assert rep.std_relative_error == pytest.approx(base.std_relative_error, rel=1e-14)
 
 
-def test_sorted_matching_beats_greedy_above_hungarian_limit():
+def test_complex_matching_is_l1_optimal_above_512():
     rng = np.random.default_rng(13)
-    n = 800
-    ref = rng.standard_normal(n) * 10
-    approx = ref + rng.standard_normal(n)
+    n = 600
+    ref = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10
+    approx = ref + rng.standard_normal(n) + 1j * rng.standard_normal(n)
     rep = eigen_error_report(approx, ref)
-    greedy = sparse_mod._assignment_matching(ref.astype(complex), approx.astype(complex))
-    assert np.abs(ref - approx[rep.matching]).sum() <= np.abs(ref - approx[greedy]).sum()
+    total = np.abs(ref - approx[rep.matching]).sum()
+    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(ref[:, None] - approx[None, :]))
+    assert total == pytest.approx(np.abs(ref[rows] - approx[cols]).sum(), rel=1e-12)
 
 
 def test_eigen_error_report_exact_match_any_order():
@@ -377,14 +379,6 @@ def test_eigen_error_report_excludes_tiny_reference():
 def test_eigen_error_report_validation():
     with pytest.raises(ValueError):
         eigen_error_report(np.ones(3), np.ones(4))
-
-
-def test_matching_greedy_path(monkeypatch):
-    monkeypatch.setattr(sparse_mod, "HUNGARIAN_LIMIT", 2)
-    rng = np.random.default_rng(5)
-    ref = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    rep = eigen_error_report(rng.permutation(ref), ref)
-    assert rep.mean_relative_error == pytest.approx(0.0, abs=1e-15)
 
 
 def test_bauer_fike_bound_controls_matched_errors():

@@ -14,7 +14,7 @@ from cspc.core import (
 )
 from cspc.decomposition import circulant_dense, toeplitz_s0
 from cspc.generators import StructuredMatrixSpec, gen_example1, generate
-from cspc.sparse import dominant_cycle_selections, sparsify
+from cspc.sparse import selections_from_norms, sparsify
 from cspc.transform import (
     OpCounter,
     extract_cycles,
@@ -294,7 +294,7 @@ def test_transform_of_real_matrix_is_reflection_symmetric(kind, n):
     # keeps the identity and one that breaks a pair does not
     closed = [
         sel
-        for sel in dominant_cycle_selections(b, range(1, n + 1))
+        for sel in selections_from_norms(cycle_norms(b), range(1, n + 1))
         if set(sel) == {(n - j) % n for j in sel}
     ]
     # real A ties every pair j, n - j, so only k = 1 may keep half a pair
