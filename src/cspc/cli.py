@@ -1,9 +1,14 @@
 """Experiment harness: generates matrices, runs the decomposition and
 preconditioning pipelines, and writes CSV or JSON data files.
 
+Each subcommand takes the common flags --spec, --n, --seed, --out and
+--format, plus only those of --cycles, --budgets, --tol and --trials that
+its runner reads (_EXPERIMENTS); any other flag is a usage error.
+
 Every run writes a manifest next to the data file (same path plus
-".manifest.json") echoing the full configuration, the library version
-and the seed, which is enough to regenerate the data exactly.
+".manifest.json") echoing the spec, the format and the subcommand's own
+flags, the library version and the seed, which is enough to regenerate
+the data exactly.
 
 Exit codes: 0 on success, 2 for configuration problems (also what
 argparse uses), 3 for numerical failures.
@@ -31,6 +36,8 @@ from .generators import (
 )
 from .precond import precond_benchmark
 from .sparse import (
+    approx_eigenvalues,
+    direct_sparsify,
     eigen_error_report,
     select_dominant_cycles,
     selections_from_norms,
@@ -45,10 +52,7 @@ __all__ = ["main", "ExperimentConfig"]
 class ExperimentConfig:
     experiment: str
     spec: StructuredMatrixSpec
-    cycles: tuple[int, ...] | None
-    budgets: tuple[int, ...] | None
-    tol: float
-    trials: int
+    flags: dict  # the subcommand's own flags, parsed, by name
     seed: int
     out: str
     fmt: str
@@ -76,14 +80,7 @@ def _write_rows(
             json.dump(payload, f, indent=1)
     manifest = {
         "experiment": cfg.experiment,
-        "config": {
-            "spec": cfg.spec.to_json_dict(),
-            "cycles": None if cfg.cycles is None else list(cfg.cycles),
-            "budgets": None if cfg.budgets is None else list(cfg.budgets),
-            "tol": cfg.tol,
-            "trials": cfg.trials,
-            "format": cfg.fmt,
-        },
+        "config": {"spec": cfg.spec.to_json_dict(), **cfg.flags, "format": cfg.fmt},
         "version": __version__,
         "seed": cfg.seed,
         **(diagnostics or {}),
@@ -117,7 +114,7 @@ def _eig_error_stats(
     norms (norms holds all n cycle norms of b), with no n x n difference,
     and reads exactly 0 when every cycle is kept.
     """
-    rep = eigen_error_report(spectrum(sparsify(b, sel).densify(), solvers), reference)
+    rep = eigen_error_report(approx_eigenvalues(sparsify(b, sel), solvers), reference)
     dropped = np.delete(norms, sel.as_array())
     ratio = float(np.linalg.norm(dropped) / np.linalg.norm(a, "fro"))
     return rep.mean_relative_error, rep.std_relative_error, ratio
@@ -133,11 +130,12 @@ def _solver_counts(solvers: Counter) -> dict:
 
 
 def run_eig_errors(cfg: ExperimentConfig) -> str:
-    if not cfg.cycles:
+    cycles = cfg.flags["cycles"]
+    if not cycles:
         raise ConfigError("eig-errors needs --cycles")
     n = cfg.spec.n
-    if not all(1 <= k <= n for k in cfg.cycles):
-        raise ConfigError(f"cycle counts {list(cfg.cycles)} must lie in [1, {n}]")
+    if not all(1 <= k <= n for k in cycles):
+        raise ConfigError(f"cycle counts {list(cycles)} must lie in [1, {n}]")
     solvers = Counter()
 
     def one(seed):
@@ -146,11 +144,11 @@ def run_eig_errors(cfg: ExperimentConfig) -> str:
         reference = spectrum(a, solvers)
         # one norm scan per trial ranks every k and prices what each drops
         norms = cycle_norms(b)
-        sels = selections_from_norms(norms, cfg.cycles)
+        sels = selections_from_norms(norms, cycles)
         stats = [_eig_error_stats(a, b, norms, reference, sel, solvers) for sel in sels]
         return stats, [len(sel) for sel in sels]
 
-    stats, sizes = zip(*(one(seed) for seed in _trial_seeds(cfg.seed, cfg.trials)))
+    stats, sizes = zip(*(one(seed) for seed in _trial_seeds(cfg.seed, cfg.flags["trials"])))
     stats = np.array(stats)  # (trial, k, [mean, std, ratio])
     sizes = np.array(sizes)  # (trial, k): cycles kept, k - 1 where k would split a tied pair
     rows = [
@@ -161,11 +159,11 @@ def run_eig_errors(cfg: ExperimentConfig) -> str:
             float(stats[:, j, 0].std()),
             float(stats[:, j, 2].mean()),
         )
-        for j, k in enumerate(cfg.cycles)
+        for j, k in enumerate(cycles)
     ]
     kept = [
         {"k_cycles": k, "min": int(sizes[:, j].min()), "max": int(sizes[:, j].max())}
-        for j, k in enumerate(cfg.cycles)
+        for j, k in enumerate(cycles)
     ]
     header = ["k_cycles", "mean_rel_err", "std_rel_err", "std_rel_err_across", "frob_residual_ratio"]
     return _write_rows(cfg, header, rows, {"cycles_kept": kept, **_solver_counts(solvers)})
@@ -175,7 +173,7 @@ def run_eig_vs_n(cfg: ExperimentConfig) -> str:
     n_max = cfg.spec.n
     if n_max < 100:
         raise ConfigError("eig-vs-n sweeps n from 100 up; give --n >= 100")
-    seeds = _trial_seeds(cfg.seed, cfg.trials)
+    seeds = _trial_seeds(cfg.seed, cfg.flags["trials"])
     solvers = Counter()
     rows = []
     for n in range(100, n_max + 1, 100):
@@ -197,20 +195,20 @@ def run_eig_vs_n(cfg: ExperimentConfig) -> str:
 
 
 def run_sparsifier_compare(cfg: ExperimentConfig) -> str:
-    from .sparse import direct_sparsify
-
-    k = cfg.cycles[0] if cfg.cycles else 5
-    n = cfg.spec.n
+    cycles = cfg.flags["cycles"] or (5,)
+    if len(cycles) != 1:
+        raise ConfigError(f"sparsifier-compare takes one cycle count, got {list(cycles)}")
+    k, n = cycles[0], cfg.spec.n
     if not 1 <= k <= n:
         raise ConfigError(f"cycle count {k} must lie in [1, {n}]")
     nnz = k * n
-    seeds = _trial_seeds(cfg.seed, cfg.trials)
+    seeds = _trial_seeds(cfg.seed, cfg.flags["trials"])
 
     def one(seed):
         a, _ = generate(with_seed(cfg.spec, seed))
         b = similarity_transform(a)
         sp = sparsify(b, select_dominant_cycles(b, k))
-        cyc = float(np.mean(np.abs(spectrum(sp.densify()))))
+        cyc = float(np.mean(np.abs(approx_eigenvalues(sp))))
         direct = float(np.mean(np.abs(spectrum(direct_sparsify(a, nnz)))))
         return cyc, direct
 
@@ -224,9 +222,9 @@ def run_sparsifier_compare(cfg: ExperimentConfig) -> str:
 
 
 def run_precond_table(cfg: ExperimentConfig) -> str:
-    if not cfg.budgets:
+    if not cfg.flags["budgets"]:
         raise ConfigError("precond-table needs --budgets")
-    results = precond_benchmark(cfg.spec, cfg.budgets, tol=cfg.tol)
+    results = precond_benchmark(cfg.spec, cfg.flags["budgets"], tol=cfg.flags["tol"])
     rows = [(r.method, r.budget, r.iterations, r.converged, r.final_residual) for r in results]
     header = ["method", "budget", "iterations", "converged", "final_residual"]
     routes = Counter(r.matvec for r in results)
@@ -276,24 +274,30 @@ def run_heatmap(cfg: ExperimentConfig) -> str:
     return _write_rows(cfg, ["row", "col", "normalized_magnitude"], rows)
 
 
-_RUNNERS = {
-    "cycle-norms": run_cycle_norms,
-    "eig-errors": run_eig_errors,
-    "eig-vs-n": run_eig_vs_n,
-    "sparsifier-compare": run_sparsifier_compare,
-    "precond-table": run_precond_table,
-    "symbol-compare": run_symbol_compare,
-    "heatmap": run_heatmap,
+_SYMMETRIC_TOEPLITZ = {"kind": "toeplitz", "symmetric": True}
+# the default symbol: (1 + theta) * exp(i * theta)
+_SYMBOL_TOEPLITZ = {
+    "kind": "symbol_toeplitz",
+    "symbol": SymbolSpec(form="product", poly=(1.0, 1.0), trig={1: 1.0}),
 }
 
-_DEFAULT_KINDS = {
-    "cycle-norms": "toeplitz",
-    "eig-errors": "toeplitz",
-    "eig-vs-n": "block_toeplitz",
-    "sparsifier-compare": "toeplitz",
-    "precond-table": "example1",
-    "symbol-compare": "symbol_toeplitz",
-    "heatmap": "example1",
+# subcommand: (runner, the StructuredMatrixSpec fields --n builds without
+# --spec, the flags the runner reads beyond --spec --n --seed --out --format)
+_EXPERIMENTS = {
+    "cycle-norms": (run_cycle_norms, _SYMMETRIC_TOEPLITZ, ()),
+    "eig-errors": (run_eig_errors, _SYMMETRIC_TOEPLITZ, ("cycles", "trials")),
+    "eig-vs-n": (run_eig_vs_n, {"kind": "block_toeplitz", "m": 5, "symmetric": True}, ("trials",)),
+    "sparsifier-compare": (run_sparsifier_compare, _SYMMETRIC_TOEPLITZ, ("cycles", "trials")),
+    "precond-table": (run_precond_table, {"kind": "example1"}, ("budgets", "tol")),
+    "symbol-compare": (run_symbol_compare, _SYMBOL_TOEPLITZ, ()),
+    "heatmap": (run_heatmap, {"kind": "example1"}, ()),
+}
+
+_FLAGS = {
+    "cycles": {"help": "comma-separated cycle counts"},
+    "budgets": {"help": "comma-separated nnz budgets; '3n' means 3*n"},
+    "tol": {"type": float, "default": 1e-6, "help": "solver tolerance"},
+    "trials": {"type": int, "default": 50, "help": "number of random trials"},
 }
 
 
@@ -320,7 +324,7 @@ def _parse_budgets(raw: str, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _build_spec(args) -> StructuredMatrixSpec:
+def _build_spec(args, defaults: dict) -> StructuredMatrixSpec:
     if args.spec:
         spec = StructuredMatrixSpec.from_json_file(args.spec)
         if args.n is not None:
@@ -330,16 +334,7 @@ def _build_spec(args) -> StructuredMatrixSpec:
         return spec
     if args.n is None:
         raise ConfigError("give either --spec FILE or --n")
-    kind = _DEFAULT_KINDS[args.experiment]
-    kwargs = {"kind": kind, "n": args.n, "seed": args.seed or 0}
-    if kind == "toeplitz":
-        kwargs["symmetric"] = True
-    if kind == "block_toeplitz":
-        kwargs.update(m=5, symmetric=True)
-    if kind == "symbol_toeplitz":
-        # the default symbol: (1 + theta) * exp(i * theta)
-        kwargs["symbol"] = SymbolSpec(form="product", poly=(1.0, 1.0), trig={1: 1.0})
-    return StructuredMatrixSpec(**kwargs)
+    return StructuredMatrixSpec(**defaults, n=args.n, seed=args.seed or 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,14 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _RUNNERS:
+    for name, (_, _, flags) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--spec", help="JSON matrix spec file")
         p.add_argument("--n", type=int, help="matrix dimension (overrides spec)")
-        p.add_argument("--cycles", help="comma-separated cycle counts")
-        p.add_argument("--budgets", help="comma-separated nnz budgets; '3n' means 3*n")
-        p.add_argument("--tol", type=float, default=1e-6, help="solver tolerance")
-        p.add_argument("--trials", type=int, default=50, help="number of random trials")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--seed", type=int, default=None, help="base seed")
         p.add_argument("--out", help="output data file")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
@@ -364,25 +357,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, defaults, declared = _EXPERIMENTS[args.experiment]
     try:
-        spec = _build_spec(args)
-        cycles = _parse_int_list(args.cycles) if args.cycles else None
-        budgets = _parse_budgets(args.budgets, spec.n) if args.budgets else None
-        out = args.out or f"{args.experiment.replace('-', '_')}.{args.fmt}"
+        spec = _build_spec(args, defaults)
+        flags = {flag: getattr(args, flag) for flag in declared}
+        if flags.get("cycles") is not None:
+            flags["cycles"] = _parse_int_list(flags["cycles"])
+        if flags.get("budgets") is not None:
+            flags["budgets"] = _parse_budgets(flags["budgets"], spec.n)
         cfg = ExperimentConfig(
             experiment=args.experiment,
             spec=spec,
-            cycles=cycles,
-            budgets=budgets,
-            tol=args.tol,
-            trials=args.trials,
+            flags=flags,
             seed=args.seed if args.seed is not None else 0,
-            out=out,
+            out=args.out or f"{args.experiment.replace('-', '_')}.{args.fmt}",
             fmt=args.fmt,
         )
-        path = _RUNNERS[args.experiment](cfg)
+        path = run(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

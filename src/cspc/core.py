@@ -253,8 +253,7 @@ class Toeplitz:
             for r0 in range(0, m.shape[0] - 1, _DEFECT_BLOCK_ROWS):
                 # 33 rows, the last one shared with the next block, read as
                 # float64 (re, im) pairs, so one column is two floats: float ==
-                # gives the same answer as complex == and ran 2-3x faster
-                # (n = 2048, one core of a 2-core Intel Xeon VM)
+                # gives the same answer as complex == and is the cheaper test
                 rows = np.ascontiguousarray(m[r0 : r0 + _DEFECT_BLOCK_ROWS + 1]).view(np.float64)
                 if not np.array_equal(rows[1:, 2:], rows[:-1, :-2]):
                     return None
@@ -404,10 +403,10 @@ def iter_cycle_blocks(a):
 
     Each block is one gather with the flat index rows * n + cols from
     a.ravel(), which reads the same entries as a[rows, cols], bit for
-    bit, at about half the cost of the 2-d index (n = 1024).  A C-order
-    a is read in place; any other layout (a.T, a Fortran-order array, a
-    strided slice, the read-only Toeplitz.dense() view the Toeplitz
-    generators return) is copied once per pass by ravel.
+    bit, at less cost than the 2-d index.  A C-order a is read in place;
+    any other layout (a.T, a Fortran-order array, a strided slice, the
+    read-only Toeplitz.dense() view the Toeplitz generators return) is
+    copied once per pass by ravel.
     """
     a = require_square(a)
     n = a.shape[0]

@@ -11,14 +11,12 @@ are built here:
   (SparseCycleMatrix.to_scipy()).  Fill stays small for the selections
   the generators produce, near-diagonal ({0, 1, n-1}, {0, 1, 2, n-2,
   n-1}) or coset-structured ({0, n/m, 2n/m, ...}): at n = 1000-2048 and
-  k <= 16, L + U held 1.0-2.6x the nnz of S, the factorization ran
-  20-1200x faster than a dense LU and the triangular solve took
-  0.02-0.2 ms against 1.4-5.6 ms.  Selections spread over the whole
+  k <= 16, L + U held 1.0-2.6x the nnz of S, so factoring and solving
+  cost far less than a dense LU.  Selections spread over the whole
   index range fill in toward dense: at n = 2048 with 16 random cycles,
-  L + U held 93-96x nnz (about 0.75 n^2), the factorization took
-  1.4-1.7 s against 0.41 s for a dense LU and the solve was about 10%
-  slower.  No caller produces such a selection; it is not guarded.
-  (Timings: one core of a 2-core Intel Xeon VM, single-threaded BLAS.)
+  L + U held 93-96x nnz (about 0.75 n^2), and the sparse factorization
+  lost to a dense LU.  No caller produces such a selection; it is not
+  guarded.
 * Corner-block mask (T. Chan style): S keeps the full diagonal plus a
   dense s x s bottom-right corner, s maximal under the nonzero budget
   (n - s) + s^2.  At s = 1 the two coincide (single dominant cycle of a
@@ -36,12 +34,8 @@ is never held or read as n x n at all.  The selection goes through the
 one tie rule, sparse.selections_from_norms, and the norms of
 reflection partners j and n - j of a Toeplitz B tie bit for bit.  Every
 other A is transformed once, O(n^2 log n), and the entries are gathered
-from B.  At n = 2048 on Example 1 the closed form took 1.6 / 3.6 / 2.2 ms
-for the k = 1, k = 3 and 3n corner-block builds against 226 / 233 / 155 ms
-through the transform (one core of a 2-core Intel Xeon VM,
-single-threaded BLAS), with the same selections and PCG iteration counts
-31 and 24 for k = 1 and the corner block.  MaskPreconditioner.source
-names the route ("toeplitz-diagonals" or "transform").
+from B.  MaskPreconditioner.source names the route ("toeplitz-diagonals"
+or "transform").
 
 The solver is plain left-preconditioned conjugate gradient for Hermitian
 positive definite systems with x0 = 0.  Iteration counts are sensitive

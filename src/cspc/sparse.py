@@ -236,15 +236,16 @@ def spectrum(m, solvers: Counter | None = None) -> np.ndarray:
     return values
 
 
-def approx_eigenvalues(b_sparse: SparseCycleMatrix) -> np.ndarray:
+def approx_eigenvalues(b_sparse: SparseCycleMatrix, solvers: Counter | None = None) -> np.ndarray:
     """All n eigenvalues of the sparse matrix, by spectrum() of its dense form.
 
     Real and ascending when the matrix is Hermitian, as sparsify gives for
-    Hermitian B and a selection from select_dominant_cycles.
+    Hermitian B and a selection from select_dominant_cycles.  solvers, when
+    given, counts the solver that ran, as in spectrum().
     """
     if len(b_sparse.selection) == 0:
         raise ValueError("empty cycle selection")
-    return spectrum(b_sparse.densify())
+    return spectrum(b_sparse.densify(), solvers)
 
 
 @dataclass

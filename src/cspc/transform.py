@@ -21,8 +21,8 @@ from the selection size k and n alone:
   the identity circulant_decompose_via_transform rests on, taken at k
   frequencies: O(n^2 k) work and O(n k) memory beside A.
 * k > log2 n: the full transform, masked.  Its two FFT passes cost
-  about 2 n^2 log2 n, and at k = log2 n the two routes ran about even
-  (n = 1024 and 2048, one BLAS thread).
+  about 2 n^2 log2 n whatever k is, which is why larger selections
+  take it.
 
 A Toeplitz A needs neither: B's cycles and their norms have a closed
 form in its 2n - 1 diagonals, core.Toeplitz.cycles and cycle_norms (the

@@ -3,7 +3,9 @@ files, manifests and exit codes they are contracted to produce."""
 
 import csv
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,54 @@ def test_parser_covers_all_experiments():
     ):
         args = parser.parse_args([name, "--n", "8"])
         assert args.experiment == name
+
+
+# the flags each runner reads beyond --spec --n --seed --out --format
+DECLARED_FLAGS = {
+    "cycle-norms": (),
+    "eig-errors": ("cycles", "trials"),
+    "eig-vs-n": ("trials",),
+    "sparsifier-compare": ("cycles", "trials"),
+    "precond-table": ("budgets", "tol"),
+    "symbol-compare": (),
+    "heatmap": (),
+}
+FLAG_VALUES = {"cycles": "1", "budgets": "n", "tol": "1e-6", "trials": "1"}
+
+
+@pytest.mark.parametrize("name", DECLARED_FLAGS)
+def test_subcommand_takes_only_the_flags_it_reads(name, tmp_path, capsys):
+    declared = DECLARED_FLAGS[name]
+    out = tmp_path / "x.csv"
+    args = [name, "--n", "100" if name == "eig-vs-n" else "8", "--seed", "1", "--out", str(out),
+            "--format", "csv"]
+    for flag in declared:
+        args += [f"--{flag}", FLAG_VALUES[flag]]
+    parser = build_parser()
+    parser.parse_args(args)
+    for flag in FLAG_VALUES.keys() - set(declared):
+        with pytest.raises(SystemExit) as e:
+            parser.parse_args([*args, f"--{flag}", FLAG_VALUES[flag]])
+        assert e.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        parser.parse_args([name, "--help"])
+    usage = capsys.readouterr().out
+    assert {flag for flag in FLAG_VALUES if f"--{flag}" in usage} == set(declared)
+    assert _run(args) == 0
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    assert set(manifest["config"]) == {"spec", "format", *declared}
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cspc ")]
+    parser = build_parser()
+    assert {parser.parse_args(shlex.split(line)[1:]).experiment for line in lines} == set(
+        DECLARED_FLAGS
+    )
 
 
 def test_cycle_norms_output_and_manifest(tmp_path):
@@ -193,7 +243,8 @@ def test_sparsifier_compare(tmp_path):
     assert len(rows) == 6
     assert {r[1] for r in rows} == {"cycle", "direct"}
     assert all(r[2] == "32" for r in rows)
-    bad = [("--cycles", "0"), ("--cycles", "40"), ("--trials", "0"), ("--trials", "-2")]
+    bad = [("--cycles", "0"), ("--cycles", "40"), ("--cycles", "2,3"), ("--trials", "0"),
+           ("--trials", "-2")]
     for flag, value in bad:
         assert _run(["sparsifier-compare", "--n", "16", flag, value, "--out", tmp_path / "bad.csv"]) == 2
     assert not (tmp_path / "bad.csv").exists()
