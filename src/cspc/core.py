@@ -10,9 +10,11 @@ Cycle k of an n x n matrix is the wrapped diagonal through positions
 subdiagonal plus the top-right corner entry, cycle n-1 the first
 superdiagonal plus the bottom-left corner.  The n cycles partition the
 entries of the matrix.  Orientation is fixed here once and inherited by
-every other module: cycle_positions is the one owner of the order in
-which a cycle's entries are read, and every gather or scatter of cycle
-values goes through it.
+every other module: cycle_positions fixes the order in which a cycle's
+entries are read.  The index gathers and scatters (apply_cycle_mask,
+materialize_cycle, sparse's densify and to_scipy) use its positions;
+iter_cycle_blocks reads all cycles through strided views of the matrix
+instead, in the same order, which the tests check entry for entry.
 
 Toeplitz is the one representation of a Toeplitz matrix: its 2n - 1
 diagonals, from which its product, norms and the entries of its
@@ -386,36 +388,65 @@ def apply_cycle_mask(a, k) -> np.ndarray:
 
 def _cycle_ranges(n: int):
     # consecutive index ranges of about 16k entries each: all n cycles at
-    # once would allocate a second n x n array, and one cycle per gather
+    # once would allocate a second n x n array, and one cycle per read
     # pays the call overhead n times
     step = max(1, _CYCLE_BLOCK_ENTRIES // max(n, 1))
     return (range(start, min(start + step, n)) for start in range(0, n, step))
 
 
+def _column_walks(a: np.ndarray, j0: int, out: np.ndarray) -> np.ndarray:
+    """Fill out[t, q] = a[(q + j0 + t) mod n, q]: cycles j0 .. j0 + m - 1 of
+    square a on their column walks, m = len(out); returns out.
+
+    Entry q of cycle j sits (s0 + s1) bytes after entry q - 1 until the
+    walk wraps from the last row to the first, at q = n - j, so the block
+    is three pieces: the columns q < n - j0 - m + 1, where no row of the
+    block has wrapped, and the columns q >= n - j0, where every row has,
+    are each one strided view with strides (s0, s0 + s1); the staircase
+    of at most m x m entries between them is one small 2-d index.  Any
+    strides work (C or Fortran order, a.T, negative steps, the stride-0
+    walks of Toeplitz.dense()), and nothing of size n x n is copied.
+    """
+    n = a.shape[0]
+    m = out.shape[0]
+    head = n - j0 - m + 1  # >= 1, since j0 + m <= n
+    s0, s1 = a.strides
+    view = np.lib.stride_tricks.as_strided
+    out[:, :head] = view(a[j0:], (m, head), (s0, s0 + s1), writeable=False)
+    out[:, n - j0 :] = view(a[0, n - j0 :], (m, j0), (s0, s0 + s1), writeable=False)
+    q = np.arange(head, n - j0)
+    out[:, head : n - j0] = a[(q + np.arange(j0, j0 + m)[:, None]) % n, q]
+    return out
+
+
 def iter_cycle_blocks(a):
-    """Yield the n cycles of square matrix a as (ks, cols, values) blocks.
+    """Yield the n cycles of square matrix a as (ks, values) blocks.
 
-    ks is a range of consecutive cycle indices, values the (len(ks), n)
-    array apply_cycle_mask(a, ks) and cols its column indices from
-    cycle_positions, so a caller that needs another order (the column
-    walk: np.put_along_axis(out, cols, values, axis=1)) takes it from
-    here.  Blocks hold about 16k entries each.
+    ks is a range of consecutive cycle indices and values the (len(ks),
+    n) array apply_cycle_mask(a, ks), bit for bit, in a fresh C-order
+    array.  Blocks hold about 16k entries each.
 
-    Each block is one gather with the flat index rows * n + cols from
-    a.ravel(), which reads the same entries as a[rows, cols], bit for
-    bit, at less cost than the 2-d index.  A C-order a is read in place;
-    any other layout (a.T, a Fortran-order array, a strided slice, the
-    read-only Toeplitz.dense() view the Toeplitz generators return) is
-    copied once per pass by ravel.
+    Nothing is gathered through cycle_positions: each block is read from
+    strided views of a in place, whatever its layout (C or Fortran order,
+    a.T, a strided slice, the read-only Toeplitz.dense() view the
+    Toeplitz generators return), and a is never copied.  A block of
+    cycles with 2k <= n is a block of column walks; the row walk of cycle
+    k > n / 2 is the column walk of a.T at cycle n - k, so those blocks
+    are column walks of a.T written in reverse row order.
     """
     a = require_square(a)
     n = a.shape[0]
-    flat = a.ravel()
+    half = n // 2 + 1  # cycles 0 .. n // 2 are read down the columns
     for ks in _cycle_ranges(n):
-        rows, cols = cycle_positions(n, ks)
-        rows *= n
-        rows += cols
-        yield ks, cols, flat[rows]
+        # the range holding n // 2 is read as two blocks, one per order
+        for part in (range(ks.start, min(ks.stop, half)), range(max(ks.start, half), ks.stop)):
+            if part:
+                block = np.empty((len(part), n), dtype=a.dtype)
+                if part.stop <= half:
+                    _column_walks(a, part.start, block)
+                else:
+                    _column_walks(a.T, n - part[-1], block[::-1])
+                yield part, block
 
 
 def cycle_norms(a) -> np.ndarray:
@@ -428,7 +459,7 @@ def cycle_norms(a) -> np.ndarray:
     """
     a = require_square(a)
     norms = np.empty(a.shape[0])
-    for ks, _, block in iter_cycle_blocks(a):
+    for ks, block in iter_cycle_blocks(a):
         re, im = block.real, block.imag
         sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
         np.sqrt(sq[:, 0, 0], out=norms[ks.start : ks.stop])

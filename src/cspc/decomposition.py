@@ -33,6 +33,8 @@ from .core import (
     CycleSelection,
     NumericalError,
     Toeplitz,
+    _column_walks,
+    _cycle_ranges,
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
@@ -82,7 +84,10 @@ def cycle_decompose(a) -> SparseCycleMatrix:
     """Split a into its n cycles, all kept in one SparseCycleMatrix; lossless."""
     a = require_square(a)
     n = a.shape[0]
-    return SparseCycleMatrix(n, CycleSelection(n, range(n)), apply_cycle_mask(a, range(n)))
+    cycles = np.empty((n, n), dtype=np.complex128)
+    for ks, block in iter_cycle_blocks(a):
+        cycles[ks.start : ks.stop] = block
+    return SparseCycleMatrix(n, CycleSelection(n, range(n)), cycles)
 
 
 def recompose_cycles(dec: SparseCycleMatrix) -> np.ndarray:
@@ -138,7 +143,9 @@ def circulant_decompose_via_transform(a) -> list[CirculantComponent]:
     The name keeps "via_transform" because this is the Fourier transform
     of A's cycles, from which B = W A W* is one more FFT away; B itself
     is never formed.  The array is filled a block of cycles at a time,
-    and component k's first row is a view of its row k.
+    each block of walks read from strided views of A in place (the
+    reader behind core.iter_cycle_blocks), and component k's first row is
+    a view of its row k.
 
     For a real A (Im A exactly zero) the cycles are real, so fft(c)[n - k]
     = conj(fft(c)[k]): rows 0..n//2 come from an rfft of the walks and
@@ -149,11 +156,10 @@ def circulant_decompose_via_transform(a) -> list[CirculantComponent]:
     real = not a.imag.any()
     filled = n // 2 + 1 if real else n
     first_rows = np.empty((n, n), dtype=np.complex128)
-    for ks, cols, block in iter_cycle_blocks(a):
-        values = block.real if real else block
-        walk = np.empty_like(values)
-        np.put_along_axis(walk, cols, values, axis=1)
-        spectra = (np.fft.rfft if real else np.fft.fft)(walk, axis=1, norm="forward")
+    source = a.real if real else a
+    for ks in _cycle_ranges(n):
+        walks = _column_walks(source, ks.start, np.empty((len(ks), n), dtype=source.dtype))
+        spectra = (np.fft.rfft if real else np.fft.fft)(walks, axis=1, norm="forward")
         first_rows[:filled, (-np.asarray(ks)) % n] = spectra.T
     if real:
         np.conjugate(first_rows[1 : (n + 1) // 2], out=first_rows[n - 1 : n // 2 : -1])
@@ -277,7 +283,7 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
         fold[1 : (n + 1) // 2] = 2.0
     weights = np.empty(n)
     energies = np.zeros(n)
-    for ks, _, block in iter_cycle_blocks(a):
+    for ks, block in iter_cycle_blocks(a):
         block = block.real if real else block
         weights[ks.start : ks.stop] = np.linalg.norm(block, axis=1) ** 2 / total
         if real:

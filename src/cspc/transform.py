@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CycleSelection, cycle_positions, iter_cycle_blocks, require_square
+from .core import CycleSelection, _column_walks, _cycle_ranges, cycle_positions, require_square
 from .sparse import SparseCycleMatrix, sparsify
 
 __all__ = [
@@ -131,10 +131,9 @@ def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> 
     js = sel.as_array()
     phase = np.exp(-2j * np.pi * (np.outer(np.arange(n), js) % n) / n)  # w^{qj}, (n, k)
     h = np.empty((n, k), dtype=np.complex128)
-    for ks, cols, block in iter_cycle_blocks(a):
-        walk = np.empty_like(block)
-        np.put_along_axis(walk, cols, block, axis=1)
-        h[ks] = walk @ phase
+    for ks in _cycle_ranges(n):
+        block = _column_walks(a, ks.start, np.empty((len(ks), n), dtype=np.complex128))
+        h[ks.start : ks.stop] = block @ phase
     walks = np.fft.fft(phase * h, axis=0) / n  # column t: cycle js[t] on the column walk
     if counter is not None:
         counter.ops = (counter.ops or 0) + k * n * (n + 1 + (n - 1).bit_length())

@@ -7,6 +7,7 @@ import pytest
 from cspc.core import (
     CycleSelection,
     Toeplitz,
+    _column_walks,
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
@@ -173,25 +174,79 @@ def test_apply_cycle_mask_and_materialize():
         assert np.array_equal(cycle_norms(small), [np.linalg.norm(c) for c in per_cycle])
     blocks = list(iter_cycle_blocks(big))
     assert len(blocks) > 1
-    assert [k for ks, _, _ in blocks for k in ks] == list(range(300))
-    for ks, cols, values in blocks:
+    assert [k for ks, _ in blocks for k in ks] == list(range(300))
+    for ks, values in blocks:
         assert np.array_equal(values, apply_cycle_mask(big, ks))
-        assert np.array_equal(cols, cycle_positions(300, ks)[1])
+        assert values.flags.c_contiguous and values.flags.owndata
 
 
 def test_iter_cycle_blocks_reads_any_layout():
-    # the flat gather copies a non-C-contiguous matrix once; the blocks
-    # are the 2-d gather's bit for bit
+    # a non-C-contiguous matrix is read in place through strided views;
+    # the blocks are the 2-d gather's bit for bit
     rng = np.random.default_rng(2)
     big = rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600))
     a = big[:300, :300].copy()
     for view in (a.T, np.asfortranarray(a), big[::2, ::2]):
         assert not view.flags.c_contiguous
         blocks = list(iter_cycle_blocks(view))
-        assert [k for ks, _, _ in blocks for k in ks] == list(range(300))
-        for ks, cols, values in blocks:
+        assert [k for ks, _ in blocks for k in ks] == list(range(300))
+        for ks, values in blocks:
             assert np.array_equal(values, apply_cycle_mask(view, ks))
-            assert np.array_equal(cols, cycle_positions(300, ks)[1])
+            assert values.flags.c_contiguous
+
+
+def _layouts(n, rng):
+    """Square n x n matrices in every layout the cycle reader must accept."""
+    big = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    a = big[:n, :n].copy()
+    toeplitz = Toeplitz(rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)).dense()
+    return {
+        "C": a,
+        "F": np.asfortranarray(a),
+        "T": a.T,
+        "every-other": big[::2, ::2],
+        "reversed": a[::-1, ::-1],
+        "toeplitz": toeplitz,
+        "toeplitz.T": toeplitz.T,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 255, 256, 300])
+def test_cycle_reader_matches_the_index_gather(n):
+    rng = np.random.default_rng(n)
+    rows, cols = cycle_positions(n, range(n))
+    for name, view in _layouts(n, rng).items():
+        blocks = list(iter_cycle_blocks(view))
+        assert [k for ks, _ in blocks for k in ks] == list(range(n)), name
+        # each block has one reading order: all column walks or all row walks
+        assert all(len({2 * k <= n for k in ks}) == 1 for ks, _ in blocks), name
+        if n > 2:  # cycles k > n / 2 exist
+            assert {2 * ks[0] <= n for ks, _ in blocks} == {True, False}, name
+        for ks, values in blocks:
+            assert values.flags.c_contiguous, name
+            assert np.array_equal(values, apply_cycle_mask(view, ks)), (name, ks)
+        # column walks: the reading order scattered back by column index
+        expected = np.empty((n, n), dtype=np.complex128)
+        np.put_along_axis(expected, cols, view[rows, cols], axis=1)
+        assert np.array_equal(_column_walks(view, 0, np.empty((n, n), dtype=np.complex128)), expected), name
+        for ks, _ in blocks:
+            walks = _column_walks(view, ks.start, np.empty((len(ks), n), dtype=np.complex128))
+            assert np.array_equal(walks, expected[ks.start : ks.stop]), (name, ks)
+
+
+def test_cycle_norms_read_a_toeplitz_view_in_place():
+    # a pass over the generators' read-only view holds a few blocks of
+    # 16k entries, not an n x n copy (64 MB at n = 2048)
+    n = 2048
+    a = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=4))[0]
+    tracemalloc.start()
+    try:
+        norms = cycle_norms(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (1 << 14) * 16
+    assert np.array_equal(norms, [np.linalg.norm(apply_cycle_mask(a, k)) for k in range(n)])
 
 
 def test_materialize_cycle_length_check():

@@ -11,6 +11,7 @@ from cspc.core import (
     ConfigError,
     CycleSelection,
     NumericalError,
+    Toeplitz,
     apply_cycle_mask,
     cycle_positions,
     fourier_matrix,
@@ -60,6 +61,21 @@ def test_cycle_decompose_recompose_random():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
     assert np.allclose(recompose_cycles(cycle_decompose(a)), a, atol=1e-14)
+
+
+def test_cycle_decompose_holds_one_n_by_n_array():
+    # filled block by block from the cycle reader; the n x n gather
+    # apply_cycle_mask(a, range(n)) also built two n x n int64 index arrays
+    n = 512
+    a = np.random.default_rng(6).standard_normal((n, n)) + 0j
+    tracemalloc.start()
+    try:
+        dec = cycle_decompose(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 16
+    assert np.array_equal(dec.cycles, apply_cycle_mask(a, range(n)))
 
 
 @pytest.mark.parametrize("route", [circulant_decompose_recursive, circulant_decompose_via_transform])
@@ -126,6 +142,34 @@ def test_real_routes_match_oracles(n):
         assert rep.relative_magnitude == pytest.approx(direct, abs=1e-12)
         assert rep.weighted_sum == pytest.approx(direct, abs=1e-12)
         assert np.abs(rep.partial_energies - energies).max() <= 1e-14
+
+
+def _via_put_along_axis(a):
+    """circulant_decompose_via_transform's first rows by the index route:
+    all cycles gathered in reading order, scattered to their column walks
+    with np.put_along_axis, one FFT each."""
+    a = np.asarray(a, dtype=np.complex128)
+    n = a.shape[0]
+    real = not a.imag.any()
+    rows, cols = cycle_positions(n, range(n))
+    walks = np.empty((n, n), dtype=np.float64 if real else np.complex128)
+    np.put_along_axis(walks, cols, a.real[rows, cols] if real else a[rows, cols], axis=1)
+    spectra = (np.fft.rfft if real else np.fft.fft)(walks, axis=1, norm="forward")
+    first_rows = np.empty((n, n), dtype=np.complex128)
+    first_rows[: spectra.shape[1], (-np.arange(n)) % n] = spectra.T
+    if real:
+        np.conjugate(first_rows[1 : (n + 1) // 2], out=first_rows[n - 1 : n // 2 : -1])
+    return first_rows
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 256, 300])
+def test_via_transform_matches_the_index_route_bit_for_bit(n):
+    rng = np.random.default_rng(n + 700)
+    complex_a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    toeplitz = Toeplitz(rng.standard_normal(2 * n - 1) + 0j).dense()
+    for a in (complex_a, complex_a.real, complex_a.T, toeplitz, toeplitz * 1j):
+        got = np.array([c.first_row for c in circulant_decompose_via_transform(a)])
+        assert np.array_equal(got, _via_put_along_axis(a))
 
 
 def test_via_transform_never_forms_b(monkeypatch):
