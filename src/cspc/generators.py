@@ -5,12 +5,18 @@ and Toeplitz matrices built from a symbol.
 All randomness comes from numpy's PCG64 generator seeded from the spec,
 so a spec regenerates its matrix bit for bit.  Entries are drawn N(0,1)
 real and stored complex.
+
+KIND_FIELDS names the spec fields each kind's generator reads besides
+kind, n and seed, and FORM_FIELDS the symbol fields each form reads
+besides form.  Any other field must keep its default, or the spec raises
+ConfigError, and the JSON form holds exactly the fields that are read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -29,7 +35,36 @@ __all__ = [
     "banded_diag_sequence",
 ]
 
-KINDS = ("toeplitz", "block_toeplitz", "quasi_periodic", "example1", "symbol_toeplitz")
+KIND_FIELDS = {
+    "toeplitz": ("symmetric",),
+    "block_toeplitz": ("m", "symmetric", "make_pd", "target_condition"),
+    "quasi_periodic": ("periods",),
+    "example1": (),
+    "symbol_toeplitz": ("symbol",),
+}
+FORM_FIELDS = {
+    "banded": ("trig",),
+    "product": ("poly", "trig", "truncation"),
+    "sum": ("poly", "trig", "truncation"),
+}
+# the type each scalar spec field must have, whatever the kind
+_SCALAR_TYPES = {
+    "n": numbers.Integral,
+    "seed": numbers.Integral,
+    "m": numbers.Integral,
+    "symmetric": bool,
+    "make_pd": bool,
+    "target_condition": numbers.Real,
+}
+
+
+def _reject_unread(spec, label: str, read: tuple) -> None:
+    """ConfigError when a field outside read differs from its default."""
+    unread = [
+        f.name for f in fields(spec) if f.name not in read and getattr(spec, f.name) != f.default
+    ]
+    if unread:
+        raise ConfigError(f"{label} does not read {unread}; it reads only {list(read)}")
 
 
 @dataclass(frozen=True)
@@ -37,13 +72,13 @@ class SymbolSpec:
     """A function on the unit circle given as polynomial and trig parts.
 
     form selects how the parts combine at angle theta:
-      * "banded":  sum_k trig[k] * exp(i*k*theta)          (poly ignored)
+      * "banded":  sum_k trig[k] * exp(i*k*theta)
       * "product": poly(theta) * sum_k trig[k] * exp(i*k*theta)
       * "sum":     poly(theta) + sum_k trig[k] * exp(i*k*theta)
 
     poly holds ascending power coefficients in theta.  truncation bounds
     the Fourier orders kept when building a matrix from a non-banded
-    form; None means n-1.
+    form; None means n-1.  A banded form reads trig alone (FORM_FIELDS).
     """
 
     form: str
@@ -52,31 +87,37 @@ class SymbolSpec:
     truncation: int | None = None
 
     def __post_init__(self):
-        if self.form not in ("banded", "product", "sum"):
+        if self.form not in FORM_FIELDS:
             raise ConfigError(f"unknown symbol form {self.form!r}")
         object.__setattr__(self, "poly", tuple(complex(c) for c in self.poly))
         object.__setattr__(
             self, "trig", tuple((int(k), complex(a)) for k, a in dict(self.trig).items())
         )
+        _reject_unread(self, f"symbol form {self.form!r}", ("form", *FORM_FIELDS[self.form]))
+        if self.truncation is not None and not (
+            isinstance(self.truncation, numbers.Integral) and self.truncation >= 0
+        ):
+            raise ConfigError(f"truncation must be an integer >= 0 or None, got {self.truncation!r}")
         if self.form == "banded" and not self.trig:
             raise ConfigError("banded symbol needs at least one trig coefficient")
 
     def to_json_dict(self) -> dict:
-        return {
+        d = {
             "form": self.form,
             "poly": [[c.real, c.imag] for c in self.poly],
             "trig": [[k, a.real, a.imag] for k, a in self.trig],
             "truncation": self.truncation,
         }
+        return {name: d[name] for name in ("form", *FORM_FIELDS[self.form])}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SymbolSpec":
-        return cls(
-            form=d["form"],
-            poly=tuple(complex(re, im) for re, im in d.get("poly", ())),
-            trig={int(k): complex(re, im) for k, re, im in d.get("trig", ())},
-            truncation=d.get("truncation"),
-        )
+        d = dict(d)
+        if "poly" in d:
+            d["poly"] = tuple(complex(re, im) for re, im in d["poly"])
+        if "trig" in d:
+            d["trig"] = {int(k): complex(re, im) for k, re, im in d["trig"]}
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -85,7 +126,6 @@ class StructuredMatrixSpec:
     n: int
     m: int = 1
     periods: tuple[int, ...] = ()
-    period_weights: tuple[float, ...] | None = None
     symmetric: bool = False
     seed: int = 0
     symbol: SymbolSpec | None = None
@@ -93,46 +133,47 @@ class StructuredMatrixSpec:
     target_condition: float = 1.0e4
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown matrix kind {self.kind!r}, expected one of {KINDS}")
+        if self.kind not in KIND_FIELDS:
+            raise ConfigError(f"unknown matrix kind {self.kind!r}, expected one of {[*KIND_FIELDS]}")
+        for name, want in _SCALAR_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, want):
+                raise ConfigError(f"{name} must be {want.__name__.lower()}, got {value!r}")
+        if not all(isinstance(p, numbers.Integral) for p in self.periods):
+            raise ConfigError(f"periods must be integers, got {self.periods!r}")
         if self.n < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "periods", tuple(int(p) for p in self.periods))
-        if self.period_weights is not None:
-            object.__setattr__(
-                self, "period_weights", tuple(float(w) for w in self.period_weights)
-            )
+        _reject_unread(self, f"kind {self.kind!r}", ("kind", "n", "seed", *KIND_FIELDS[self.kind]))
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "periods": list(self.periods),
-            "period_weights": None if self.period_weights is None else list(self.period_weights),
-            "symmetric": self.symmetric,
-            "seed": self.seed,
-            "symbol": None if self.symbol is None else self.symbol.to_json_dict(),
-            "make_pd": self.make_pd,
-            "target_condition": self.target_condition,
-        }
+        """kind, n, seed and the kind's own fields: what the generator reads."""
+        d = {name: getattr(self, name) for name in ("kind", "n", "seed", *KIND_FIELDS[self.kind])}
+        if self.symbol is not None:
+            d["symbol"] = self.symbol.to_json_dict()
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StructuredMatrixSpec":
-        d = dict(d)
-        sym = d.get("symbol")
-        if sym is not None:
-            d["symbol"] = SymbolSpec.from_json_dict(sym)
-        if "periods" in d:
-            d["periods"] = tuple(d["periods"])
-        if d.get("period_weights") is not None:
-            d["period_weights"] = tuple(d["period_weights"])
-        return cls(**d)
+        """The spec a JSON object describes; any malformed one raises ConfigError."""
+        try:
+            d = dict(d)
+            if d.get("symbol") is not None:
+                d["symbol"] = SymbolSpec.from_json_dict(d["symbol"])
+            return cls(**d)
+        except (TypeError, ValueError) as e:  # ConfigError included
+            raise ConfigError(f"malformed spec: {e}") from e
 
     @classmethod
     def from_json_file(cls, path) -> "StructuredMatrixSpec":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+        try:
+            with open(path) as f:
+                d = json.load(f)
+        except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
+            raise ConfigError(f"cannot read spec file {path}: {e}") from e
+        return cls.from_json_dict(d)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -224,9 +265,8 @@ def gen_quasi_periodic(spec: StructuredMatrixSpec) -> np.ndarray:
     """Each of the 2n-1 diagonals gets its own period drawn from the list
     and a fresh random pattern of that length tiled along it.
 
-    Periods are drawn per diagonal with the given weights (uniform when
-    omitted), in diagonal order d = -(n-1) .. n-1.  Tiling starts at the
-    first element of the diagonal.
+    Periods are drawn uniformly per diagonal, in diagonal order
+    d = -(n-1) .. n-1.  Tiling starts at the first element of the diagonal.
     """
     if spec.kind != "quasi_periodic":
         raise ConfigError(f"gen_quasi_periodic got kind {spec.kind!r}")
@@ -234,18 +274,12 @@ def gen_quasi_periodic(spec: StructuredMatrixSpec) -> np.ndarray:
         raise ConfigError("quasi_periodic needs a nonempty period list")
     if any(p < 1 for p in spec.periods):
         raise ConfigError(f"periods must be positive, got {spec.periods}")
-    weights = None
-    if spec.period_weights is not None:
-        if len(spec.period_weights) != len(spec.periods):
-            raise ConfigError("period_weights length must match periods")
-        w = np.asarray(spec.period_weights, dtype=float)
-        weights = w / w.sum()
     n = spec.n
     rng = _rng(spec.seed)
     a = np.zeros((n, n), dtype=np.complex128)
     idx = np.arange(n)
     for d in range(-(n - 1), n):
-        p = int(rng.choice(np.asarray(spec.periods), p=weights))
+        p = int(rng.choice(np.asarray(spec.periods)))
         pattern = rng.standard_normal(p)
         length = n - abs(d)
         tiled = np.resize(pattern, length)
@@ -342,11 +376,12 @@ def banded_diag_sequence(first_row, first_col, n: int) -> np.ndarray:
 
 
 def generate(spec: StructuredMatrixSpec):
-    """Build the matrix a spec describes.
+    """Build the matrix a spec describes, from the fields KIND_FIELDS
+    names for its kind plus n and seed.
 
-    Returns (matrix, info): info carries the seed echo plus per-kind
-    extras (the rhs for example1, the achieved
-    condition number when make_pd is set).
+    Returns (matrix, info): info echoes kind, n and seed, plus per-kind
+    extras (the rhs for example1, the shift and achieved condition number
+    when make_pd is set).
     """
     info: dict = {"kind": spec.kind, "n": spec.n, "seed": spec.seed}
     if spec.kind == "toeplitz":
@@ -358,12 +393,10 @@ def generate(spec: StructuredMatrixSpec):
     elif spec.kind == "example1":
         a, rhs = gen_example1(spec.n)
         info["rhs"] = rhs
-    elif spec.kind == "symbol_toeplitz":
+    else:  # symbol_toeplitz
         if spec.symbol is None:
             raise ConfigError("symbol_toeplitz spec needs a symbol")
         a = gen_symbol_toeplitz(spec.symbol, spec.n)
-    else:  # unreachable, kinds validated at construction
-        raise ConfigError(f"unknown kind {spec.kind!r}")
     return a, info
 
 

@@ -203,10 +203,13 @@ def pcg_solve(
     preconditioning).  Returns the solution and a report with the
     per-iteration relative residuals |b - A x| / |b|.  Definiteness is
     only checked along the way: a search direction with Re(p* A p) <= 0
-    raises NumericalError.  Hermitian symmetry is checked up front.  An
-    exactly Toeplitz A is applied through its circulant embedding (see
-    the module docstring); the report's matvec names the route.
+    raises NumericalError.  Hermitian symmetry and a finite tol > 0 are
+    checked up front and raise ConfigError.  An exactly Toeplitz A is
+    applied through its circulant embedding (see the module docstring);
+    the report's matvec names the route.
     """
+    if not 0 < tol < np.inf:  # also rejects nan
+        raise ConfigError(f"tolerance must be finite and > 0, got {tol}")
     a = require_square(a)
     n = a.shape[0]
     b = np.asarray(b, dtype=np.complex128).ravel()
@@ -218,7 +221,7 @@ def pcg_solve(
     else:
         route, matvec, defect = "toeplitz-fft", toeplitz.matvec, toeplitz.hermitian_defect()
     if defect > 1e-10:
-        raise ValueError("matrix is not Hermitian to working tolerance")
+        raise ConfigError("matrix is not Hermitian to working tolerance")
     if max_iter is None:
         max_iter = max(10 * n, 100)
 
@@ -271,12 +274,7 @@ class BenchmarkRow:
     source: str | None  # MaskPreconditioner.source; None without one
 
 
-def precond_benchmark(
-    spec: StructuredMatrixSpec,
-    budgets,
-    tol: float = 1e-6,
-    max_iter: int | None = None,
-) -> list[BenchmarkRow]:
+def precond_benchmark(spec: StructuredMatrixSpec, budgets, tol: float = 1e-6) -> list[BenchmarkRow]:
     """Iteration counts for no preconditioner, corner-block and cycle
     preconditioners over a list of nonzero budgets.
 
@@ -297,7 +295,7 @@ def precond_benchmark(
     rows = []
     for method, budget, build in runs:
         m = build()
-        _, rep = pcg_solve(a, rhs, m, tol=tol, max_iter=max_iter)
+        _, rep = pcg_solve(a, rhs, m, tol=tol)
         final = rep.relative_residuals[-1] if rep.relative_residuals else 0.0
         margin, source = (None, None) if m is None else (m.pd_margin, m.source)
         rows.append(

@@ -3,6 +3,7 @@ files, manifests and exit codes they are contracted to produce."""
 
 import csv
 import json
+import re
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,14 @@ import pytest
 import cspc
 from cspc.cli import _trial_seeds, build_parser, main
 from cspc.core import CycleSelection, apply_cycle_mask
-from cspc.generators import StructuredMatrixSpec, banded_diag_sequence, generate, with_seed
+from cspc.generators import (
+    FORM_FIELDS,
+    KIND_FIELDS,
+    StructuredMatrixSpec,
+    banded_diag_sequence,
+    generate,
+    with_seed,
+)
 from cspc.sparse import select_dominant_cycles
 from cspc.transform import similarity_transform
 
@@ -78,6 +86,10 @@ def test_subcommand_takes_only_the_flags_it_reads(name, tmp_path, capsys):
     assert _run(args) == 0
     manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
     assert set(manifest["config"]) == {"spec", "format", *declared}
+    # the spec echo holds what the generator read, and regenerates the spec
+    spec = manifest["config"]["spec"]
+    assert set(spec) == {"kind", "n", "seed", *KIND_FIELDS[spec["kind"]]}
+    assert StructuredMatrixSpec.from_json_dict(spec).to_json_dict() == spec
 
 
 def test_readme_command_lines_parse():
@@ -89,6 +101,20 @@ def test_readme_command_lines_parse():
     assert {parser.parse_args(shlex.split(line)[1:]).experiment for line in lines} == set(
         DECLARED_FLAGS
     )
+
+
+def _readme_fields(section, first_header):
+    """{first cell: backticked names in the second} of the table headed first_header."""
+    table = section.split(f"\n| {first_header} |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return {name.strip(" `"): tuple(re.findall(r"`(\w+)`", cell)) for name, cell in rows}
+
+
+def test_readme_spec_tables_match_the_fields_read():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert _readme_fields(section, "kind") == KIND_FIELDS
+    assert _readme_fields(section, "symbol form") == FORM_FIELDS
 
 
 def test_cycle_norms_output_and_manifest(tmp_path):
@@ -356,6 +382,56 @@ def test_malformed_tokens_and_zero_n_are_config_errors(tmp_path, capsys):
         assert _run(["cycle-norms", *args, "--out", out]) == 2
         assert "dimension must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _assert_config_error(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+MALFORMED_SPECS = {
+    "unknown key": '{"kind": "toeplitz", "n": 16, "size": 16}',
+    "string n": '{"kind": "toeplitz", "n": "16"}',
+    "fractional n": '{"kind": "toeplitz", "n": 16.5}',
+    "scalar periods": '{"kind": "quasi_periodic", "n": 16, "periods": 3}',
+    "top-level list": '[{"kind": "toeplitz", "n": 16}]',
+    "invalid JSON": '{"kind": "toeplitz", "n": 16',
+    "field the kind does not read": '{"kind": "toeplitz", "n": 16, "periods": [2]}',
+    "removed field": '{"kind": "toeplitz", "n": 16, "period_weights": null}',
+    "banded symbol with poly": json.dumps(
+        {"kind": "symbol_toeplitz", "n": 16,
+         "symbol": {"form": "banded", "trig": [[0, 2.0, 0.0]], "poly": [[1.0, 0.0]]}}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_SPECS, "missing file", "negative seed"])
+def test_malformed_spec_is_config_error(case, tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(MALFORMED_SPECS.get(case, '{"kind": "toeplitz", "n": 16}'))
+    args = ["cycle-norms", "--spec", spec_file, "--out", tmp_path / "x.csv"]
+    if case == "missing file":
+        spec_file.unlink()
+    if case == "negative seed":
+        _assert_config_error(_run([*args, "--seed", "-1"]), capsys)
+        args = ["cycle-norms", "--n", "16", "--seed", "-1", "--out", tmp_path / "x.csv"]
+    _assert_config_error(_run(args), capsys)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_precond_table_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
+    args = ["precond-table", "--n", "64", "--budgets", "n", "--tol", tol]
+    _assert_config_error(_run([*args, "--out", tmp_path / "t.csv"]), capsys)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_precond_table_on_non_hermitian_input_is_config_error(tmp_path, capsys):
+    spec_file = tmp_path / "nonsym.json"
+    spec_file.write_text(json.dumps({"kind": "toeplitz", "n": 64, "seed": 1}))
+    args = ["precond-table", "--spec", spec_file, "--budgets", "n", "--out", tmp_path / "t.csv"]
+    _assert_config_error(_run(args), capsys)
 
 
 def test_numerical_failure_exit_code(tmp_path):

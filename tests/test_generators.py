@@ -1,6 +1,8 @@
 """Structured matrix generators: determinism, the structural invariants each
 kind promises, and the symbol machinery."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +10,8 @@ import scipy.linalg
 from cspc.core import ConfigError, CycleSelection, Toeplitz
 from cspc.decomposition import dominance_relation
 from cspc.generators import (
+    FORM_FIELDS,
+    KIND_FIELDS,
     StructuredMatrixSpec,
     SymbolSpec,
     banded_diag_sequence,
@@ -29,11 +33,53 @@ def _diags(a):
     return {d: np.diagonal(a, d) for d in range(-(n - 1), n)}
 
 
+# a value other than the default for every spec and symbol field
+NON_DEFAULT = {
+    "m": 2,
+    "periods": (2, 3),
+    "symmetric": True,
+    "symbol": SymbolSpec(form="product", poly=(1.0, 1.0), trig={1: 1.0}),
+    "make_pd": True,
+    "target_condition": 50.0,
+}
+SYMBOL_NON_DEFAULT = {"poly": (1.0, 0.5), "trig": {0: 2.0, 1: -1.0}, "truncation": 3}
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         StructuredMatrixSpec(kind="hankel", n=4)
     with pytest.raises(ConfigError):
         StructuredMatrixSpec(kind="toeplitz", n=0)
+    malformed = [{"n": "16"}, {"n": 16.5}, {"seed": 1.0}, {"seed": -1}, {"m": 2.5},
+                 {"symmetric": "no"}, {"make_pd": 1}, {"target_condition": "50"}, {"periods": [2.7]}]
+    for bad in malformed:
+        with pytest.raises(ConfigError):
+            StructuredMatrixSpec(**{"kind": "block_toeplitz", "n": 16, **bad})
+    for truncation in (2.5, -1):
+        with pytest.raises(ConfigError):
+            SymbolSpec(form="product", trig={1: 1.0}, truncation=truncation)
+    assert StructuredMatrixSpec(kind="toeplitz", n=np.int64(16), seed=np.uint64(2**63)).n == 16
+
+
+@pytest.mark.parametrize("kind", KIND_FIELDS)
+def test_spec_takes_only_the_fields_its_kind_reads(kind):
+    for field, value in NON_DEFAULT.items():
+        if field not in KIND_FIELDS[kind]:
+            with pytest.raises(ConfigError, match=field):
+                StructuredMatrixSpec(kind=kind, n=4, **{field: value})
+    # defaults given explicitly are not a misuse
+    StructuredMatrixSpec(kind=kind, n=4, m=1, periods=[], symmetric=False, target_condition=1e4)
+
+
+def test_symbol_takes_only_the_fields_its_form_reads():
+    for form, read in FORM_FIELDS.items():
+        for field, value in SYMBOL_NON_DEFAULT.items():
+            if field not in read:
+                with pytest.raises(ConfigError, match=field):
+                    SymbolSpec(form=form, **{"trig": {0: 1.0}, field: value})
+    assert SymbolSpec(form="banded", trig={0: 1.0}, poly=[], truncation=None).to_json_dict() == {
+        "form": "banded", "trig": [[0, 1.0, 0.0]]
+    }
 
 
 def test_spec_json_round_trip():
@@ -45,6 +91,17 @@ def test_spec_json_round_trip():
     sym = SymbolSpec(form="product", poly=(1.0, 1.0), trig={1: 1.0})
     spec2 = StructuredMatrixSpec(kind="symbol_toeplitz", n=8, symbol=sym)
     assert StructuredMatrixSpec.from_json_dict(spec2.to_json_dict()) == spec2
+    # every kind with every field it reads set, through the JSON text
+    for kind, read in KIND_FIELDS.items():
+        spec = StructuredMatrixSpec(kind=kind, n=8, seed=3, **{f: NON_DEFAULT[f] for f in read})
+        d = spec.to_json_dict()
+        assert set(d) == {"kind", "n", "seed", *read}
+        assert StructuredMatrixSpec.from_json_dict(json.loads(json.dumps(d))) == spec
+    for form, read in FORM_FIELDS.items():
+        sym = SymbolSpec(form=form, **{f: SYMBOL_NON_DEFAULT[f] for f in read})
+        d = sym.to_json_dict()
+        assert set(d) == {"form", *read}
+        assert SymbolSpec.from_json_dict(json.loads(json.dumps(d))) == sym
 
 
 def test_toeplitz_constant_diagonals_and_determinism():
