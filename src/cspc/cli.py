@@ -26,7 +26,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .core import ConfigError, CycleSelection, NumericalError, cycle_norms, cycle_positions
+from .core import (
+    ConfigError,
+    CycleSelection,
+    NumericalError,
+    cycle_norms,
+    cycle_positions,
+    keep_cycles,
+)
 from .generators import (
     StructuredMatrixSpec,
     SymbolSpec,
@@ -36,12 +43,10 @@ from .generators import (
 )
 from .precond import precond_benchmark
 from .sparse import (
-    approx_eigenvalues,
     direct_sparsify,
     eigen_error_report,
     select_dominant_cycles,
     selections_from_norms,
-    sparsify,
     spectrum,
 )
 from .transform import similarity_transform
@@ -100,32 +105,36 @@ def run_cycle_norms(cfg: ExperimentConfig) -> str:
 
 
 def _eig_error_stats(
-    a: np.ndarray,
+    a_norm: float,
     b: np.ndarray,
     norms: np.ndarray,
     reference: np.ndarray,
     sel: CycleSelection,
     solvers: Counter,
+    kept: np.ndarray | None = None,
 ) -> tuple[float, float, float]:
     """(mean, std) relative eigenvalue error of the cycles sel of b = W A W*
-    against the reference eigenvalues of a, and |B - B~|_F / |A|_F.
+    against the reference eigenvalues of A, and |B - B~|_F / |A|_F, with
+    a_norm = |A|_F.
 
-    B - B~ is the dropped cycles, so the ratio is the l2 norm of their
-    norms (norms holds all n cycle norms of b), with no n x n difference,
-    and reads exactly 0 when every cycle is kept.
+    B~ is b masked to the cycles sel (core.keep_cycles), written into kept
+    when given.  B - B~ is the dropped cycles, so the ratio is the l2 norm
+    of their norms (norms holds all n cycle norms of b), with no n x n
+    difference, and reads exactly 0 when every cycle is kept.
     """
-    rep = eigen_error_report(approx_eigenvalues(sparsify(b, sel), solvers), reference)
+    rep = eigen_error_report(spectrum(keep_cycles(b, sel.indices, kept), solvers), reference)
     dropped = np.delete(norms, sel.as_array())
-    ratio = float(np.linalg.norm(dropped) / np.linalg.norm(a, "fro"))
+    ratio = float(np.linalg.norm(dropped) / a_norm)
     return rep.mean_relative_error, rep.std_relative_error, ratio
 
 
 def _solver_counts(solvers: Counter) -> dict:
-    """Manifest fields: how many spectra each solver computed, and how many
-    of them were solved as a real matrix."""
+    """Manifest fields: how many spectra each solver computed, how many of
+    them were solved as a real matrix, and how many of those in two halves."""
     return {
         "spectra": {name: solvers[name] for name in ("eigvalsh", "eigvals")},
         "real_form": solvers["real_form"],
+        "split": solvers["split"],
     }
 
 
@@ -145,7 +154,8 @@ def run_eig_errors(cfg: ExperimentConfig) -> str:
         # one norm scan per trial ranks every k and prices what each drops
         norms = cycle_norms(b)
         sels = selections_from_norms(norms, cycles)
-        stats = [_eig_error_stats(a, b, norms, reference, sel, solvers) for sel in sels]
+        a_norm, kept = np.linalg.norm(a, "fro"), np.empty_like(b)
+        stats = [_eig_error_stats(a_norm, b, norms, reference, sel, solvers, kept) for sel in sels]
         return stats, [len(sel) for sel in sels]
 
     stats, sizes = zip(*(one(seed) for seed in _trial_seeds(cfg.seed, cfg.flags["trials"])))
@@ -184,7 +194,7 @@ def run_eig_vs_n(cfg: ExperimentConfig) -> str:
             a, _ = generate(with_seed(spec_n, seed))
             b = similarity_transform(a)
             reference = spectrum(a, solvers)
-            return _eig_error_stats(a, b, cycle_norms(b), reference, sel, solvers)
+            return _eig_error_stats(np.linalg.norm(a, "fro"), b, cycle_norms(b), reference, sel, solvers)
 
         stats = np.array([one(seed) for seed in seeds])
         rows.append(
@@ -207,8 +217,8 @@ def run_sparsifier_compare(cfg: ExperimentConfig) -> str:
     def one(seed):
         a, _ = generate(with_seed(cfg.spec, seed))
         b = similarity_transform(a)
-        sp = sparsify(b, select_dominant_cycles(b, k))
-        cyc = float(np.mean(np.abs(approx_eigenvalues(sp))))
+        kept = keep_cycles(b, select_dominant_cycles(b, k).indices)
+        cyc = float(np.mean(np.abs(spectrum(kept))))
         direct = float(np.mean(np.abs(spectrum(direct_sparsify(a, nnz)))))
         return cyc, direct
 

@@ -14,7 +14,9 @@ every other module: cycle_positions fixes the order in which a cycle's
 entries are read.  The index gathers and scatters (apply_cycle_mask,
 materialize_cycle, sparse's densify and to_scipy) use its positions;
 iter_cycle_blocks reads all cycles through strided views of the matrix
-instead, in the same order, which the tests check entry for entry.
+instead, in the same order, which the tests check entry for entry, and
+keep_cycles masks a matrix to some of its cycles through a strided view
+of their indicator.
 
 Toeplitz is the one representation of a Toeplitz matrix: its 2n - 1
 diagonals, from which its product, norms and the entries of its
@@ -41,9 +43,11 @@ __all__ = [
     "relaxation_diagonal",
     "hermitian_defect",
     "reflection_defect",
+    "reflect_columns",
     "Toeplitz",
     "cycle_positions",
     "apply_cycle_mask",
+    "keep_cycles",
     "iter_cycle_blocks",
     "cycle_norms",
     "materialize_cycle",
@@ -131,14 +135,18 @@ def _mirror_defect(m: np.ndarray, mirror) -> float:
     """|m - conj(M)|_F / |m|_F of square matrix m, M its mirror image;
     0.0 for the zero matrix.
 
-    mirror(r) gives the rows r (a slice) of M.  Summed over blocks of 32
-    rows, so the temporaries are 32 x n and nothing of size n x n is
-    formed.
+    mirror(r, out) writes the rows r (a slice) of conj(M) into out.
+    Summed over blocks of 32 rows through one 32 x n buffer, so nothing of
+    size n x n is formed.
     """
+    n = m.shape[0]
+    buf = np.empty((min(n, _DEFECT_BLOCK_ROWS), n), m.dtype)
     diff2 = norm2 = 0.0
-    for r0 in range(0, m.shape[0], _DEFECT_BLOCK_ROWS):
-        r = slice(r0, r0 + _DEFECT_BLOCK_ROWS)
-        diff2 += np.linalg.norm(m[r] - mirror(r).conj()) ** 2
+    for r0 in range(0, n, _DEFECT_BLOCK_ROWS):
+        r = slice(r0, min(r0 + _DEFECT_BLOCK_ROWS, n))
+        diff = buf[: r.stop - r0]
+        mirror(r, diff)
+        diff2 += np.linalg.norm(np.subtract(m[r], diff, out=diff)) ** 2
         norm2 += np.linalg.norm(m[r]) ** 2
     return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
 
@@ -151,7 +159,15 @@ def hermitian_defect(m) -> float:
     without a complex copy.
     """
     m = _square(_as_matrix(m, np.complex128 if np.iscomplexobj(m) else np.float64))
-    return _mirror_defect(m, lambda r: m[:, r].T)
+    return _mirror_defect(m, lambda r, out: np.conjugate(m[:, r].T, out=out))
+
+
+def reflect_columns(x: np.ndarray, out: np.ndarray, op=np.positive) -> np.ndarray:
+    """out[:, q] = op(x[:, (-q) mod n]), the column reflection q -> -q:
+    column 0 stays and the others are read in reverse, from two slices."""
+    op(x[:, :1], out=out[:, :1])
+    op(x[:, :0:-1], out=out[:, 1:])
+    return out
 
 
 def reflection_defect(m) -> float:
@@ -163,11 +179,20 @@ def reflection_defect(m) -> float:
     ("centrohermitian") is similar to a real one.  (P m P)[p, q] =
     m[(-p) mod n, (-q) mod n]; summed as |m - conj(P m P)|_F, equal entry
     by entry, in blocks of 32 rows, so nothing of size n x n is formed.
+    Rows (-p) mod n, p >= 1, are m[:0:-1] read forward, and only the first
+    block adds row 0 ahead of them.
     """
     m = require_square(m)
-    reflect = -np.arange(m.shape[0]) % m.shape[0]
-    # rows (-r) mod n, columns reversed and rolled by one: (-q) mod n
-    return _mirror_defect(m, lambda r: np.roll(m[reflect[r], ::-1], 1, axis=1))
+    flipped = m[:0:-1]  # flipped[p - 1] is row (-p) mod n
+
+    def mirror(r, out):
+        if r.start:
+            rows = flipped[r.start - 1 : r.stop - 1]
+        else:
+            rows = np.concatenate((m[:1], flipped[: r.stop - 1]))
+        reflect_columns(rows, out, np.conjugate)
+
+    return _mirror_defect(m, mirror)
 
 
 class Toeplitz:
@@ -384,6 +409,34 @@ def apply_cycle_mask(a, k) -> np.ndarray:
     """
     a = require_square(a)
     return a[cycle_positions(a.shape[0], k)]
+
+
+def keep_cycles(a, k, out: np.ndarray | None = None) -> np.ndarray:
+    """Square matrix a with every entry off the cycles k set to zero: the
+    sum of materialize_cycle(apply_cycle_mask(a, j), n, j) over j in k,
+    entry for entry, with no index array.  Written into out (complex, n x n)
+    when given, so a caller masking one matrix many times reuses one
+    array, else into a new C-order array.
+
+    Entry (p, q) lies on cycle (p - q) mod n, so the mask is the circulant
+    of the indicator of k: a read-only strided view of that indicator
+    written twice, with entry (p, q) at offset n + p - q.
+    """
+    a = require_square(a)
+    n = a.shape[0]
+    ks = np.asarray(k, dtype=np.int64)
+    if ks.size and not (0 <= ks.min() and ks.max() <= n - 1):
+        raise ValueError(f"cycle index {k} out of range [0, {n - 1}]")
+    kept = np.zeros(2 * n, dtype=bool)
+    kept[ks] = True
+    kept[n:] = kept[:n]
+    step = kept.strides[0]
+    mask = np.lib.stride_tricks.as_strided(kept[n:], (n, n), (step, -step), writeable=False)
+    if out is None:
+        return np.where(mask, a, 0)
+    out[...] = 0
+    np.copyto(out, a, where=mask)
+    return out
 
 
 def _cycle_ranges(n: int):

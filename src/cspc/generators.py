@@ -90,9 +90,11 @@ class SymbolSpec:
         if self.form not in FORM_FIELDS:
             raise ConfigError(f"unknown symbol form {self.form!r}")
         object.__setattr__(self, "poly", tuple(complex(c) for c in self.poly))
-        object.__setattr__(
-            self, "trig", tuple((int(k), complex(a)) for k, a in dict(self.trig).items())
-        )
+        trig = self.trig.items() if isinstance(self.trig, dict) else self.trig
+        object.__setattr__(self, "trig", tuple((int(k), complex(a)) for k, a in trig))
+        orders = [k for k, _ in self.trig]
+        if len(set(orders)) < len(orders):
+            raise ConfigError(f"trig repeats an order: {orders}")
         _reject_unread(self, f"symbol form {self.form!r}", ("form", *FORM_FIELDS[self.form]))
         if self.truncation is not None and not (
             isinstance(self.truncation, numbers.Integral) and self.truncation >= 0
@@ -116,7 +118,7 @@ class SymbolSpec:
         if "poly" in d:
             d["poly"] = tuple(complex(re, im) for re, im in d["poly"])
         if "trig" in d:
-            d["trig"] = {int(k): complex(re, im) for k, re, im in d["trig"]}
+            d["trig"] = tuple((k, complex(re, im)) for k, re, im in d["trig"])
         return cls(**d)
 
 

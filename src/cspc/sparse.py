@@ -6,8 +6,8 @@ largest l2 norm, and treat the rest as the perturbation Delta.  Because
 distinct cycles are orthogonal slices of the matrix, norm bookkeeping is
 exact: |B|_F^2 = |B~|_F^2 + |Delta|_F^2.
 
-Four rules keep Hermitian problems Hermitian, real problems real and
-their statistics well defined:
+Five rules keep Hermitian problems Hermitian, real problems real, large
+problems halved and their statistics well defined:
 
 * Selection never splits a tied reflection pair.  For Hermitian B the
   cycles j and n - j have equal norms, and a top-k cut that kept one
@@ -19,6 +19,13 @@ their statistics well defined:
   form: its real part when Im m is zero, or Q* m Q when conj(m) = P m P
   for the index reflection P (to n * eps relative), as holds for
   B = W A W* of a real A and every reflection-closed B~ of it.
+* spectrum() splits a real symmetric problem in half when the reflection
+  that goes with its real form block-diagonalizes it: J (t <-> n - 1 - t)
+  for m.real, and G = H J H = cos(theta_q) P - diag(sin(theta_q)),
+  theta_q = 2 pi q / n, for Re m - Im m P, which equals H m~ H for the
+  Hartley matrix H = Re W - Im W and m~ = W* m W.  Both swap index pairs,
+  so the halves cost O(n^2), and an off-diagonal block at most
+  n * eps * |M|_F certifies them (Weyl); otherwise M is solved whole.
 * Two real spectra (to roundoff) are matched by sorting both, the
   canonical matching that minimizes the total |lambda - lambda~|;
   complex spectra go through an optimal assignment.
@@ -40,6 +47,7 @@ from .core import (
     cycle_norms,
     cycle_positions,
     hermitian_defect,
+    reflect_columns,
     reflection_defect,
     require_square,
 )
@@ -182,16 +190,78 @@ def direct_sparsify(a, nnz: int) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def _real_form(m: np.ndarray) -> np.ndarray | None:
-    """The real matrix spectrum() solves in place of m, or None."""
-    n = m.shape[0]
+def _real_form(m: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """The real matrix spectrum() solves in place of m, and whether it was
+    taken through the index reflection; None when m has no real form."""
     if not m.imag.any():
-        return m.real
+        return m.real, False
+    n = m.shape[0]
     if reflection_defect(m) > n * np.finfo(float).eps:
         return None
-    # columns (-q) mod n: reversed, then rolled by one
-    out = np.roll(m.imag[:, ::-1], 1, axis=1)
-    return np.subtract(m.real, out, out=out)
+    out = reflect_columns(m.imag, np.empty((n, n)))
+    return np.subtract(m.real, out, out=out), True
+
+
+def _pair_rows(x: np.ndarray, first: int, c, s, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = V^T x for the pair reflection of _halves: the n - n // 2 rows
+    of V+^T x, then the n // 2 rows of V-^T x.
+
+    Index first + t pairs with n - 1 - t for t < p: the pair's + row is
+    c_t x[first + t] + s_t x[n - 1 - t] and its - row c_t x[n - 1 - t] -
+    s_t x[first + t], with c and s of shape (p, 1), or scalars, and tmp
+    a p x n scratch array.  Rows below first are + rows as they are, and
+    the middle row left over when n - first is odd is a + row when
+    first = 0, a - row otherwise.
+    """
+    n = x.shape[0]
+    p = (n - first) // 2
+    lo, hi = x[first : first + p], x[n - 1 : n - 1 - p : -1]
+    plus, minus = out[: n - n // 2], out[n - n // 2 :]
+    plus[:first] = x[:first]
+    np.multiply(lo, c, out=plus[first : first + p])
+    plus[first : first + p] += np.multiply(hi, s, out=tmp)
+    np.multiply(hi, c, out=minus[:p])
+    minus[:p] -= np.multiply(lo, s, out=tmp)
+    if first + 2 * p < n:
+        (minus if first else plus)[-1] = x[first + p]
+
+
+def _halves(m: np.ndarray, reflected: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two diagonal blocks of V^T m V, for the real symmetric m and the
+    pair reflection its real form commutes with, or None when the
+    off-diagonal block exceeds n * eps * |m|_F.
+
+    V = [V+ V-] holds the +1 and -1 eigenvectors of a symmetric
+    reflection that swaps index pairs, each pair's +1 vector (cos phi,
+    sin phi) and -1 vector (-sin phi, cos phi), so an m that commutes with
+    it is block diagonal in that basis:
+
+    * m.real of an m with Im m zero: J, the reversal t -> n - 1 - t, pairs
+      (t, n - 1 - t) at phi = pi / 4, the middle index of odd n in + (the
+      centrosymmetric split of Cantoni & Butler, LAA 13, 1976).
+    * Re m - Im m P: G = H J H = cos(theta_q) P - diag(sin(theta_q)),
+      theta_q = 2 pi q / n and H the Hartley matrix, since that real form
+      is H m~ H for m~ = W* m W.  Pairs (q, n - q) at phi = pi / 4 +
+      pi q / n; q = 0 is in + and, for even n, q = n / 2 in -.
+
+    Both stages combine rows, in O(n^2) through slices and with no index
+    array: V^T m, then V^T (V^T m)^T after one transposing copy, so the
+    blocks are those of V^T m^T V, the same as V^T m V's for symmetric m.
+    """
+    n = m.shape[0]
+    first = int(reflected)
+    if reflected:
+        phi = np.pi / 4 + (np.pi / n) * np.arange(1, (n - 1) // 2 + 1)[:, None]
+        c, s = np.cos(phi), np.sin(phi)
+    else:
+        c = s = np.sqrt(0.5)
+    vmv, tmp = np.empty((n, n)), np.empty(((n - first) // 2, n))
+    _pair_rows(m, first, c, s, vmv, tmp)
+    _pair_rows(vmv.T.copy(), first, c, s, vmv, tmp)
+    k = n - n // 2
+    if np.linalg.norm(vmv[k:, :k]) > n * np.finfo(float).eps * np.linalg.norm(vmv):
+        return None
+    return vmv[:k, :k], vmv[k:, k:]
 
 
 def spectrum(m, solvers: Counter | None = None) -> np.ndarray:
@@ -203,8 +273,9 @@ def spectrum(m, solvers: Counter | None = None) -> np.ndarray:
     triangle) returns the eigenvalues as a real array in ascending order;
     otherwise np.linalg.eigvals returns them as a complex128 array.  A
     solver that fails to converge raises NumericalError.  When solvers is
-    given, it counts the solver that ran ("eigvalsh" or "eigvals") and
-    "real_form" when the matrix solved was real.
+    given, it counts the solver that ran ("eigvalsh" or "eigvals"),
+    "real_form" when the matrix solved was real and "split" when it was
+    solved in two halves (below).
 
     The real form is m.real when Im m is exactly zero.  Otherwise, if
     conj(m) = P m P to n * eps relative (core.reflection_defect), with P
@@ -213,16 +284,29 @@ def spectrum(m, solvers: Counter | None = None) -> np.ndarray:
     similar to the real M = Q* m Q = Re(m) - Im(m) P through the unitary
     Q = (I + iP) / sqrt(2) (Lee, LAA 29, 1980; Hill, Bates & Waters,
     SIMAX 11, 1990): M[p, q] = Re m[p, q] - Im m[p, (-q) mod n], one
-    column gather and a subtraction.  M is symmetric when m is Hermitian.
-    Every other m is solved as it is, in complex arithmetic.
+    column reflection and a subtraction.  M is symmetric when m is
+    Hermitian.  Every other m is solved as it is, in complex arithmetic.
+
+    A real symmetric M is then split in half through the pair reflection
+    that goes with its real form (J for m.real, G for Re m - Im m P; see
+    _halves).  When the off-diagonal block of V^T M V is at most
+    n * eps * |M|_F, as it is when m (for G, W* m W) is centrosymmetric,
+    eigvalsh runs on the two diagonal blocks, of sizes n - n // 2 and
+    n // 2, and their merged, sorted eigenvalues are returned.  The block
+    bounds the error of every eigenvalue (Weyl), so no structural guess
+    is made; otherwise M is solved whole.
     """
     m = require_square(m)
+    n = m.shape[0]
     real = _real_form(m)
     if real is not None:
-        m = real
-    hermitian = hermitian_defect(m) <= m.shape[0] * np.finfo(float).eps
+        m, reflected = real
+    hermitian = hermitian_defect(m) <= n * np.finfo(float).eps
+    halves = _halves(m, reflected) if hermitian and real is not None else None
     try:
-        if hermitian:
+        if halves is not None:
+            values = np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in halves]))
+        elif hermitian:
             values = np.linalg.eigvalsh(m)
         else:
             # numpy returns float64 when a real matrix has only real eigenvalues
@@ -233,6 +317,8 @@ def spectrum(m, solvers: Counter | None = None) -> np.ndarray:
         solvers["eigvalsh" if hermitian else "eigvals"] += 1
         if real is not None:
             solvers["real_form"] += 1
+        if halves is not None:
+            solvers["split"] += 1
     return values
 
 

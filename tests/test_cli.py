@@ -219,6 +219,23 @@ def test_eig_errors_manifest_records_kept_cycles_and_solvers(tmp_path):
     # A is real and every kept B~ is reflection-closed, so each is solved
     # through a real matrix
     assert manifest["real_form"] == trials * (1 + len(cycles))
+    # and each of those in two halves: A is centrosymmetric (split by J),
+    # and the real form of every B~ commutes with G = H J H
+    assert manifest["split"] == trials * (1 + len(cycles))
+
+
+@pytest.mark.parametrize("seed", [1, 38, 64])
+def test_eig_errors_every_cycle_kept_reads_roundoff(seed, tmp_path):
+    # with every cycle kept B~ = B is similar to A, so the k = n row is
+    # roundoff: at most n * eps = 5.7e-14.  Solved whole, seed 38 read
+    # 5.2e-14 to 6.6e-14 depending on the BLAS build; split, 9.5e-15.
+    n = 256
+    out = tmp_path / "errs.csv"
+    args = ["eig-errors", "--n", n, "--cycles", "1,4,16,64,256", "--trials", 4, "--seed", seed]
+    assert _run([*args, "--out", out]) == 0
+    _, rows = _read_csv(out)
+    assert rows[-1][0] == str(n)
+    assert float(rows[-1][1]) <= n * np.finfo(float).eps
 
 
 def test_eig_vs_n_sweep(tmp_path):
@@ -234,6 +251,9 @@ def test_eig_vs_n_sweep(tmp_path):
     manifest = json.loads((tmp_path / "vsn.csv.manifest.json").read_text())
     assert manifest["spectra"] == {"eigvalsh": 2 * 2 * 2, "eigvals": 0}
     assert manifest["real_form"] == 2 * 2 * 2
+    # a block-Toeplitz A with m = 5 is not centrosymmetric, so neither it
+    # nor its B~ splits in half
+    assert manifest["split"] == 0
     assert _run(["eig-vs-n", "--n", "50", "--out", tmp_path / "y.csv"]) == 2
     for trials in ("0", "-1"):
         assert _run(["eig-vs-n", "--n", "200", "--trials", trials, "--out", tmp_path / "y.csv"]) == 2
@@ -402,6 +422,10 @@ MALFORMED_SPECS = {
     "banded symbol with poly": json.dumps(
         {"kind": "symbol_toeplitz", "n": 16,
          "symbol": {"form": "banded", "trig": [[0, 2.0, 0.0]], "poly": [[1.0, 0.0]]}}
+    ),
+    "repeated trig order": json.dumps(
+        {"kind": "symbol_toeplitz", "n": 16,
+         "symbol": {"form": "banded", "trig": [[1, 1.0, 0.0], [1, 5.0, 0.0]]}}
     ),
 }
 

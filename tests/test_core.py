@@ -16,7 +16,9 @@ from cspc.core import (
     full_cycle_matrix,
     hermitian_defect,
     iter_cycle_blocks,
+    keep_cycles,
     materialize_cycle,
+    reflect_columns,
     reflection_defect,
     relaxation_diagonal,
     require_square,
@@ -247,6 +249,34 @@ def test_cycle_norms_read_a_toeplitz_view_in_place():
         tracemalloc.stop()
     assert peak < 4 * (1 << 14) * 16
     assert np.array_equal(norms, [np.linalg.norm(apply_cycle_mask(a, k)) for k in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 33])
+def test_keep_cycles_is_the_sum_of_the_kept_cycles(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    toeplitz, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=1))
+    some = sorted(set(rng.integers(0, n, 3).tolist()))
+    for a in (x, x.T, toeplitz, toeplitz.real):
+        for ks in ([0], [n - 1], some, list(range(n))):
+            want = sum(materialize_cycle(apply_cycle_mask(a, k), n, k) for k in ks)
+            got = keep_cycles(a, ks)
+            assert got.dtype == np.complex128 and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            out = np.full((n, n), np.nan, dtype=np.complex128)
+            assert keep_cycles(a, ks, out) is out
+            assert np.array_equal(out, want)
+    with pytest.raises(ValueError):
+        keep_cycles(x, [n])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_reflect_columns_is_the_index_reflection(n):
+    x = np.arange(n * n, dtype=float).reshape(n, n)
+    reflect = -np.arange(n) % n
+    assert np.array_equal(reflect_columns(x, np.empty((n, n))), x[:, reflect])
+    z = x + 1j * x.T
+    assert np.array_equal(reflect_columns(z, np.empty((n, n), complex), np.conjugate), z[:, reflect].conj())
 
 
 def test_materialize_cycle_length_check():

@@ -58,6 +58,11 @@ def test_spec_validation():
     for truncation in (2.5, -1):
         with pytest.raises(ConfigError):
             SymbolSpec(form="product", trig={1: 1.0}, truncation=truncation)
+    # a repeated order is an error, not the last coefficient silently kept
+    with pytest.raises(ConfigError, match="repeats"):
+        SymbolSpec.from_json_dict({"form": "banded", "trig": [[1, 1, 0], [1, 5, 0]]})
+    with pytest.raises(ConfigError, match="repeats"):
+        SymbolSpec(form="banded", trig=[(1, 1.0), (1, 5.0)])
     assert StructuredMatrixSpec(kind="toeplitz", n=np.int64(16), seed=np.uint64(2**63)).n == 16
 
 

@@ -12,6 +12,8 @@ from cspc.core import (
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
+    flip_matrix,
+    fourier_matrix,
     hermitian_defect,
     materialize_cycle,
     reflection_defect,
@@ -20,6 +22,7 @@ from cspc.decomposition import circulant_dense, cycle_weights
 from cspc.generators import StructuredMatrixSpec, generate
 from cspc.sparse import (
     SparseCycleMatrix,
+    _real_form,
     approx_eigenvalues,
     bauer_fike_bound,
     direct_sparsify,
@@ -241,14 +244,15 @@ def test_spectrum_real_form_matches_complex_solver(n, symmetric):
 
 
 def _record_solver_inputs(monkeypatch):
-    """Wrap np.linalg.eigvalsh/eigvals, recording (name, input dtype, output dtype)."""
+    """Wrap np.linalg.eigvalsh/eigvals, recording (name, input dtype,
+    output dtype, input shape)."""
     calls = []
     for name in ("eigvalsh", "eigvals"):
         solver = getattr(np.linalg, name)
 
         def wrapped(m, _name=name, _solver=solver):
             values = _solver(m)
-            calls.append((_name, m.dtype, values.dtype))
+            calls.append((_name, m.dtype, values.dtype, m.shape))
             return values
 
         monkeypatch.setattr(np.linalg, name, wrapped)
@@ -266,10 +270,11 @@ def test_spectrum_solver_sees_real_input_on_real_route(monkeypatch):
     calls = _record_solver_inputs(monkeypatch)
     for m in (a, closed, h):
         spectrum(m)
-    assert [(name, dtype) for name, dtype, _ in calls] == [
-        ("eigvalsh", np.float64),  # Im A is exactly zero
-        ("eigvalsh", np.float64),  # reflection-symmetric, through Q* m Q
-        ("eigvalsh", np.complex128),  # Hermitian, not reflection-symmetric
+    half = ("eigvalsh", np.float64, (n // 2, n // 2))
+    assert [(name, dtype, shape) for name, dtype, _, shape in calls] == [
+        half, half,  # Im A is exactly zero: the two halves of the split by J
+        half, half,  # reflection-symmetric, through Q* m Q: the halves of the split by G
+        ("eigvalsh", np.complex128, (n, n)),  # Hermitian, not reflection-symmetric
     ]
 
 
@@ -285,7 +290,7 @@ def test_spectrum_real_form_needs_reflection_symmetry(monkeypatch):
     want = np.linalg.eigvals(bumped)
     calls = _record_solver_inputs(monkeypatch)
     got = spectrum(bumped)
-    assert [(name, dtype) for name, dtype, _ in calls] == [("eigvals", np.complex128)]
+    assert [(name, dtype) for name, dtype, _, _ in calls] == [("eigvals", np.complex128)]
     assert np.array_equal(got, want)
 
 
@@ -299,7 +304,7 @@ def test_spectrum_real_form_returns_complex_for_real_eigenvalues(monkeypatch):
     calls = _record_solver_inputs(monkeypatch)
     got = spectrum(b)
     # numpy's eigvals returned float64 for the real matrix; spectrum does not
-    assert calls == [("eigvals", np.float64, np.float64)]
+    assert calls == [("eigvals", np.float64, np.float64, (n, n))]
     assert got.dtype == np.complex128
     assert np.allclose(np.sort(got.real), np.sort(np.diag(a)), rtol=0, atol=1e-12 * n)
     assert not got.imag.any()
@@ -316,6 +321,94 @@ def test_spectrum_counts_solvers():
     h = _random_b(n, 6)
     spectrum(h + h.conj().T, solvers)  # complex Hermitian
     assert solvers == Counter(eigvals=3, eigvalsh=1, real_form=2)
+    sym, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=4, symmetric=True))
+    spectrum(sym, solvers)  # real symmetric Toeplitz, split by J
+    spectrum(similarity_transform(sym), solvers)  # its real form, split by G
+    # one eigvalsh per spectrum, however many halves it was solved in
+    assert solvers == Counter(eigvals=3, eigvalsh=3, real_form=4, split=2)
+
+
+def _index_reflection(n):
+    """P, the permutation q -> (-q) mod n, as a dense matrix."""
+    p = np.zeros((n, n))
+    p[-np.arange(n) % n, np.arange(n)] = 1.0
+    return p
+
+
+def _pair_reflection_g(n):
+    """G = cos(theta_q) P - diag(sin(theta_q)), theta_q = 2 pi q / n."""
+    theta = 2 * np.pi * np.arange(n) / n
+    return np.cos(theta) * _index_reflection(n) - np.diag(np.sin(theta))
+
+
+def _hartley(n):
+    w = fourier_matrix(n)
+    return w.real - w.imag
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_pair_reflection_g_is_hartley_conjugate_of_j(n):
+    h = _hartley(n)
+    g = _pair_reflection_g(n)
+    assert np.abs(h @ h - np.eye(n)).max() <= 1e-14 * n
+    assert np.abs(g - h @ flip_matrix(n).real @ h).max() <= 1e-14 * n
+    # a symmetric reflection: G = G^T and G^2 = I
+    assert np.abs(g - g.T).max() <= 1e-15 * n
+    assert np.abs(g @ g - np.eye(n)).max() <= 1e-15 * n
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_real_form_of_reflection_closed_selection_commutes_with_g(n):
+    a, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=n, symmetric=True))
+    b = similarity_transform(a)
+    w, h, g = fourier_matrix(n), _hartley(n), _pair_reflection_g(n)
+    # Q = (I + iP) / sqrt(2), the unitary that takes m to its real form
+    q = (np.eye(n) + 1j * _index_reflection(n)) / np.sqrt(2)
+    for sel in selections_from_norms(cycle_norms(b), range(1, n + 1)):
+        m = sparsify(b, sel).densify()
+        real, reflected = _real_form(m)
+        assert reflected
+        scale = np.abs(real).max()
+        assert np.abs(real - q.conj().T @ m @ q).max() <= 1e-14 * n * scale
+        # the real form is H m~ H, m~ = W* m W the approximation of A
+        assert np.abs(real - h @ (w.conj().T @ m @ w) @ h).max() <= 1e-14 * n * scale
+        assert np.abs(real @ g - g @ real).max() <= 1e-14 * n * scale
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 65])
+@pytest.mark.parametrize("kind", ["toeplitz", "example1"])
+def test_split_spectrum_matches_unsplit(kind, n):
+    if kind == "toeplitz":
+        spec = StructuredMatrixSpec(kind=kind, n=n, seed=n, symmetric=True)
+    else:
+        spec = StructuredMatrixSpec(kind=kind, n=n)
+    a, _ = generate(spec)
+    b = similarity_transform(a)
+    ms = [a] + [sparsify(b, sel).densify() for sel in selections_from_norms(cycle_norms(b), (1, 3, 15, n))]
+    solvers = Counter()
+    for m in ms:
+        got = spectrum(m, solvers)
+        want = np.linalg.eigvalsh(m)  # complex Hermitian, whole
+        assert np.isrealobj(got) and np.all(np.diff(got) >= 0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert solvers == Counter(eigvalsh=len(ms), real_form=len(ms), split=len(ms))
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_spectrum_solves_whole_when_the_off_block_is_above_roundoff(n, monkeypatch):
+    a, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=3, symmetric=True))
+    eps = np.finfo(float).eps
+    bumped = np.array(a.real)
+    # symmetric and real, but no longer centrosymmetric: J bumped J != bumped
+    bump = 100 * n * eps * np.linalg.norm(bumped)
+    bumped[0, 1] += bump
+    bumped[1, 0] += bump
+    calls = _record_solver_inputs(monkeypatch)
+    solvers = Counter()
+    got = spectrum(bumped, solvers)
+    assert [(name, shape) for name, _, _, shape in calls] == [("eigvalsh", (n, n))]
+    assert solvers == Counter(eigvalsh=1, real_form=1)
+    assert np.array_equal(got, np.linalg.eigvalsh(bumped))
 
 
 def test_sorted_matching_is_l1_optimal():
