@@ -5,23 +5,28 @@ Each subcommand takes the common flags --spec, --n, --seed, --out and
 --format, plus only those of --cycles, --budgets, --tol and --trials that
 its runner reads (_EXPERIMENTS); any other flag is a usage error.
 
-Every run writes a manifest next to the data file (same path plus
-".manifest.json") echoing the spec, the format and the subcommand's own
-flags, the library version and the seed, which is enough to regenerate
-the data exactly.
+Each runner is a function (spec, flags) -> (header, rows, diagnostics),
+and main alone writes: the data file, and next to it (same path plus
+".manifest.json") a manifest echoing the spec, the format and the
+subcommand's own flags, the library version, the seed and the runner's
+diagnostics, which is enough to regenerate the data exactly.
+
+The spec's seed (--seed, else the spec file's, else 0) is the run's only
+seed: the trial experiments draw trial t from child t of it (_trials).
 
 Exit codes: 0 on success, 2 for configuration problems (also what
-argparse uses), 3 for numerical failures.
+argparse uses), an unwritable --out among them, 3 for numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,16 +56,7 @@ from .sparse import (
 )
 from .transform import similarity_transform
 
-__all__ = ["main", "ExperimentConfig"]
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    spec: StructuredMatrixSpec
-    flags: dict  # the subcommand's own flags, parsed, by name
-    seed: int
-    out: str
-    fmt: str
+__all__ = ["main"]
 
 
 def _trial_seeds(seed: int, trials: int) -> list[int]:
@@ -70,38 +66,19 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in ss.spawn(trials)]
 
 
-def _write_rows(
-    cfg: ExperimentConfig, header: list[str], rows: list[tuple], diagnostics: dict | None = None
-) -> str:
-    path = cfg.out
-    if cfg.fmt == "csv":
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=1)
-    manifest = {
-        "experiment": cfg.experiment,
-        "config": {"spec": cfg.spec.to_json_dict(), **cfg.flags, "format": cfg.fmt},
-        "version": __version__,
-        "seed": cfg.seed,
-        **(diagnostics or {}),
-    }
-    with open(path + ".manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1)
-    return path
+def _trials(spec: StructuredMatrixSpec, trials: int):
+    """(A, B = W A W*) for each trial, A drawn from a child seed of spec.seed."""
+    for seed in _trial_seeds(spec.seed, trials):
+        a, _ = generate(with_seed(spec, seed))
+        yield a, similarity_transform(a)
 
 
-def run_cycle_norms(cfg: ExperimentConfig) -> str:
-    a, _ = generate(cfg.spec)
-    n = cfg.spec.n
+def run_cycle_norms(spec, flags):
+    a, _ = generate(spec)
     norms = cycle_norms(similarity_transform(a)).tolist()
     # plotting convention: cycle 0 shown at folded index n
-    rows = [(k, k or n, norm) for k, norm in enumerate(norms)]
-    return _write_rows(cfg, ["cycle_index", "folded_index", "l2_norm"], rows)
+    rows = [(k, k or spec.n, norm) for k, norm in enumerate(norms)]
+    return ["cycle_index", "folded_index", "l2_norm"], rows, {}
 
 
 def _eig_error_stats(
@@ -138,27 +115,22 @@ def _solver_counts(solvers: Counter) -> dict:
     }
 
 
-def run_eig_errors(cfg: ExperimentConfig) -> str:
-    cycles = cfg.flags["cycles"]
+def run_eig_errors(spec, flags):
+    cycles = flags["cycles"]
     if not cycles:
         raise ConfigError("eig-errors needs --cycles")
-    n = cfg.spec.n
-    if not all(1 <= k <= n for k in cycles):
-        raise ConfigError(f"cycle counts {list(cycles)} must lie in [1, {n}]")
+    if not all(1 <= k <= spec.n for k in cycles):
+        raise ConfigError(f"cycle counts {list(cycles)} must lie in [1, {spec.n}]")
     solvers = Counter()
-
-    def one(seed):
-        a, _ = generate(with_seed(cfg.spec, seed))
-        b = similarity_transform(a)
+    stats, sizes = [], []
+    for a, b in _trials(spec, flags["trials"]):
         reference = spectrum(a, solvers)
         # one norm scan per trial ranks every k and prices what each drops
         norms = cycle_norms(b)
         sels = selections_from_norms(norms, cycles)
         a_norm, kept = np.linalg.norm(a, "fro"), np.empty_like(b)
-        stats = [_eig_error_stats(a_norm, b, norms, reference, sel, solvers, kept) for sel in sels]
-        return stats, [len(sel) for sel in sels]
-
-    stats, sizes = zip(*(one(seed) for seed in _trial_seeds(cfg.seed, cfg.flags["trials"])))
+        stats.append([_eig_error_stats(a_norm, b, norms, reference, sel, solvers, kept) for sel in sels])
+        sizes.append([len(sel) for sel in sels])
     stats = np.array(stats)  # (trial, k, [mean, std, ratio])
     sizes = np.array(sizes)  # (trial, k): cycles kept, k - 1 where k would split a tied pair
     rows = [
@@ -176,65 +148,50 @@ def run_eig_errors(cfg: ExperimentConfig) -> str:
         for j, k in enumerate(cycles)
     ]
     header = ["k_cycles", "mean_rel_err", "std_rel_err", "std_rel_err_across", "frob_residual_ratio"]
-    return _write_rows(cfg, header, rows, {"cycles_kept": kept, **_solver_counts(solvers)})
+    return header, rows, {"cycles_kept": kept, **_solver_counts(solvers)}
 
 
-def run_eig_vs_n(cfg: ExperimentConfig) -> str:
-    n_max = cfg.spec.n
-    if n_max < 100:
+def run_eig_vs_n(spec, flags):
+    if spec.n < 100:
         raise ConfigError("eig-vs-n sweeps n from 100 up; give --n >= 100")
-    seeds = _trial_seeds(cfg.seed, cfg.flags["trials"])
     solvers = Counter()
     rows = []
-    for n in range(100, n_max + 1, 100):
-        spec_n = replace(cfg.spec, n=n)
-        sel = CycleSelection.of(n, {0, n // 2})
-
-        def one(seed):
-            a, _ = generate(with_seed(spec_n, seed))
-            b = similarity_transform(a)
+    for n in range(100, spec.n + 1, 100):
+        stats = []
+        for a, b in _trials(replace(spec, n=n), flags["trials"]):
+            # the coset {j n/m} the block size makes dominant; cycle 0 when
+            # m = 1.  It is reflection-closed, so B~ stays Hermitian.
+            sel = CycleSelection.of(n, range(0, n, n // spec.m))
             reference = spectrum(a, solvers)
-            return _eig_error_stats(np.linalg.norm(a, "fro"), b, cycle_norms(b), reference, sel, solvers)
-
-        stats = np.array([one(seed) for seed in seeds])
+            a_norm = np.linalg.norm(a, "fro")
+            stats.append(_eig_error_stats(a_norm, b, cycle_norms(b), reference, sel, solvers))
+        stats = np.array(stats)
         rows.append(
             (n, float(stats[:, 0].mean()), float(stats[:, 1].mean()), float(stats[:, 2].mean()))
         )
-    header = ["n", "mean_rel_err", "std_rel_err", "frob_residual_ratio"]
-    return _write_rows(cfg, header, rows, _solver_counts(solvers))
+    return ["n", "mean_rel_err", "std_rel_err", "frob_residual_ratio"], rows, _solver_counts(solvers)
 
 
-def run_sparsifier_compare(cfg: ExperimentConfig) -> str:
-    cycles = cfg.flags["cycles"] or (5,)
+def run_sparsifier_compare(spec, flags):
+    cycles = flags["cycles"] or (5,)
     if len(cycles) != 1:
         raise ConfigError(f"sparsifier-compare takes one cycle count, got {list(cycles)}")
-    k, n = cycles[0], cfg.spec.n
+    k, n = cycles[0], spec.n
     if not 1 <= k <= n:
         raise ConfigError(f"cycle count {k} must lie in [1, {n}]")
     nnz = k * n
-    seeds = _trial_seeds(cfg.seed, cfg.flags["trials"])
-
-    def one(seed):
-        a, _ = generate(with_seed(cfg.spec, seed))
-        b = similarity_transform(a)
-        kept = keep_cycles(b, select_dominant_cycles(b, k).indices)
-        cyc = float(np.mean(np.abs(spectrum(kept))))
-        direct = float(np.mean(np.abs(spectrum(direct_sparsify(a, nnz)))))
-        return cyc, direct
-
-    results = [one(seed) for seed in seeds]
     rows = []
-    for t, (cyc, direct) in enumerate(results):
-        rows.append((t, "cycle", nnz, cyc))
-        rows.append((t, "direct", nnz, direct))
-    header = ["trial", "method", "nnz", "mean_abs_eigenvalue"]
-    return _write_rows(cfg, header, rows)
+    for t, (a, b) in enumerate(_trials(spec, flags["trials"])):
+        kept = keep_cycles(b, select_dominant_cycles(b, k).indices)
+        rows.append((t, "cycle", nnz, float(np.mean(np.abs(spectrum(kept))))))
+        rows.append((t, "direct", nnz, float(np.mean(np.abs(spectrum(direct_sparsify(a, nnz)))))))
+    return ["trial", "method", "nnz", "mean_abs_eigenvalue"], rows, {}
 
 
-def run_precond_table(cfg: ExperimentConfig) -> str:
-    if not cfg.flags["budgets"]:
+def run_precond_table(spec, flags):
+    if not flags["budgets"]:
         raise ConfigError("precond-table needs --budgets")
-    results = precond_benchmark(cfg.spec, cfg.flags["budgets"], tol=cfg.flags["tol"])
+    results = precond_benchmark(spec, flags["budgets"], tol=flags["tol"])
     rows = [(r.method, r.budget, r.iterations, r.converged, r.final_residual) for r in results]
     header = ["method", "budget", "iterations", "converged", "final_residual"]
     routes = Counter(r.matvec for r in results)
@@ -246,17 +203,17 @@ def run_precond_table(cfg: ExperimentConfig) -> str:
             {"budget": r.budget, "pd_margin": r.pd_margin} for r in results if r.method == "cycles"
         ],
     }
-    return _write_rows(cfg, header, rows, diagnostics)
+    return header, rows, diagnostics
 
 
-def run_symbol_compare(cfg: ExperimentConfig) -> str:
-    if cfg.spec.symbol is None:
+def run_symbol_compare(spec, flags):
+    if spec.symbol is None:
         raise ConfigError("symbol-compare needs a spec with a symbol")
-    a, _ = generate(cfg.spec)
-    n = cfg.spec.n
+    a, _ = generate(spec)
+    n = spec.n
     b = similarity_transform(a)
     theta = 2 * np.pi * np.arange(n) / n
-    symbol_vals = np.atleast_1d(eval_symbol(cfg.spec.symbol, theta))
+    symbol_vals = np.atleast_1d(eval_symbol(spec.symbol, theta))
     diag = np.diag(b)
     eigs = spectrum(a)
     rows = []
@@ -266,14 +223,14 @@ def run_symbol_compare(cfg: ExperimentConfig) -> str:
         rows.append(("transform_diag", q, float(diag[q].real), float(diag[q].imag)))
     for q in range(n):
         rows.append(("eigenvalues", q, float(eigs[q].real), float(eigs[q].imag)))
-    return _write_rows(cfg, ["set", "index", "re", "im"], rows)
+    return ["set", "index", "re", "im"], rows, {}
 
 
-def run_heatmap(cfg: ExperimentConfig) -> str:
-    n = cfg.spec.n
+def run_heatmap(spec, flags):
+    n = spec.n
     if n > 1024:
         raise ConfigError(f"heatmap dumps n^2 rows; n={n} exceeds the 1024 cap")
-    a, _ = generate(cfg.spec)
+    a, _ = generate(spec)
     mags = np.abs(similarity_transform(a))
     positions = cycle_positions(n, range(n))
     peaks = mags[positions].max(axis=1)
@@ -281,7 +238,7 @@ def run_heatmap(cfg: ExperimentConfig) -> str:
     mags[positions] /= np.where(peaks > 0, peaks, np.inf)[:, None]
     p, q = np.divmod(np.arange(n * n), n)
     rows = list(zip(p.tolist(), q.tolist(), mags.ravel().tolist()))
-    return _write_rows(cfg, ["row", "col", "normalized_magnitude"], rows)
+    return ["row", "col", "normalized_magnitude"], rows, {}
 
 
 _SYMMETRIC_TOEPLITZ = {"kind": "toeplitz", "symmetric": True}
@@ -347,6 +304,7 @@ def _build_spec(args, defaults: dict) -> StructuredMatrixSpec:
     return StructuredMatrixSpec(**defaults, n=args.n, seed=args.seed or 0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cspc",
@@ -360,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="matrix dimension (overrides spec)")
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.add_argument("--seed", type=int, default=None, help="base seed")
+        p.add_argument("--seed", type=int, default=None, help="base seed (overrides spec)")
         p.add_argument("--out", help="output data file")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     return parser
@@ -376,21 +334,34 @@ def main(argv=None) -> int:
             flags["cycles"] = _parse_int_list(flags["cycles"])
         if flags.get("budgets") is not None:
             flags["budgets"] = _parse_budgets(flags["budgets"], spec.n)
-        cfg = ExperimentConfig(
-            experiment=args.experiment,
-            spec=spec,
-            flags=flags,
-            seed=args.seed if args.seed is not None else 0,
-            out=args.out or f"{args.experiment.replace('-', '_')}.{args.fmt}",
-            fmt=args.fmt,
-        )
-        path = run(cfg)
+        header, rows, diagnostics = run(spec, flags)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    path = args.out or f"{args.experiment.replace('-', '_')}.{args.fmt}"
+    manifest = {
+        "experiment": args.experiment,
+        "config": {"spec": spec.to_json_dict(), **flags, "format": args.fmt},
+        "version": __version__,
+        "seed": spec.seed,
+        **diagnostics,
+    }
+    try:
+        with open(path, "w", newline="") as f:
+            if args.fmt == "csv":
+                w = csv.writer(f)
+                w.writerow(header)
+                w.writerows(rows)
+            else:
+                json.dump([dict(zip(header, row)) for row in rows], f, indent=1)
+        with open(path + ".manifest.json", "w") as f:
+            json.dump(manifest, f, indent=1)
+    except OSError as e:
+        print(f"error: cannot write {e.filename or path}: {e.strerror}", file=sys.stderr)
+        return 2
     print(path)
     return 0
 

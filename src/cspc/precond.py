@@ -61,7 +61,6 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .core import (
     ConfigError,
@@ -109,6 +108,8 @@ class MaskPreconditioner:
         self.pd_margin = pd_margin
         self.source = source
         singular = f"{label} is singular"
+        import scipy.sparse.linalg  # on first use: it loads scipy.linalg, which nothing else needs
+
         try:
             self._lu = scipy.sparse.linalg.splu(mask)
         except RuntimeError as e:

@@ -37,7 +37,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 
 from .core import (
@@ -361,6 +360,8 @@ def _match_eigenvalues(reference: np.ndarray, approx: np.ndarray) -> np.ndarray:
         by_reference = np.argsort(reference.real, kind="stable")
         matching[by_reference] = np.argsort(approx.real, kind="stable")
     else:
+        import scipy.optimize  # on first use: slow to import, and only complex spectra need it
+
         cost = np.abs(reference[:, None] - approx[None, :])
         rows, cols = scipy.optimize.linear_sum_assignment(cost)
         matching[rows] = cols

@@ -3,8 +3,11 @@ files, manifests and exit codes they are contracted to produce."""
 
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,6 +52,20 @@ def test_parser_covers_all_experiments():
     ):
         args = parser.parse_args([name, "--n", "8"])
         assert args.experiment == name
+    # built once per process, not once per run
+    assert build_parser() is parser
+
+
+def test_import_loads_only_the_scipy_modules_a_run_needs():
+    # scipy.optimize (complex matching) and scipy.sparse.linalg (which loads
+    # scipy.linalg; mask preconditioners) are imported where they are used
+    lazy = ("scipy.linalg", "scipy.optimize", "scipy.sparse.linalg")
+    code = f"import sys, cspc.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    src = str(Path(cspc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # the flags each runner reads beyond --spec --n --seed --out --format
@@ -245,9 +262,9 @@ def test_eig_vs_n_sweep(tmp_path):
     header, rows = _read_csv(out)
     assert header == ["n", "mean_rel_err", "std_rel_err", "frob_residual_ratio"]
     assert [r[0] for r in rows] == ["100", "200"]
-    # symmetric block-Toeplitz with cycles {0, n/2}: every spectrum is
-    # Hermitian and has a real form, a reference and an approximation per
-    # n and trial
+    # symmetric block-Toeplitz, m = 5, with its coset of cycles {j n/5}:
+    # every spectrum is Hermitian and has a real form, a reference and an
+    # approximation per n and trial
     manifest = json.loads((tmp_path / "vsn.csv.manifest.json").read_text())
     assert manifest["spectra"] == {"eigvalsh": 2 * 2 * 2, "eigvals": 0}
     assert manifest["real_form"] == 2 * 2 * 2
@@ -271,10 +288,27 @@ def test_eig_vs_n_frob_ratio_is_dropped_cycle_norm(tmp_path):
         for s in _trial_seeds(seed, trials):
             a, _ = generate(with_seed(replace(spec, n=n), s))
             b = similarity_transform(a)
-            dropped = CycleSelection.of(n, {0, n // 2}).complement()
+            # the coset {j n/m} of the block size, reflection-closed
+            dropped = CycleSelection.of(n, range(0, n, n // spec.m)).complement()
             energy = sum(np.linalg.norm(apply_cycle_mask(b, j)) ** 2 for j in dropped)
             ratios.append(np.sqrt(energy) / np.linalg.norm(a))
         assert float(row[3]) == pytest.approx(np.mean(ratios), rel=1e-12)
+
+
+def test_eig_vs_n_keeps_cycle_zero_without_a_block_size(tmp_path):
+    # a kind with no block size (m = 1) keeps T. Chan's circulant, cycle 0
+    spec = StructuredMatrixSpec(kind="toeplitz", n=100, symmetric=True, seed=4)
+    spec_file = tmp_path / "toeplitz.json"
+    spec_file.write_text(json.dumps(spec.to_json_dict()))
+    out = tmp_path / "vsn.csv"
+    assert _run(["eig-vs-n", "--spec", spec_file, "--trials", 1, "--out", out]) == 0
+    _, rows = _read_csv(out)
+    [s] = _trial_seeds(4, 1)
+    b = similarity_transform(generate(with_seed(spec, s))[0])
+    kept = np.linalg.norm(apply_cycle_mask(b, 0))
+    assert float(rows[0][3]) == pytest.approx(
+        np.sqrt(np.linalg.norm(b) ** 2 - kept**2) / np.linalg.norm(b), rel=1e-10
+    )
 
 
 def test_sparsifier_compare(tmp_path):
@@ -383,6 +417,32 @@ def test_spec_file_with_n_override(tmp_path):
     assert _run(["cycle-norms", "--spec", spec_file, "--n", "10", "--out", out]) == 0
     _, rows = _read_csv(out)
     assert len(rows) == 10
+
+
+def test_spec_seed_is_the_run_seed(tmp_path):
+    # without --seed, the spec file's seed draws the trials and is the
+    # manifest's seed: the same run as --seed with the default spec
+    csvs = {}
+    for seed in (7, 8):
+        spec_file = tmp_path / f"spec{seed}.json"
+        spec_file.write_text(json.dumps({"kind": "toeplitz", "n": 16, "symmetric": True, "seed": seed}))
+        for name, flags in (("eig-errors", ["--cycles", "1,4", "--trials", 2]), ("cycle-norms", [])):
+            out = tmp_path / f"{name}{seed}.csv"
+            assert _run([name, "--spec", spec_file, *flags, "--out", out]) == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["seed"] == manifest["config"]["spec"]["seed"] == seed
+        csvs[seed] = (tmp_path / f"eig-errors{seed}.csv").read_text()
+    assert csvs[7] != csvs[8]
+    out = tmp_path / "flag.csv"
+    assert _run(["eig-errors", "--n", 16, "--seed", 7, "--cycles", "1,4", "--trials", 2, "--out", out]) == 0
+    assert out.read_text() == csvs[7]
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert _run(["cycle-norms", "--n", "8", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
 
 
 def test_missing_spec_and_n_is_config_error(tmp_path):
