@@ -1,9 +1,14 @@
-"""Dense complex matrix substrate: cycles, special matrices, symmetry defects.
+"""Dense matrix substrate: cycles, special matrices, symmetry defects.
 
-Matrices are plain numpy arrays with dtype complex128 throughout; a
-"ComplexMatrix" in the public API is any 2-d array-like coercible to that
-dtype, a "DiagonalVector" is a 1-d complex array, and a cycle index is a
-plain int in [0, n-1].
+Matrices are plain numpy arrays.  An input matrix keeps its kind: a real
+one (any real or integer dtype) is read as float64 and a complex one as
+complex128 (require_square), so a real A is never copied into complex
+storage, and is_real answers "is A real?" from the dtype in O(1),
+scanning Im A only for a complex dtype.  What is computed from A is
+complex128 whatever A's dtype: B = W A W*, the masks of keep_cycles,
+materialized cycles, circulant components and SparseCycleMatrix.  A
+"DiagonalVector" is a 1-d complex array, and a cycle index is a plain int
+in [0, n-1].
 
 Cycle k of an n x n matrix is the wrapped diagonal through positions
 ((q + k) mod n, q): cycle 0 is the main diagonal, cycle 1 the first
@@ -37,6 +42,7 @@ __all__ = [
     "NumericalError",
     "CycleSelection",
     "require_square",
+    "is_real",
     "full_cycle_matrix",
     "flip_matrix",
     "fourier_matrix",
@@ -66,22 +72,22 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed: singular factor, breakdown, non-convergence."""
 
 
-def _as_matrix(a, dtype) -> np.ndarray:
-    m = np.asarray(a, dtype=dtype)
+def require_square(a) -> np.ndarray:
+    """Coerce to a square 2-d array, rejecting anything else: complex128
+    when a is complex, else float64, so a real a is never copied into
+    complex storage (a float64 array is returned as it is)."""
+    m = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    return m
-
-
-def _square(m: np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def require_square(a) -> np.ndarray:
-    """Coerce to a square 2-d complex128 array, rejecting anything else."""
-    return _square(_as_matrix(a, np.complex128))
+def is_real(a: np.ndarray) -> bool:
+    """Whether array a holds real values: True for a real dtype, in O(1);
+    for a complex dtype, whether Im a is exactly zero, one scan."""
+    return not np.iscomplexobj(a) or not a.imag.any()
 
 
 def _check_dim(n: int) -> int:
@@ -158,7 +164,7 @@ def hermitian_defect(m) -> float:
     nothing of size n x n is formed.  A real m is checked as it is,
     without a complex copy.
     """
-    m = _square(_as_matrix(m, np.complex128 if np.iscomplexobj(m) else np.float64))
+    m = require_square(m)
     return _mirror_defect(m, lambda r, out: np.conjugate(m[:, r].T, out=out))
 
 
@@ -277,12 +283,14 @@ class Toeplitz:
         """
         m = require_square(m)
         if m.strides[0] != -m.strides[1]:  # else Toeplitz by its layout
+            # one column is w floats: 2, a (re, im) pair, for complex m
+            w = m.itemsize // 8
             for r0 in range(0, m.shape[0] - 1, _DEFECT_BLOCK_ROWS):
                 # 33 rows, the last one shared with the next block, read as
-                # float64 (re, im) pairs, so one column is two floats: float ==
-                # gives the same answer as complex == and is the cheaper test
+                # float64: float == gives the same answer as complex == and
+                # is the cheaper test
                 rows = np.ascontiguousarray(m[r0 : r0 + _DEFECT_BLOCK_ROWS + 1]).view(np.float64)
-                if not np.array_equal(rows[1:, 2:], rows[:-1, :-2]):
+                if not np.array_equal(rows[1:, w:], rows[:-1, :-w]):
                     return None
         return cls(np.concatenate([m[:0:-1, 0], m[0]]))
 
@@ -416,7 +424,7 @@ def keep_cycles(a, k, out: np.ndarray | None = None) -> np.ndarray:
     sum of materialize_cycle(apply_cycle_mask(a, j), n, j) over j in k,
     entry for entry, with no index array.  Written into out (complex, n x n)
     when given, so a caller masking one matrix many times reuses one
-    array, else into a new C-order array.
+    array, else into a new C-order complex128 array, whatever a's dtype.
 
     Entry (p, q) lies on cycle (p - q) mod n, so the mask is the circulant
     of the indicator of k: a read-only strided view of that indicator
@@ -433,8 +441,9 @@ def keep_cycles(a, k, out: np.ndarray | None = None) -> np.ndarray:
     step = kept.strides[0]
     mask = np.lib.stride_tricks.as_strided(kept[n:], (n, n), (step, -step), writeable=False)
     if out is None:
-        return np.where(mask, a, 0)
-    out[...] = 0
+        out = np.zeros((n, n), dtype=np.complex128)
+    else:
+        out[...] = 0
     np.copyto(out, a, where=mask)
     return out
 
@@ -508,13 +517,18 @@ def cycle_norms(a) -> np.ndarray:
     Bit-identical to np.linalg.norm(apply_cycle_mask(a, k)) for every k:
     that norm is sqrt(re . re + im . im) with BLAS dot products, and one
     batched np.matmul of (1, n) by (n, 1) rows per block reaches the same
-    dot, where np.linalg.norm(block, axis=1) differs in the last bits.
+    dot, where np.linalg.norm(block, axis=1) differs in the last bits.  A
+    real a has no im . im term, and its norms are those of its complex
+    copy bit for bit (adding +0.0 to re . re changes nothing).
     """
     a = require_square(a)
     norms = np.empty(a.shape[0])
     for ks, block in iter_cycle_blocks(a):
-        re, im = block.real, block.imag
-        sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+        re = block.real
+        sq = np.matmul(re[:, None, :], re[:, :, None])
+        if np.iscomplexobj(block):
+            im = block.imag
+            sq += np.matmul(im[:, None, :], im[:, :, None])
         np.sqrt(sq[:, 0, 0], out=norms[ks.start : ks.stop])
     return norms
 

@@ -12,7 +12,7 @@ The components come by two independent routes: recursive peeling
 (circulant_decompose_via_transform).  The second rests on the identity:
 with c_d cycle d of A read down the columns, c_d[q] = A((q+d) mod n, q),
 entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n.  A real A
-(Im A exactly zero) has real cycles, whose spectra satisfy
+(core.is_real) has real cycles, whose spectra satisfy
 fft(c)[n - k] = conj(fft(c)[k]); the FFT routes here then take rffts,
 half the work, and read the other half by that symmetry.
 
@@ -38,6 +38,7 @@ from .core import (
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
+    is_real,
     iter_cycle_blocks,
     relaxation_diagonal,
     require_square,
@@ -122,7 +123,7 @@ def circulant_decompose_recursive(a) -> list[CirculantComponent]:
     n = a.shape[0]
     d_back = relaxation_diagonal(n, n - 1)[None, :] if n > 1 else None
     positions = cycle_positions(n, range(n))
-    residual = a.copy()
+    residual = a.astype(np.complex128)
     comps = []
     for k in range(n):
         means = residual[positions].mean(axis=1)
@@ -147,13 +148,13 @@ def circulant_decompose_via_transform(a) -> list[CirculantComponent]:
     reader behind core.iter_cycle_blocks), and component k's first row is
     a view of its row k.
 
-    For a real A (Im A exactly zero) the cycles are real, so fft(c)[n - k]
+    For a real A (core.is_real) the cycles are real, so fft(c)[n - k]
     = conj(fft(c)[k]): rows 0..n//2 come from an rfft of the walks and
     row n - k is written as the conjugate of row k, in place.
     """
     a = require_square(a)
     n = a.shape[0]
-    real = not a.imag.any()
+    real = is_real(a)
     filled = n // 2 + 1 if real else n
     first_rows = np.empty((n, n), dtype=np.complex128)
     source = a.real if real else a
@@ -254,28 +255,21 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
     freq_set.  Zero cycles of A carry zero weight; their (undefined)
     energies are reported as 0.  Disagreement beyond 1e-9 means the
     inputs broke an exact identity, so it raises instead of returning.
-    A real A takes rffts of its cycles on the predicted side and the
-    real route of similarity_transform on the direct side.
+    A real A (core.is_real) takes rffts of its cycles on the predicted
+    side and the real route of similarity_transform on the direct side.
+    |A|_F^2 is the sum of the cycles' squared norms, from the same pass.
     """
     a = require_square(a)
     n = a.shape[0]
     if freq_set.n != n:
         raise ValueError(f"selection is for n={freq_set.n}, matrix has n={n}")
-    total = np.linalg.norm(a, "fro") ** 2
-    if total == 0:
-        raise ValueError("dominance is undefined for the zero matrix")
-
-    b = similarity_transform(a)
-    reflected = index_reflect(freq_set)
-    b_total = np.linalg.norm(b, "fro") ** 2
-    s_direct = np.linalg.norm(apply_cycle_mask(b, reflected.indices)) ** 2 / b_total
 
     # one pass over A's cycles gives both factors of every term: the
     # weights, and partial_energy batched as one FFT per block.  A real
     # cycle's spectrum has gamma_j = gamma_{n-j}, so a real A takes the
     # rfft, read at min(j, n - j), and its Parseval total weights the
     # bins 1, 2, ..., 2, ending in 1 for even n
-    real = not a.imag.any()
+    real = is_real(a)
     freq = freq_set.as_array()
     if real:
         freq = np.minimum(freq, n - freq)
@@ -285,7 +279,7 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
     energies = np.zeros(n)
     for ks, block in iter_cycle_blocks(a):
         block = block.real if real else block
-        weights[ks.start : ks.stop] = np.linalg.norm(block, axis=1) ** 2 / total
+        weights[ks.start : ks.stop] = np.linalg.norm(block, axis=1) ** 2
         if real:
             gamma = np.abs(np.fft.rfft(block, axis=1)) ** 2
             gamma_total = gamma @ fold
@@ -298,7 +292,16 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
             out=energies[ks.start : ks.stop],
             where=gamma_total > 0,
         )
+    total = weights.sum()
+    if total == 0:
+        raise ValueError("dominance is undefined for the zero matrix")
+    weights /= total
     weighted = float(np.dot(weights, energies))
+
+    b = similarity_transform(a)
+    reflected = index_reflect(freq_set)
+    b_total = np.linalg.norm(b, "fro") ** 2
+    s_direct = np.linalg.norm(apply_cycle_mask(b, reflected.indices)) ** 2 / b_total
 
     if abs(s_direct - weighted) > 1e-9:
         raise NumericalError(

@@ -4,7 +4,13 @@ and Toeplitz matrices built from a symbol.
 
 All randomness comes from numpy's PCG64 generator seeded from the spec,
 so a spec regenerates its matrix bit for bit.  Entries are drawn N(0,1)
-real and stored complex.
+real.  block_toeplitz and quasi_periodic are the only kinds held as an
+n x n array, and they are stored float64, half the bytes of complex; the
+package reads a real matrix without a complex copy (core.require_square).
+The Toeplitz kinds (toeplitz, example1, symbol_toeplitz) are complex128
+read-only views of their 2n - 1 diagonals (core.Toeplitz.dense), where
+real storage would save nothing and a real A would be cast to a complex
+copy by every product a @ x with a complex x.
 
 KIND_FIELDS names the spec fields each kind's generator reads besides
 kind, n and seed, and FORM_FIELDS the symbol fields each form reads
@@ -217,7 +223,8 @@ def gen_example1(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gen_block_toeplitz(spec: StructuredMatrixSpec, info: dict | None = None) -> np.ndarray:
-    """Constant m x m blocks along block diagonals, N(0,1) block entries.
+    """Constant m x m blocks along block diagonals, N(0,1) block entries;
+    float64.
 
     symmetric draws only the upper block diagonals, symmetrizes the
     blocks themselves and mirrors them, giving a symmetric matrix with
@@ -241,7 +248,6 @@ def gen_block_toeplitz(spec: StructuredMatrixSpec, info: dict | None = None) -> 
         blocks = np.concatenate([upper[:0:-1], upper])  # G_{-d} = G_d
     else:
         blocks = rng.standard_normal((2 * nb - 1, m, m))
-    blocks = blocks.astype(np.complex128)
 
     bi = np.arange(nb)
     sel = blocks[(bi[None, :] - bi[:, None]) + nb - 1]  # (nb, nb, m, m)
@@ -250,13 +256,13 @@ def gen_block_toeplitz(spec: StructuredMatrixSpec, info: dict | None = None) -> 
     if spec.make_pd:
         if spec.target_condition <= 1.0:
             raise ConfigError(f"target condition must exceed 1, got {spec.target_condition}")
-        eigs = np.linalg.eigvalsh(a.real)
+        eigs = np.linalg.eigvalsh(a)
         lo, hi = eigs[0], eigs[-1]
         if hi - lo < 1e-12 * max(abs(hi), abs(lo), 1.0):
             raise ConfigError("cannot condition a matrix with a degenerate spectrum")
         delta = (hi - lo) / (spec.target_condition - 1.0)
         alpha = delta - lo
-        a = a + alpha * np.eye(n)
+        a.flat[:: n + 1] += alpha  # a + alpha I
         if info is not None:
             info["shift"] = float(alpha)
             info["achieved_condition"] = float((hi + alpha) / (lo + alpha))
@@ -269,6 +275,7 @@ def gen_quasi_periodic(spec: StructuredMatrixSpec) -> np.ndarray:
 
     Periods are drawn uniformly per diagonal, in diagonal order
     d = -(n-1) .. n-1.  Tiling starts at the first element of the diagonal.
+    float64.
     """
     if spec.kind != "quasi_periodic":
         raise ConfigError(f"gen_quasi_periodic got kind {spec.kind!r}")
@@ -278,7 +285,7 @@ def gen_quasi_periodic(spec: StructuredMatrixSpec) -> np.ndarray:
         raise ConfigError(f"periods must be positive, got {spec.periods}")
     n = spec.n
     rng = _rng(spec.seed)
-    a = np.zeros((n, n), dtype=np.complex128)
+    a = np.zeros((n, n))
     idx = np.arange(n)
     for d in range(-(n - 1), n):
         p = int(rng.choice(np.asarray(spec.periods)))

@@ -50,8 +50,10 @@ down-right neighbour, checked in 32-row blocks), it goes through the
 circulant embedding of size 2n, O(n log n), and the Hermitian check
 through the 2n - 1 diagonals, O(n) (core.Toeplitz.matvec and
 hermitian_defect).  Every other A, including a Toeplitz matrix perturbed
-by one ulp, takes the dense product a @ x and core.hermitian_defect.
-The report names the route that ran ("toeplitz-fft" or "dense").
+by one ulp, takes the dense product a @ x and core.hermitian_defect; a
+real A (the block_toeplitz generator's float64) as a @ Re x + i a @ Im x,
+so nothing of size n x n is allocated per product.  The report names the
+route that ran ("toeplitz-fft" or "dense").
 """
 
 from __future__ import annotations
@@ -191,6 +193,14 @@ class PcgReport:
     matvec: str  # "toeplitz-fft" or "dense", the route A x took
 
 
+def _dense_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for complex x.  A real a takes two real products, since a @ x
+    would cast a to a complex copy of n^2 entries on every call."""
+    if np.iscomplexobj(a):
+        return a @ x
+    return a @ x.real + 1j * (a @ x.imag)
+
+
 def pcg_solve(
     a,
     b,
@@ -218,7 +228,7 @@ def pcg_solve(
         raise ValueError(f"rhs has length {b.size}, matrix has n={n}")
     toeplitz = Toeplitz.of(a)
     if toeplitz is None:
-        route, matvec, defect = "dense", a.__matmul__, hermitian_defect(a)
+        route, matvec, defect = "dense", partial(_dense_matvec, a), hermitian_defect(a)
     else:
         route, matvec, defect = "toeplitz-fft", toeplitz.matvec, toeplitz.hermitian_defect()
     if defect > 1e-10:

@@ -26,6 +26,8 @@ problems halved and their statistics well defined:
   Hartley matrix H = Re W - Im W and m~ = W* m W.  Both swap index pairs,
   so the halves cost O(n^2), and an off-diagonal block at most
   n * eps * |M|_F certifies them (Weyl); otherwise M is solved whole.
+  32 columns of that block, checked first against twice the bound, turn
+  most such M away before V^T M V is formed (_strip_exceeds).
 * Two real spectra (to roundoff) are matched by sorting both, the
   canonical matching that minimizes the total |lambda - lambda~|;
   complex spectra go through an optimal assignment.
@@ -46,6 +48,7 @@ from .core import (
     cycle_norms,
     cycle_positions,
     hermitian_defect,
+    is_real,
     reflect_columns,
     reflection_defect,
     require_square,
@@ -69,6 +72,7 @@ __all__ = [
 
 # eigenvalues smaller than this are excluded from relative-error statistics
 RELATIVE_ERROR_FLOOR = 1e-14
+_STRIP_COLUMNS = 32  # columns of the off-diagonal block _strip_exceeds reads
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,7 @@ def direct_sparsify(a, nnz: int) -> np.ndarray:
 def _real_form(m: np.ndarray) -> tuple[np.ndarray, bool] | None:
     """The real matrix spectrum() solves in place of m, and whether it was
     taken through the index reflection; None when m has no real form."""
-    if not m.imag.any():
+    if is_real(m):
         return m.real, False
     n = m.shape[0]
     if reflection_defect(m) > n * np.finfo(float).eps:
@@ -225,6 +229,33 @@ def _pair_rows(x: np.ndarray, first: int, c, s, out: np.ndarray, tmp: np.ndarray
         (minus if first else plus)[-1] = x[first + p]
 
 
+def _strip_exceeds(m: np.ndarray, first: int, c, s) -> bool:
+    """Whether t = min(32, p) columns of the off-diagonal block V+^T m V-
+    of V^T m V already exceed 2 n eps |m|_F, p the number of index pairs
+    (_pair_rows gives first, c and s); False when t = p.
+
+    The columns are V+^T m v_i for the first t columns of V-, v_i =
+    c_i e_{n-1-i} - s_i e_{first+i}, read from 2t columns of m in O(t n).
+    In exact arithmetic they are t rows of _halves' off-diagonal block,
+    transposed, and |V^T m V|_F = |m|_F, so a strip above twice the bound
+    puts the whole block above it: the factor 2 covers the roundoff of
+    both sides, and the prescreen never changes _halves' answer.
+    """
+    n = m.shape[0]
+    p = (n - first) // 2
+    t = min(p, _STRIP_COLUMNS)
+    if t == p:  # no cheaper than the whole block
+        return False
+    i = np.arange(t)
+    c_t, s_t = (c[:t, 0], s[:t, 0]) if np.ndim(c) else (c, s)
+    mv = m[:, n - 1 - i] * c_t - m[:, first + i] * s_t
+    out = np.empty((n, t))
+    _pair_rows(mv, first, c, s, out, np.empty((p, t)))
+    # |m|_F from row dot products: np.linalg.norm would copy a strided m
+    bound = 2 * n * np.finfo(float).eps * np.sqrt(np.vecdot(m, m).sum())
+    return bool(np.linalg.norm(out[: n - n // 2]) > bound)
+
+
 def _halves(m: np.ndarray, reflected: bool) -> tuple[np.ndarray, np.ndarray] | None:
     """The two diagonal blocks of V^T m V, for the real symmetric m and the
     pair reflection its real form commutes with, or None when the
@@ -246,6 +277,8 @@ def _halves(m: np.ndarray, reflected: bool) -> tuple[np.ndarray, np.ndarray] | N
     Both stages combine rows, in O(n^2) through slices and with no index
     array: V^T m, then V^T (V^T m)^T after one transposing copy, so the
     blocks are those of V^T m^T V, the same as V^T m V's for symmetric m.
+    A matrix that does not split (eig-vs-n's never do) is mostly turned
+    away first by _strip_exceeds, one O(n^2) norm and O(32 n) beside it.
     """
     n = m.shape[0]
     first = int(reflected)
@@ -254,6 +287,8 @@ def _halves(m: np.ndarray, reflected: bool) -> tuple[np.ndarray, np.ndarray] | N
         c, s = np.cos(phi), np.sin(phi)
     else:
         c = s = np.sqrt(0.5)
+    if _strip_exceeds(m, first, c, s):
+        return None
     vmv, tmp = np.empty((n, n)), np.empty(((n - first) // 2, n))
     _pair_rows(m, first, c, s, vmv, tmp)
     _pair_rows(vmv.T.copy(), first, c, s, vmv, tmp)

@@ -4,7 +4,7 @@ Sign convention, fixed once: the similarity transform conjugates by the
 unitary Fourier matrix W (negative kernel, 1/sqrt(n)): B = W A W*.
 Implemented as two passes of one-dimensional FFTs,
 B = ifft(fft(A, axis=0), axis=1); the explicit triple product is only
-ever used as a test oracle.  A real A (Im A exactly zero) takes half of
+ever used as a test oracle.  A real A (core.is_real) takes half of
 that work: conj(W) = P W with P the index reflection p -> (-p) mod n,
 so B[(-p) mod n, q] = conj(B[p, (-q) mod n]), and rows 0..n//2 from an
 rfft down the columns determine the rest (similarity_transform).
@@ -33,7 +33,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CycleSelection, _column_walks, _cycle_ranges, cycle_positions, require_square
+from .core import (
+    CycleSelection,
+    _column_walks,
+    _cycle_ranges,
+    cycle_positions,
+    is_real,
+    require_square,
+)
 from .sparse import SparseCycleMatrix, sparsify
 
 __all__ = [
@@ -47,9 +54,9 @@ __all__ = [
 def similarity_transform(a) -> np.ndarray:
     """B = W A W* via two FFT passes, never a triple matrix product.
 
-    A complex A takes ifft(fft(A, axis=0), axis=1).  A real A (Im A
-    exactly zero) takes half of it: conj(W) = P W, with P the index
-    reflection p -> (-p) mod n, makes B centrohermitian,
+    A complex A takes ifft(fft(A, axis=0), axis=1).  A real A (a real
+    dtype, or Im A exactly zero) takes half of it: conj(W) = P W, with P
+    the index reflection p -> (-p) mod n, makes B centrohermitian,
 
         B[(-p) mod n, q] = conj(B[p, (-q) mod n]),
 
@@ -58,25 +65,26 @@ def similarity_transform(a) -> np.ndarray:
     are their own reflections: the rfft gives them real, so they are
     read as the half spectra of real vectors and filled the same way.
     The identity then holds exactly (core.reflection_defect is 0.0), and
-    B agrees with the complex route to about eps * max|B|.
+    B agrees with the complex route to about eps * max|B|.  Both passes
+    write into B in place, so beside B only O(n) is allocated.
     """
     a = require_square(a)
-    if a.imag.any():
+    if not is_real(a):
         return np.fft.ifft(np.fft.fft(a, axis=0), axis=1)
     n = a.shape[0]
     h = n // 2 + 1
     b = np.empty((n, n), dtype=np.complex128)
-    half = np.fft.rfft(a.real, axis=0)
-    np.fft.ifft(half, axis=1, out=b[:h])
-    # row n - p from row p, p = 1..(n-1)//2, column q from column (-q) mod n
-    src, dst = b[1 : (n + 1) // 2], b[n - 1 : n // 2 : -1]
-    np.conjugate(src[:, 0], out=dst[:, 0])
-    np.conjugate(src[:, :0:-1], out=dst[:, 1:])
+    np.fft.rfft(a.real, axis=0, out=b[:h])
     for p in (0, n // 2) if n % 2 == 0 else (0,):
         # ifft(x) = conj(fft(x)) / n for real x
-        spectrum = np.fft.rfft(half[p].real, norm="forward")
+        spectrum = np.fft.rfft(b[p].real, norm="forward")
         np.conjugate(spectrum, out=b[p, :h])
         b[p, h:] = spectrum[(n - 1) // 2 : 0 : -1]
+    # row n - p from row p, p = 1..(n-1)//2, column q from column (-q) mod n
+    src, dst = b[1 : (n + 1) // 2], b[n - 1 : n // 2 : -1]
+    np.fft.ifft(src, axis=1, out=src)
+    np.conjugate(src[:, 0], out=dst[:, 0])
+    np.conjugate(src[:, :0:-1], out=dst[:, 1:])
     return b
 
 

@@ -15,6 +15,7 @@ from cspc.core import (
     fourier_matrix,
     full_cycle_matrix,
     hermitian_defect,
+    is_real,
     iter_cycle_blocks,
     keep_cycles,
     materialize_cycle,
@@ -291,6 +292,34 @@ def test_require_square():
         require_square(np.zeros(4))
 
 
+def test_require_square_keeps_real_input_real():
+    a = np.arange(9.0).reshape(3, 3)
+    assert require_square(a) is a
+    assert require_square([[1, 2], [3, 4]]).dtype == np.float64
+    assert require_square(a.astype(np.float32)).dtype == np.float64
+    assert require_square(a + 0j).dtype == np.complex128
+    assert require_square([[1j, 0], [0, 1]]).dtype == np.complex128
+
+
+def test_is_real_reads_the_dtype_first():
+    a = np.arange(9.0).reshape(3, 3)
+    negative_zero = a + 0j
+    negative_zero.imag = -0.0
+    assert is_real(a) and is_real(a + 0j) and is_real(negative_zero)
+    b = a + 0j
+    b[2, 1] = 1e-300j
+    assert not is_real(b)
+    # a real dtype never reaches the imaginary scan, which would allocate
+    big = np.ones((512, 512))
+    tracemalloc.start()
+    try:
+        assert is_real(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+
+
 def test_hermitian_defect_matches_dense_form():
     rng = np.random.default_rng(1)
     for n in (1, 5, 33, 100):
@@ -490,6 +519,26 @@ def test_toeplitz_other_layouts_are_scanned():
         else:
             assert np.array_equal(toeplitz.t, t), label
     assert np.broadcast_to(row, (n, n)).strides == (0, 16)
+
+
+@pytest.mark.parametrize("n", [2, 3, 33, 64])
+def test_toeplitz_of_scans_real_arrays(n):
+    # a real array is scanned as float64, one float per column, so entry
+    # (p + 1, q + 1) is compared with (p, q), not (p + 1, q + 2)
+    rng = np.random.default_rng(n)
+    t = rng.standard_normal(2 * n - 1)
+    a = Toeplitz(t).dense().real
+    for label, m in {"C order": np.array(a), "Fortran order": np.asfortranarray(a)}.items():
+        assert m.dtype == np.float64 and m.strides[0] != -m.strides[1], label
+        toeplitz = Toeplitz.of(m)
+        assert toeplitz is not None, label
+        assert np.array_equal(toeplitz.t, t), label
+    # constant along (1, 2), not along the diagonals: not Toeplitz
+    p, q = np.indices((n, n))
+    skew = rng.standard_normal(3 * n)[2 * p - q + n]
+    assert np.array_equal(skew[1:, 2:], skew[:-1, :-2])
+    assert Toeplitz.of(skew) is None
+    assert Toeplitz.of(np.asfortranarray(skew)) is None
 
 
 def test_toeplitz_rejects_even_length():

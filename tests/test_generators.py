@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cspc.core import ConfigError, CycleSelection, Toeplitz
-from cspc.decomposition import dominance_relation
+from cspc.core import ConfigError, CycleSelection, Toeplitz, cycle_norms
+from cspc.decomposition import circulant_decompose_via_transform, dominance_relation
 from cspc.generators import (
     FORM_FIELDS,
     KIND_FIELDS,
@@ -25,7 +25,8 @@ from cspc.generators import (
     symbol_coefficients,
     with_seed,
 )
-from cspc.transform import similarity_transform
+from cspc.sparse import spectrum
+from cspc.transform import extract_cycles, similarity_transform
 
 
 def _diags(a):
@@ -374,3 +375,39 @@ def test_with_seed_replaces_only_seed():
     other = with_seed(spec, 99)
     assert other.seed == 99
     assert other.n == spec.n and other.symmetric == spec.symmetric
+
+
+def _dense_kind_specs(n):
+    m = {1: 1, 2: 2, 7: 7, 64: 4, 100: 5}[n]
+    return [
+        StructuredMatrixSpec(kind="quasi_periodic", n=n, periods=(2, 3, 5), seed=n),
+        StructuredMatrixSpec(kind="block_toeplitz", n=n, m=m, seed=n),
+        StructuredMatrixSpec(kind="block_toeplitz", n=n, m=m, symmetric=True, seed=n + 1),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 100])
+def test_dense_kinds_are_real_and_read_like_their_complex_copy(n):
+    # the two kinds held as n x n arrays are stored float64; every reader
+    # gives the float64 matrix and its complex128 copy bit-identical results
+    for spec in _dense_kind_specs(n):
+        a = generate(spec)[0]
+        assert a.dtype == np.float64 and a.flags.c_contiguous, spec
+        c = a.astype(np.complex128)
+        b = similarity_transform(a)
+        assert b.dtype == np.complex128
+        assert b.tobytes() == similarity_transform(c).tobytes(), spec
+        assert np.array_equal(cycle_norms(b), cycle_norms(similarity_transform(c)))
+        # k < n.bit_length() streams from A's cycles, larger k transforms
+        for k in sorted({1, n.bit_length() - 1, n.bit_length(), n} - {0}):
+            sel = CycleSelection.of(n, range(0, n, max(n // k, 1))[:k])
+            got, want = extract_cycles(a, sel), extract_cycles(c, sel)
+            assert got.cycles.tobytes() == want.cycles.tobytes(), (spec, k)
+        for x, y in zip(circulant_decompose_via_transform(a), circulant_decompose_via_transform(c)):
+            assert x.first_row.tobytes() == y.first_row.tobytes(), spec
+        freq = CycleSelection.of(n, (0, 1 % n, n // 2, n - 1))
+        got, want = dominance_relation(a, freq), dominance_relation(c, freq)
+        assert got.weights.tobytes() == want.weights.tobytes(), spec
+        assert got.partial_energies.tobytes() == want.partial_energies.tobytes(), spec
+        assert (got.relative_magnitude, got.weighted_sum) == (want.relative_magnitude, want.weighted_sum)
+        assert spectrum(a).tobytes() == spectrum(c).tobytes(), spec

@@ -456,6 +456,27 @@ def test_toeplitz_solves_in_linear_memory():
     assert peak < 64 * 2**20
 
 
+def test_pcg_real_dense_matrix_is_never_cast_to_complex():
+    # a real non-Toeplitz A takes the dense route; a @ p with complex p
+    # would cast A to an n x n complex copy (4 MB here) in every iteration
+    n = 512
+    spec = StructuredMatrixSpec(kind="block_toeplitz", n=n, m=4, symmetric=True, make_pd=True, seed=2)
+    a = generate(spec)[0]
+    assert a.dtype == np.float64
+    rhs = np.arange(1, n + 1) * (1 + 0.5j)
+    tracemalloc.start()
+    try:
+        x, rep = pcg_solve(a, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.matvec == "dense" and rep.converged and rep.iterations > 10
+    assert peak < a.nbytes / 4
+    x_complex, rep_complex = pcg_solve(a + 0j, rhs)
+    assert rep_complex.iterations == rep.iterations
+    assert np.abs(x - x_complex).max() <= 1e-10 * np.abs(x_complex).max()
+
+
 def test_pcg_breakdown_on_indefinite():
     a = np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(NumericalError):

@@ -15,6 +15,7 @@ from cspc.core import (
     flip_matrix,
     fourier_matrix,
     hermitian_defect,
+    keep_cycles,
     materialize_cycle,
     reflection_defect,
 )
@@ -409,6 +410,50 @@ def test_spectrum_solves_whole_when_the_off_block_is_above_roundoff(n, monkeypat
     assert [(name, shape) for name, _, _, shape in calls] == [("eigvalsh", (n, n))]
     assert solvers == Counter(eigvalsh=1, real_form=1)
     assert np.array_equal(got, np.linalg.eigvalsh(bumped))
+
+
+def _split_cases(n):
+    """Real forms that split, that miss by a bump near the bound, and that
+    never split (eig-vs-n's block-Toeplitz default and its B~)."""
+    eps = np.finfo(float).eps
+    a, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=3, symmetric=True))
+    b = similarity_transform(a)
+    cases = [a] + [keep_cycles(b, sel.indices) for sel in selections_from_norms(cycle_norms(b), (1, 3, n))]
+    for scale in (0.25, 1.0, 4.0, 100.0):
+        bumped = np.array(a.real)
+        bump = scale * n * eps * np.linalg.norm(bumped)
+        bumped[0, 1] += bump
+        bumped[1, 0] += bump
+        cases.append(bumped)
+    m = 5 if n % 5 == 0 else 4 if n % 4 == 0 else 1
+    block, _ = generate(StructuredMatrixSpec(kind="block_toeplitz", n=n, m=m, symmetric=True, seed=n))
+    b = similarity_transform(block)
+    return cases + [block, keep_cycles(b, range(0, n, n // m)), keep_cycles(b, range(n))]
+
+
+@pytest.mark.parametrize("n", [100, 128, 135, 300])
+def test_strip_prescreen_never_changes_a_split_decision(n, monkeypatch):
+    import cspc.sparse
+
+    fired = Counter()
+    prescreen = cspc.sparse._strip_exceeds
+
+    def counted(*args):
+        exceeds = prescreen(*args)
+        fired[exceeds] += 1
+        return exceeds
+
+    with_prescreen, without = Counter(), Counter()
+    for m in _split_cases(n):
+        monkeypatch.setattr(cspc.sparse, "_strip_exceeds", counted)
+        got = spectrum(m, with_prescreen)
+        monkeypatch.setattr(cspc.sparse, "_strip_exceeds", lambda *args: False)
+        want = spectrum(m, without)
+        assert np.array_equal(got, want)
+    assert with_prescreen == without
+    assert with_prescreen["split"] >= 4 and with_prescreen["real_form"] > with_prescreen["split"]
+    # the block-Toeplitz cases are turned away by the strip alone
+    assert fired[True] >= 3
 
 
 def test_sorted_matching_is_l1_optimal():

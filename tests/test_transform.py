@@ -62,6 +62,20 @@ def test_real_route_memory():
     assert peak <= 2 * n * n * 16
 
 
+@pytest.mark.parametrize("n", [1000, 1024])
+def test_real_route_writes_b_in_place(n):
+    # both FFT passes write into B: beside it only O(n) scratch
+    a = np.random.default_rng(n).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        b = similarity_transform(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * b.nbytes
+    assert np.array_equal(b, similarity_transform(a + 0j))
+
+
 @pytest.mark.parametrize("n", [2, 5, 16, 64])
 def test_similarity_round_trip(n):
     rng = np.random.default_rng(n + 100)
