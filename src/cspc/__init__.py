@@ -17,7 +17,7 @@ from .core import (
     flip_matrix,
     fourier_matrix,
     full_cycle_matrix,
-    materialize_cycle,
+    keep_cycles,
     relaxation_diagonal,
 )
 from .decomposition import (
@@ -32,7 +32,6 @@ from .decomposition import (
     orthogonality_check,
     partial_energy,
     recompose,
-    recompose_cycles,
     toeplitz_partial_energy,
     toeplitz_s0,
 )
@@ -49,7 +48,6 @@ from .sparse import (
     EigenApproxResult,
     PdCheckReport,
     SparseCycleMatrix,
-    approx_eigenvalues,
     bauer_fike_bound,
     direct_sparsify,
     eigen_error_report,
@@ -75,7 +73,7 @@ __all__ = [
     "fourier_matrix",
     "relaxation_diagonal",
     "apply_cycle_mask",
-    "materialize_cycle",
+    "keep_cycles",
     "OpCounter",
     "similarity_transform",
     "inverse_similarity_transform",
@@ -83,7 +81,6 @@ __all__ = [
     "CirculantComponent",
     "DominanceReport",
     "cycle_decompose",
-    "recompose_cycles",
     "circulant_decompose_recursive",
     "circulant_decompose_via_transform",
     "recompose",
@@ -102,7 +99,6 @@ __all__ = [
     "sparsify",
     "direct_sparsify",
     "spectrum",
-    "approx_eigenvalues",
     "eigen_error_report",
     "bauer_fike_bound",
     "pd_sufficient_check",

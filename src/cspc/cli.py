@@ -13,6 +13,8 @@ diagnostics, which is enough to regenerate the data exactly.
 
 The spec's seed (--seed, else the spec file's, else 0) is the run's only
 seed: the trial experiments draw trial t from child t of it (_trials).
+Only the kinds that draw take a seed; --seed on any other kind is a
+configuration error, and their manifest's seed is null.
 
 Exit codes: 0 on success, 2 for configuration problems (also what
 argparse uses), an unwritable --out among them, 3 for numerical failures.
@@ -35,11 +37,13 @@ from .core import (
     ConfigError,
     CycleSelection,
     NumericalError,
+    _circulant_view,
     cycle_norms,
-    cycle_positions,
+    iter_cycle_blocks,
     keep_cycles,
 )
 from .generators import (
+    KIND_FIELDS,
     StructuredMatrixSpec,
     SymbolSpec,
     eval_symbol,
@@ -66,10 +70,16 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in ss.spawn(trials)]
 
 
+def _draws(spec: StructuredMatrixSpec) -> bool:
+    """Whether the spec's kind draws its matrix from the seed."""
+    return "seed" in KIND_FIELDS[spec.kind]
+
+
 def _trials(spec: StructuredMatrixSpec, trials: int):
-    """(A, B = W A W*) for each trial, A drawn from a child seed of spec.seed."""
+    """(A, B = W A W*) for each trial, A drawn from a child seed of spec.seed;
+    a kind that draws nothing gives the same A every trial."""
     for seed in _trial_seeds(spec.seed, trials):
-        a, _ = generate(with_seed(spec, seed))
+        a, _ = generate(with_seed(spec, seed) if _draws(spec) else spec)
         yield a, similarity_transform(a)
 
 
@@ -232,10 +242,11 @@ def run_heatmap(spec, flags):
         raise ConfigError(f"heatmap dumps n^2 rows; n={n} exceeds the 1024 cap")
     a, _ = generate(spec)
     mags = np.abs(similarity_transform(a))
-    positions = cycle_positions(n, range(n))
-    peaks = mags[positions].max(axis=1)
+    peaks = np.empty(n)
+    for ks, block in iter_cycle_blocks(mags):
+        peaks[ks.start : ks.stop] = block.max(axis=1)
     # each entry over the peak magnitude of its cycle; zero cycles emit 0
-    mags[positions] /= np.where(peaks > 0, peaks, np.inf)[:, None]
+    mags /= _circulant_view(np.where(peaks > 0, peaks, np.inf))
     p, q = np.divmod(np.arange(n * n), n)
     rows = list(zip(p.tolist(), q.tolist(), mags.ravel().tolist()))
     return ["row", "col", "normalized_magnitude"], rows, {}
@@ -296,12 +307,15 @@ def _build_spec(args, defaults: dict) -> StructuredMatrixSpec:
         spec = StructuredMatrixSpec.from_json_file(args.spec)
         if args.n is not None:
             spec = replace(spec, n=args.n)
-        if args.seed is not None:
-            spec = with_seed(spec, args.seed)
-        return spec
-    if args.n is None:
+    elif args.n is None:
         raise ConfigError("give either --spec FILE or --n")
-    return StructuredMatrixSpec(**defaults, n=args.n, seed=args.seed or 0)
+    else:
+        spec = StructuredMatrixSpec(**defaults, n=args.n)
+    if args.seed is not None:
+        if not _draws(spec):
+            raise ConfigError(f"kind {spec.kind!r} draws nothing and takes no --seed")
+        spec = with_seed(spec, args.seed)
+    return spec
 
 
 @functools.cache
@@ -346,7 +360,7 @@ def main(argv=None) -> int:
         "experiment": args.experiment,
         "config": {"spec": spec.to_json_dict(), **flags, "format": args.fmt},
         "version": __version__,
-        "seed": spec.seed,
+        "seed": spec.seed if _draws(spec) else None,
         **diagnostics,
     }
     try:

@@ -6,9 +6,8 @@ complex128 (require_square), so a real A is never copied into complex
 storage, and is_real answers "is A real?" from the dtype in O(1),
 scanning Im A only for a complex dtype.  What is computed from A is
 complex128 whatever A's dtype: B = W A W*, the masks of keep_cycles,
-materialized cycles, circulant components and SparseCycleMatrix.  A
-"DiagonalVector" is a 1-d complex array, and a cycle index is a plain int
-in [0, n-1].
+circulant components and SparseCycleMatrix.  A "DiagonalVector" is a
+1-d complex array, and a cycle index is a plain int in [0, n-1].
 
 Cycle k of an n x n matrix is the wrapped diagonal through positions
 ((q + k) mod n, q): cycle 0 is the main diagonal, cycle 1 the first
@@ -17,11 +16,13 @@ superdiagonal plus the bottom-left corner.  The n cycles partition the
 entries of the matrix.  Orientation is fixed here once and inherited by
 every other module: cycle_positions fixes the order in which a cycle's
 entries are read.  The index gathers and scatters (apply_cycle_mask,
-materialize_cycle, sparse's densify and to_scipy) use its positions;
-iter_cycle_blocks reads all cycles through strided views of the matrix
-instead, in the same order, which the tests check entry for entry, and
-keep_cycles masks a matrix to some of its cycles through a strided view
-of their indicator.
+sparse's densify and to_scipy) use its positions; iter_cycle_blocks
+reads all cycles through strided views of the matrix instead, in the
+same order, which the tests check entry for entry.  A per-cycle value
+goes back onto the matrix through a strided circulant view, entry (p, q)
+reading the value of cycle (p - q) mod n: keep_cycles, the one way a set
+of cycles becomes an n x n matrix, masks with the view of the set's
+indicator.
 
 Toeplitz is the one representation of a Toeplitz matrix: its 2n - 1
 diagonals, from which its product, norms and the entries of its
@@ -56,7 +57,6 @@ __all__ = [
     "keep_cycles",
     "iter_cycle_blocks",
     "cycle_norms",
-    "materialize_cycle",
 ]
 
 
@@ -387,7 +387,8 @@ def cycle_positions(n: int, k) -> tuple[np.ndarray, np.ndarray]:
     with the longer run first.  For 2k <= n that walks columns q = 0..n-1
     through ((q+k) mod n, q); for 2k > n it walks rows p = 0..n-1 through
     (p, (p-k) mod n).  Both walks cover the same n positions, the order is
-    what apply_cycle_mask and materialize_cycle agree on.
+    what apply_cycle_mask, iter_cycle_blocks and the scatters of
+    sparse.SparseCycleMatrix agree on.
 
     k is one cycle index, giving arrays of shape (n,), or a 1-d sequence
     of them, giving arrays of shape (len(k), n) whose row t is the
@@ -419,32 +420,37 @@ def apply_cycle_mask(a, k) -> np.ndarray:
     return a[cycle_positions(a.shape[0], k)]
 
 
-def keep_cycles(a, k, out: np.ndarray | None = None) -> np.ndarray:
-    """Square matrix a with every entry off the cycles k set to zero: the
-    sum of materialize_cycle(apply_cycle_mask(a, j), n, j) over j in k,
-    entry for entry, with no index array.  Written into out (complex, n x n)
-    when given, so a caller masking one matrix many times reuses one
-    array, else into a new C-order complex128 array, whatever a's dtype.
+def _circulant_view(v: np.ndarray) -> np.ndarray:
+    """Read-only n x n view whose entry (p, q) is v[(p - q) mod n], the
+    value of the cycle it lies on, for a length-n vector v: v written
+    twice, entry (p, q) at offset n + p - q."""
+    n = v.shape[0]
+    twice = np.concatenate((v, v))
+    step = twice.strides[0]
+    return np.lib.stride_tricks.as_strided(twice[n:], (n, n), (step, -step), writeable=False)
 
-    Entry (p, q) lies on cycle (p - q) mod n, so the mask is the circulant
-    of the indicator of k: a read-only strided view of that indicator
-    written twice, with entry (p, q) at offset n + p - q.
+
+def keep_cycles(a, k, out: np.ndarray | None = None) -> np.ndarray:
+    """Square matrix a with every entry off the cycles k set to zero,
+    equal to sparse.sparsify(a, CycleSelection.of(n, k)).densify() entry
+    for entry, with no index array.  Written into out (complex, n x n) when given, so a
+    caller masking one matrix many times reuses one array, else into a
+    new C-order complex128 array, whatever a's dtype.
+
+    The mask is the circulant view of the indicator of k.
     """
     a = require_square(a)
     n = a.shape[0]
     ks = np.asarray(k, dtype=np.int64)
     if ks.size and not (0 <= ks.min() and ks.max() <= n - 1):
         raise ValueError(f"cycle index {k} out of range [0, {n - 1}]")
-    kept = np.zeros(2 * n, dtype=bool)
+    kept = np.zeros(n, dtype=bool)
     kept[ks] = True
-    kept[n:] = kept[:n]
-    step = kept.strides[0]
-    mask = np.lib.stride_tricks.as_strided(kept[n:], (n, n), (step, -step), writeable=False)
     if out is None:
         out = np.zeros((n, n), dtype=np.complex128)
     else:
         out[...] = 0
-    np.copyto(out, a, where=mask)
+    np.copyto(out, a, where=_circulant_view(kept))
     return out
 
 
@@ -531,21 +537,6 @@ def cycle_norms(a) -> np.ndarray:
             sq += np.matmul(im[:, None, :], im[:, :, None])
         np.sqrt(sq[:, 0, 0], out=norms[ks.start : ks.stop])
     return norms
-
-
-def materialize_cycle(values, n: int, k: int) -> np.ndarray:
-    """Dense n x n matrix holding `values` on cycle k, zero elsewhere.
-
-    Inverse of apply_cycle_mask: materialize_cycle(apply_cycle_mask(a, k), n, k)
-    reproduces a's cycle-k entries exactly, no arithmetic involved.
-    """
-    v = np.asarray(values, dtype=np.complex128)
-    if v.shape != (n,):
-        raise ValueError(f"expected {n} cycle values, got shape {v.shape}")
-    rows, cols = cycle_positions(n, k)
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[rows, cols] = v
-    return out
 
 
 @dataclass(frozen=True)

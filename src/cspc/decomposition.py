@@ -50,7 +50,6 @@ __all__ = [
     "CirculantComponent",
     "DominanceReport",
     "cycle_decompose",
-    "recompose_cycles",
     "circulant_dense",
     "component_dense",
     "circulant_decompose_recursive",
@@ -82,18 +81,14 @@ class CirculantComponent:
 
 
 def cycle_decompose(a) -> SparseCycleMatrix:
-    """Split a into its n cycles, all kept in one SparseCycleMatrix; lossless."""
+    """Split a into its n cycles, all kept in one SparseCycleMatrix;
+    lossless, its densify() is a again."""
     a = require_square(a)
     n = a.shape[0]
     cycles = np.empty((n, n), dtype=np.complex128)
     for ks, block in iter_cycle_blocks(a):
         cycles[ks.start : ks.stop] = block
     return SparseCycleMatrix(n, CycleSelection(n, range(n)), cycles)
-
-
-def recompose_cycles(dec: SparseCycleMatrix) -> np.ndarray:
-    """The dense matrix whose cycles dec holds; inverse of cycle_decompose."""
-    return dec.densify()
 
 
 def circulant_dense(first_row) -> np.ndarray:
@@ -201,13 +196,15 @@ def cycle_weights(b) -> np.ndarray:
     """Fraction of |b|_F^2 carried by each cycle; sums to 1.
 
     Meaningful for any square matrix; when b is a similarity transform
-    W A W* these are the component weights of A's circulant split.
+    W A W* these are the component weights of A's circulant split.  The
+    cycles partition b, so |b|_F^2 is the sum of their squared norms and
+    b is read once.
     """
-    b = require_square(b)
-    total = np.linalg.norm(b, "fro") ** 2
+    energies = cycle_norms(b) ** 2
+    total = energies.sum()
     if total == 0:
         raise ValueError("weights are undefined for the zero matrix")
-    return cycle_norms(b) ** 2 / total
+    return energies / total
 
 
 def partial_energy(cycle, freq_set: CycleSelection) -> float:

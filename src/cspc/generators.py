@@ -13,9 +13,10 @@ real storage would save nothing and a real A would be cast to a complex
 copy by every product a @ x with a complex x.
 
 KIND_FIELDS names the spec fields each kind's generator reads besides
-kind, n and seed, and FORM_FIELDS the symbol fields each form reads
-besides form.  Any other field must keep its default, or the spec raises
-ConfigError, and the JSON form holds exactly the fields that are read.
+kind and n, seed among them for the kinds that draw, and FORM_FIELDS the
+symbol fields each form reads besides form.  Any other field must keep
+its default, or the spec raises ConfigError, and the JSON form holds
+exactly the fields that are read.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ __all__ = [
 ]
 
 KIND_FIELDS = {
-    "toeplitz": ("symmetric",),
-    "block_toeplitz": ("m", "symmetric", "make_pd", "target_condition"),
-    "quasi_periodic": ("periods",),
+    "toeplitz": ("seed", "symmetric"),
+    "block_toeplitz": ("seed", "m", "symmetric", "make_pd", "target_condition"),
+    "quasi_periodic": ("seed", "periods"),
     "example1": (),
     "symbol_toeplitz": ("symbol",),
 }
@@ -154,11 +155,11 @@ class StructuredMatrixSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "periods", tuple(int(p) for p in self.periods))
-        _reject_unread(self, f"kind {self.kind!r}", ("kind", "n", "seed", *KIND_FIELDS[self.kind]))
+        _reject_unread(self, f"kind {self.kind!r}", ("kind", "n", *KIND_FIELDS[self.kind]))
 
     def to_json_dict(self) -> dict:
-        """kind, n, seed and the kind's own fields: what the generator reads."""
-        d = {name: getattr(self, name) for name in ("kind", "n", "seed", *KIND_FIELDS[self.kind])}
+        """kind, n and the kind's own fields: what the generator reads."""
+        d = {name: getattr(self, name) for name in ("kind", "n", *KIND_FIELDS[self.kind])}
         if self.symbol is not None:
             d["symbol"] = self.symbol.to_json_dict()
         return d
@@ -386,7 +387,7 @@ def banded_diag_sequence(first_row, first_col, n: int) -> np.ndarray:
 
 def generate(spec: StructuredMatrixSpec):
     """Build the matrix a spec describes, from the fields KIND_FIELDS
-    names for its kind plus n and seed.
+    names for its kind plus n.
 
     Returns (matrix, info): info echoes kind, n and seed, plus per-kind
     extras (the rhs for example1, the shift and achieved condition number

@@ -1,10 +1,16 @@
-"""Cycle selection, sparsification, approximate spectra and their error
-bounds, plus the entry-magnitude sparsifier used as a baseline.
+"""Cycle selection, sparsification, spectra and their error bounds, plus
+the entry-magnitude sparsifier used as a baseline.
 
 The pipeline: transform A, keep the k cycles of B = W A W* with the
 largest l2 norm, and treat the rest as the perturbation Delta.  Because
 distinct cycles are orthogonal slices of the matrix, norm bookkeeping is
 exact: |B|_F^2 = |B~|_F^2 + |Delta|_F^2.
+
+B~ has two forms.  SparseCycleMatrix (sparsify) holds the kept cycles,
+k * n values, and is what the preconditioners factor (to_scipy) and the
+PD check reads; its densify serves bauer_fike_bound.  For an eigensolve
+B~ is B masked in place, core.keep_cycles, so the approximate spectrum
+is spectrum(keep_cycles(b, sel.indices)).
 
 Five rules keep Hermitian problems Hermitian, real problems real, large
 problems halved and their statistics well defined:
@@ -64,7 +70,6 @@ __all__ = [
     "sparsify",
     "direct_sparsify",
     "spectrum",
-    "approx_eigenvalues",
     "eigen_error_report",
     "bauer_fike_bound",
     "pd_sufficient_check",
@@ -354,18 +359,6 @@ def spectrum(m, solvers: Counter | None = None) -> np.ndarray:
         if halves is not None:
             solvers["split"] += 1
     return values
-
-
-def approx_eigenvalues(b_sparse: SparseCycleMatrix, solvers: Counter | None = None) -> np.ndarray:
-    """All n eigenvalues of the sparse matrix, by spectrum() of its dense form.
-
-    Real and ascending when the matrix is Hermitian, as sparsify gives for
-    Hermitian B and a selection from select_dominant_cycles.  solvers, when
-    given, counts the solver that ran, as in spectrum().
-    """
-    if len(b_sparse.selection) == 0:
-        raise ValueError("empty cycle selection")
-    return spectrum(b_sparse.densify(), solvers)
 
 
 @dataclass

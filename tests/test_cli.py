@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import cspc
-from cspc.cli import _trial_seeds, build_parser, main
-from cspc.core import CycleSelection, apply_cycle_mask
+import cspc.cli
+from cspc.cli import _trial_seeds, build_parser, main, run_heatmap
+from cspc.core import CycleSelection, apply_cycle_mask, cycle_positions
 from cspc.generators import (
     FORM_FIELDS,
     KIND_FIELDS,
@@ -79,16 +80,27 @@ DECLARED_FLAGS = {
     "heatmap": (),
 }
 FLAG_VALUES = {"cycles": "1", "budgets": "n", "tol": "1e-6", "trials": "1"}
+# the subcommands whose default kind (example1, symbol_toeplitz) draws nothing
+DRAWLESS = {"precond-table", "symbol-compare", "heatmap"}
 
 
 @pytest.mark.parametrize("name", DECLARED_FLAGS)
 def test_subcommand_takes_only_the_flags_it_reads(name, tmp_path, capsys):
     declared = DECLARED_FLAGS[name]
     out = tmp_path / "x.csv"
-    args = [name, "--n", "100" if name == "eig-vs-n" else "8", "--seed", "1", "--out", str(out),
-            "--format", "csv"]
+    args = [name, "--n", "100" if name == "eig-vs-n" else "8", "--out", str(out), "--format", "csv"]
     for flag in declared:
         args += [f"--{flag}", FLAG_VALUES[flag]]
+    if name in DRAWLESS:
+        # --seed is parsed by every subcommand, but a kind that draws
+        # nothing rejects it, whatever its value, and says which kind
+        for seed in ("0", "1"):
+            assert _run([*args, "--seed", seed]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: kind ") and "--seed" in err, err
+        assert not out.exists()
+    else:
+        args += ["--seed", "1"]
     parser = build_parser()
     parser.parse_args(args)
     for flag in FLAG_VALUES.keys() - set(declared):
@@ -105,8 +117,10 @@ def test_subcommand_takes_only_the_flags_it_reads(name, tmp_path, capsys):
     assert set(manifest["config"]) == {"spec", "format", *declared}
     # the spec echo holds what the generator read, and regenerates the spec
     spec = manifest["config"]["spec"]
-    assert set(spec) == {"kind", "n", "seed", *KIND_FIELDS[spec["kind"]]}
+    assert set(spec) == {"kind", "n", *KIND_FIELDS[spec["kind"]]}
     assert StructuredMatrixSpec.from_json_dict(spec).to_json_dict() == spec
+    assert ("seed" in spec) == (name not in DRAWLESS)
+    assert manifest["seed"] == spec.get("seed")
 
 
 def test_readme_command_lines_parse():
@@ -118,6 +132,20 @@ def test_readme_command_lines_parse():
     assert {parser.parse_args(shlex.split(line)[1:]).experiment for line in lines} == set(
         DECLARED_FLAGS
     )
+
+
+def test_readme_python_blocks_print_their_comments():
+    # each block runs as written and prints exactly its "# " comment lines
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    src = str(Path(cspc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for code in blocks:
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        expected = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+        assert expected and done.stdout.splitlines() == expected, done.stdout
 
 
 def _readme_fields(section, first_header):
@@ -410,6 +438,30 @@ def test_heatmap(tmp_path):
     assert _run(["heatmap", "--n", "2048", "--out", tmp_path / "big.csv"]) == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_heatmap_rows_match_the_index_oracle(n, monkeypatch):
+    # each entry over the peak magnitude of its cycle, the cycles read
+    # through cycle_positions; identity's zero cycles emit 0.  The peaks
+    # of cycles j and n - j of W A W* agree for a real or a Toeplitz A, so
+    # a complex non-Toeplitz A pins which of the two each entry reads.
+    rng = np.random.default_rng(n)
+    matrices = [
+        generate(StructuredMatrixSpec(kind="example1", n=n))[0],
+        generate(StructuredMatrixSpec(kind="quasi_periodic", n=n, periods=(2, 3), seed=3))[0],
+        np.eye(n),
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+    ]
+    for a in matrices:
+        monkeypatch.setattr(cspc.cli, "generate", lambda spec: (a, {}))
+        _, rows, _ = run_heatmap(StructuredMatrixSpec(kind="example1", n=n), {})
+        mags = np.abs(similarity_transform(a))
+        positions = cycle_positions(n, range(n))
+        peaks = mags[positions].max(axis=1)
+        mags[positions] /= np.where(peaks > 0, peaks, np.inf)[:, None]
+        p, q = np.divmod(np.arange(n * n), n)
+        assert rows == list(zip(p.tolist(), q.tolist(), mags.ravel().tolist()))
+
+
 def test_spec_file_with_n_override(tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"kind": "toeplitz", "n": 6, "seed": 5}))
@@ -436,6 +488,18 @@ def test_spec_seed_is_the_run_seed(tmp_path):
     out = tmp_path / "flag.csv"
     assert _run(["eig-errors", "--n", 16, "--seed", 7, "--cycles", "1,4", "--trials", 2, "--out", out]) == 0
     assert out.read_text() == csvs[7]
+
+
+def test_drawless_kind_repeats_its_matrix_across_trials(tmp_path):
+    # the trials of a kind that draws nothing are one matrix, so the
+    # spread across them is zero, and the manifest records no seed
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"kind": "example1", "n": 16}))
+    out = tmp_path / "e.csv"
+    assert _run(["eig-errors", "--spec", spec_file, "--cycles", "1,3", "--trials", 3, "--out", out]) == 0
+    _, rows = _read_csv(out)
+    assert [float(row[3]) for row in rows] == [0.0, 0.0]
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["seed"] is None
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
@@ -479,6 +543,7 @@ MALFORMED_SPECS = {
     "invalid JSON": '{"kind": "toeplitz", "n": 16',
     "field the kind does not read": '{"kind": "toeplitz", "n": 16, "periods": [2]}',
     "removed field": '{"kind": "toeplitz", "n": 16, "period_weights": null}',
+    "seed on a kind that draws nothing": '{"kind": "example1", "n": 16, "seed": 3}',
     "banded symbol with poly": json.dumps(
         {"kind": "symbol_toeplitz", "n": 16,
          "symbol": {"form": "banded", "trig": [[0, 2.0, 0.0]], "poly": [[1.0, 0.0]]}}

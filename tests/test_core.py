@@ -18,13 +18,13 @@ from cspc.core import (
     is_real,
     iter_cycle_blocks,
     keep_cycles,
-    materialize_cycle,
     reflect_columns,
     reflection_defect,
     relaxation_diagonal,
     require_square,
 )
 from cspc.generators import StructuredMatrixSpec, SymbolSpec, gen_example1, generate
+from cspc.sparse import sparsify
 
 MAGIC = np.array([[8, 1, 6], [3, 5, 7], [4, 9, 2]], dtype=float)
 
@@ -161,9 +161,10 @@ def test_apply_cycle_mask_and_materialize():
     for k in range(5):
         masked = apply_cycle_mask(a, k)
         rows, cols = cycle_positions(5, k)
-        total += materialize_cycle(masked, 5, k)
-        dense = materialize_cycle(masked, 5, k)
+        dense = keep_cycles(a, [k])
+        total += dense
         assert np.array_equal(dense[rows, cols], masked)
+        assert np.count_nonzero(dense) == 5
     for t, k in enumerate([4, 0, 2]):
         assert np.array_equal(gathered[t], apply_cycle_mask(a, k))
     assert np.allclose(total, a)
@@ -252,21 +253,38 @@ def test_cycle_norms_read_a_toeplitz_view_in_place():
     assert np.array_equal(norms, [np.linalg.norm(apply_cycle_mask(a, k)) for k in range(n)])
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 33])
+def _cycle_sets(n, rng):
+    """Cycle sets of an n x n matrix: single cycles at both ends, a band
+    around the diagonal, a coset of n's largest subgroup of order <= 4
+    and two random sets, and all n cycles."""
+    order = max(d for d in (1, 2, 3, 4) if n % d == 0)
+    sets = {
+        "first": [0],
+        "last": [n - 1],
+        "band": [k % n for k in range(-2, 3)],
+        "coset": range(1 % n, n, n // order),
+        "all": range(n),
+    }
+    for size in (max(1, n // 3), max(1, 2 * n // 3)):
+        sets[f"random {size}"] = rng.choice(n, size, replace=False)
+    return {name: CycleSelection.of(n, ks) for name, ks in sets.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 33, 64])
 def test_keep_cycles_is_the_sum_of_the_kept_cycles(n):
+    # the kept cycles scattered back through cycle_positions, bit for bit
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     toeplitz, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=1))
-    some = sorted(set(rng.integers(0, n, 3).tolist()))
-    for a in (x, x.T, toeplitz, toeplitz.real):
-        for ks in ([0], [n - 1], some, list(range(n))):
-            want = sum(materialize_cycle(apply_cycle_mask(a, k), n, k) for k in ks)
-            got = keep_cycles(a, ks)
+    for a in (x, x.real, x.T, toeplitz, toeplitz.real):
+        for name, sel in _cycle_sets(n, rng).items():
+            want = sparsify(a, sel).densify()
+            got = keep_cycles(a, sel.indices)
             assert got.dtype == np.complex128 and got.flags.c_contiguous
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want), name
             out = np.full((n, n), np.nan, dtype=np.complex128)
-            assert keep_cycles(a, ks, out) is out
-            assert np.array_equal(out, want)
+            assert keep_cycles(a, sel.indices, out) is out
+            assert np.array_equal(out, want), name
     with pytest.raises(ValueError):
         keep_cycles(x, [n])
 
@@ -278,11 +296,6 @@ def test_reflect_columns_is_the_index_reflection(n):
     assert np.array_equal(reflect_columns(x, np.empty((n, n))), x[:, reflect])
     z = x + 1j * x.T
     assert np.array_equal(reflect_columns(z, np.empty((n, n), complex), np.conjugate), z[:, reflect].conj())
-
-
-def test_materialize_cycle_length_check():
-    with pytest.raises(ValueError):
-        materialize_cycle(np.zeros(4), 5, 1)
 
 
 def test_require_square():

@@ -20,7 +20,6 @@ from cspc.core import (
     cycle_positions,
     fourier_matrix,
     hermitian_defect,
-    materialize_cycle,
 )
 from cspc.generators import StructuredMatrixSpec, gen_example1, generate
 from cspc.precond import (

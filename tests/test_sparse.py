@@ -16,7 +16,6 @@ from cspc.core import (
     fourier_matrix,
     hermitian_defect,
     keep_cycles,
-    materialize_cycle,
     reflection_defect,
 )
 from cspc.decomposition import circulant_dense, cycle_weights
@@ -24,7 +23,6 @@ from cspc.generators import StructuredMatrixSpec, generate
 from cspc.sparse import (
     SparseCycleMatrix,
     _real_form,
-    approx_eigenvalues,
     bauer_fike_bound,
     direct_sparsify,
     eigen_error_report,
@@ -48,8 +46,7 @@ def test_sparse_cycle_matrix_basics():
     sp = sparsify(b, sel)
     assert sp.nnz == 18
     assert np.array_equal(sp.cycle(2), apply_cycle_mask(b, 2))
-    expected = sum(materialize_cycle(apply_cycle_mask(b, k), 6, k) for k in (0, 2, 5))
-    assert np.allclose(sp.densify(), expected)
+    assert np.array_equal(sp.densify(), keep_cycles(b, [0, 2, 5]))
     assert np.array_equal(sp.to_scipy().toarray(), sp.densify())
     assert sp.frobenius_norm() == pytest.approx(np.linalg.norm(sp.densify()))
     every = sparsify(b, CycleSelection.of(6, range(6)))
@@ -81,14 +78,14 @@ def test_select_dominant_cycles_known_ranking():
     n = 5
     b = np.zeros((n, n), dtype=complex)
     for k, scale in enumerate([3.0, 0.5, 7.0, 1.0, 2.0]):
-        b += materialize_cycle(np.full(n, scale), n, k)
+        b += scale * keep_cycles(np.ones((n, n)), [k])
     assert select_dominant_cycles(b, 1).indices == (2,)
     assert select_dominant_cycles(b, 3).indices == (0, 2, 4)
     assert select_dominant_cycles(b, 5).indices == (0, 1, 2, 3, 4)
 
 
 def test_select_dominant_cycles_tie_breaks_low():
-    b = np.eye(4, dtype=complex) + materialize_cycle(np.ones(4), 4, 2)
+    b = np.eye(4, dtype=complex) + keep_cycles(np.ones((4, 4)), [2])
     sel = select_dominant_cycles(b, 1)
     assert sel.indices == (0,)
 
@@ -176,8 +173,7 @@ def test_approx_eigenvalues_circulant_exact():
     n = 8
     r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = similarity_transform(circulant_dense(r))
-    sp = sparsify(b, CycleSelection.of(n, [0]))
-    got = np.sort_complex(approx_eigenvalues(sp))
+    got = np.sort_complex(spectrum(keep_cycles(b, [0])))
     # the circulant's eigenvalues: the positive-kernel DFT of its first row
     assert np.allclose(got, np.sort_complex(n * np.fft.ifft(r)), atol=1e-10)
 
@@ -531,7 +527,7 @@ def test_bauer_fike_bound_controls_matched_errors():
     assert bound.eigenvector_condition == pytest.approx(1.0, abs=1e-8)
     assert bound.delta_spectral <= np.linalg.norm(b - sp.densify(), "fro") + 1e-12
     ref = np.linalg.eigvals(b)
-    rep = eigen_error_report(approx_eigenvalues(sp), ref)
+    rep = eigen_error_report(spectrum(keep_cycles(b, sel.indices)), ref)
     worst = np.abs(ref - rep.approx_eigenvalues[rep.matching]).max()
     assert worst <= bound.absolute * (1 + 1e-8)
 
@@ -594,7 +590,8 @@ def test_pd_check_holding_implies_pd_for_hermitian_input():
     n = 12
     diag = 2.0 + rng.random(n)
     vals = 0.05 * rng.standard_normal(n)
-    b = np.diag(diag) + materialize_cycle(vals, n, 3) + materialize_cycle(vals, n, 3).T
+    cycle3 = _sparse_from_cycles(n, {3: vals}).densify()
+    b = np.diag(diag) + cycle3 + cycle3.T
     sp = sparsify(b.astype(complex), CycleSelection.of(n, [0, 3, 9]))
     rep = pd_sufficient_check(sp)
     assert rep.holds
