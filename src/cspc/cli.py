@@ -164,13 +164,18 @@ def run_eig_errors(spec, flags):
 def run_eig_vs_n(spec, flags):
     if spec.n < 100:
         raise ConfigError("eig-vs-n sweeps n from 100 up; give --n >= 100")
+    sizes = range(100, spec.n + 1, 100)
+    # the coset {j n/m} the block size makes dominant; cycle 0 when m = 1.
+    # It is reflection-closed, so B~ stays Hermitian, and a coset only when
+    # m divides n
+    uneven = [n for n in sizes if n % spec.m]
+    if uneven:
+        raise ConfigError(f"block size {spec.m} must divide every n of the sweep, not {uneven[0]}")
     solvers = Counter()
     rows = []
-    for n in range(100, spec.n + 1, 100):
+    for n in sizes:
         stats = []
         for a, b in _trials(replace(spec, n=n), flags["trials"]):
-            # the coset {j n/m} the block size makes dominant; cycle 0 when
-            # m = 1.  It is reflection-closed, so B~ stays Hermitian.
             sel = CycleSelection.of(n, range(0, n, n // spec.m))
             reference = spectrum(a, solvers)
             a_norm = np.linalg.norm(a, "fro")

@@ -4,9 +4,10 @@ Matrices are plain numpy arrays.  An input matrix keeps its kind: a real
 one (any real or integer dtype) is read as float64 and a complex one as
 complex128 (require_square), so a real A is never copied into complex
 storage, and is_real answers "is A real?" from the dtype in O(1),
-scanning Im A only for a complex dtype.  What is computed from A is
-complex128 whatever A's dtype: B = W A W*, the masks of keep_cycles,
-circulant components and SparseCycleMatrix.  A "DiagonalVector" is a
+reading Im A only for a complex dtype: its first row and column for
+the Toeplitz layout of Toeplitz.dense(), else every entry.  What is
+computed from A is complex128 whatever A's dtype: B = W A W*, the masks
+of keep_cycles, circulant components and SparseCycleMatrix.  A "DiagonalVector" is a
 1-d complex array, and a cycle index is a plain int in [0, n-1].
 
 Cycle k of an n x n matrix is the wrapped diagonal through positions
@@ -86,8 +87,14 @@ def require_square(a) -> np.ndarray:
 
 def is_real(a: np.ndarray) -> bool:
     """Whether array a holds real values: True for a real dtype, in O(1);
-    for a complex dtype, whether Im a is exactly zero, one scan."""
-    return not np.iscomplexobj(a) or not a.imag.any()
+    for a complex dtype, whether Im a is exactly zero.  A 2-d a laid out
+    like Toeplitz.dense(), strides (-s, s), holds nothing but its first
+    row and column, so those are read, O(n); any other a is scanned."""
+    if not np.iscomplexobj(a):
+        return True
+    if a.ndim == 2 and a.size and a.strides[0] == -a.strides[1]:
+        return not (a[0].imag.any() or a[:, 0].imag.any())
+    return not a.imag.any()
 
 
 def _check_dim(n: int) -> int:

@@ -11,7 +11,10 @@ The components come by two independent routes: recursive peeling
 (circulant_decompose_recursive) and the FFT of A's cycles
 (circulant_decompose_via_transform).  The second rests on the identity:
 with c_d cycle d of A read down the columns, c_d[q] = A((q+d) mod n, q),
-entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n.  A real A
+entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n, so the
+spectrum of c_d, written as row (-d) mod n of one n x n array, holds
+entry (-d) mod n of every first row, and R_k's first row is column k.
+extract_cycles reads B's cycles from the same spectra.  A real A
 (core.is_real) has real cycles, whose spectra satisfy
 fft(c)[n - k] = conj(fft(c)[k]); the FFT routes here then take rffts,
 half the work, and read the other half by that symmetry.
@@ -33,8 +36,6 @@ from .core import (
     CycleSelection,
     NumericalError,
     Toeplitz,
-    _column_walks,
-    _cycle_ranges,
     apply_cycle_mask,
     cycle_norms,
     cycle_positions,
@@ -44,7 +45,7 @@ from .core import (
     require_square,
 )
 from .sparse import SparseCycleMatrix
-from .transform import similarity_transform
+from .transform import _walk_spectra, similarity_transform
 
 __all__ = [
     "CirculantComponent",
@@ -134,32 +135,26 @@ def circulant_decompose_via_transform(a) -> list[CirculantComponent]:
 
     With c_d cycle d of a on the column walk, c_d[q] = a((q+d) mod n, q),
     entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n.  So the n
-    first rows are the rows of one n x n array: the FFT of the cycles
-    along their length, transposed with the index reflection d -> -d.
-    The name keeps "via_transform" because this is the Fourier transform
-    of A's cycles, from which B = W A W* is one more FFT away; B itself
-    is never formed.  The array is filled a block of cycles at a time,
-    each block of walks read from strided views of A in place (the
-    reader behind core.iter_cycle_blocks), and component k's first row is
-    a view of its row k.
+    first rows are the columns of one n x n array whose row (-d) mod n is
+    the spectrum of c_d.  The name keeps "via_transform" because this is
+    the Fourier transform of A's cycles, from which B = W A W* is one more
+    FFT away; B itself is never formed.  The array is filled a block of
+    cycles at a time, one FFT per block along the walks read from strided
+    views of A in place (transform._walk_spectra), and component k's first
+    row is a view of its column k.
 
     For a real A (core.is_real) the cycles are real, so fft(c)[n - k]
-    = conj(fft(c)[k]): rows 0..n//2 come from an rfft of the walks and
-    row n - k is written as the conjugate of row k, in place.
+    = conj(fft(c)[k]): bins 0..n//2 come from an rfft of the walks and
+    bin n - k of every row is written as the conjugate of bin k, in place.
     """
     a = require_square(a)
     n = a.shape[0]
     real = is_real(a)
-    filled = n // 2 + 1 if real else n
-    first_rows = np.empty((n, n), dtype=np.complex128)
-    source = a.real if real else a
-    for ks in _cycle_ranges(n):
-        walks = _column_walks(source, ks.start, np.empty((len(ks), n), dtype=source.dtype))
-        spectra = (np.fft.rfft if real else np.fft.fft)(walks, axis=1, norm="forward")
-        first_rows[:filled, (-np.asarray(ks)) % n] = spectra.T
-    if real:
-        np.conjugate(first_rows[1 : (n + 1) // 2], out=first_rows[n - 1 : n // 2 : -1])
-    return [CirculantComponent(k, first_rows[k]) for k in range(n)]
+    spectra = np.empty((n, n), dtype=np.complex128)  # column k: R_k's first row
+    for _, rows in _walk_spectra(a, real, out=spectra):
+        if real:
+            np.conjugate(rows[:, (n - 1) // 2 : 0 : -1], out=rows[:, n // 2 + 1 :])
+    return [CirculantComponent(k, spectra[:, k]) for k in range(n)]
 
 
 def recompose(components: list[CirculantComponent], n: int) -> np.ndarray:

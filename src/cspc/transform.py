@@ -9,24 +9,32 @@ that work: conj(W) = P W with P the index reflection p -> (-p) mod n,
 so B[(-p) mod n, q] = conj(B[p, (-q) mod n]), and rows 0..n//2 from an
 rfft down the columns determine the rest (similarity_transform).
 
-extract_cycles reads selected cycles of B, by one of two routes chosen
-from the selection size k and n alone:
+extract_cycles reads selected cycles of B without forming it.  With c_d
+cycle d of A and b_j cycle j of B, both on the column walk
+(c_d[q] = A((q + d) mod n, q)), and w = exp(-2 pi i / n),
 
-* k <= log2 n, streamed from A's cycles without forming B.  With c_d
-  cycle d of A and b_j cycle j of B, both on the column walk
-  (c_d[q] = A((q + d) mod n, q)), and w = exp(-2 pi i / n),
+    b_j = fft_d(w^{jd} h_j(d)) / n,   h_j(d) = sum_q c_d[q] w^{jq},
 
-      b_j = fft_d(w^{jd} h_j(d)) / n,   h_j(d) = sum_q c_d[q] w^{jq},
+the identity circulant_decompose_via_transform rests on (h_j(d) / n is
+entry (-d) mod n of circulant component R_j's first row), taken at the
+k selected frequencies.  The route to h is chosen from k and n alone:
 
-  the identity circulant_decompose_via_transform rests on, taken at k
-  frequencies: O(n^2 k) work and O(n k) memory beside A.
-* k > log2 n: the full transform, masked.  Its two FFT passes cost
-  about 2 n^2 log2 n whatever k is, which is why larger selections
-  take it.
+* k <= log2 n: dot products of A's cycles with the k phase vectors,
+  O(n^2 k) work, counted by OpCounter.
+* k > log2 n: bin j of each cycle's spectrum, from one FFT per block of
+  A's walks (_walk_spectra, the reader circulant_decompose_via_transform
+  shares; an rfft for real A, read at min(j, n - j) and conjugated past
+  n / 2), about n^2 log2 n / 2 work for a real A whatever k is.  The
+  phase is not applied: fft(w^{jd} x)[m] = fft(x)[(m + j) mod n], so it
+  is a shift of the FFT's output by j.
+
+Either way one length-n FFT per selected cycle finishes, in O(n k)
+memory beside A.
 
 A Toeplitz A needs neither: B's cycles and their norms have a closed
 form in its 2n - 1 diagonals, core.Toeplitz.cycles and cycle_norms (the
-class docstring gives the identity and its precision).
+class docstring gives the identity and its precision), which
+extract_cycles takes at every k.
 """
 
 from __future__ import annotations
@@ -35,13 +43,13 @@ import numpy as np
 
 from .core import (
     CycleSelection,
+    Toeplitz,
     _column_walks,
     _cycle_ranges,
-    cycle_positions,
     is_real,
     require_square,
 )
-from .sparse import SparseCycleMatrix, sparsify
+from .sparse import SparseCycleMatrix
 
 __all__ = [
     "OpCounter",
@@ -102,7 +110,7 @@ class OpCounter:
     cycles costs n per cycle of A for the dot products h_j, then 1 for
     the phase and ceil(log2 n) for the FFT per output entry, so one call
     adds k * n * (n + 1 + ceil(log2 n)) ops over n vectors (the cycles
-    of A).  ``ops`` is None when the full transform was taken instead.
+    of A).  ``ops`` is None unless the dot-product route ran.
     """
 
     def __init__(self):
@@ -116,15 +124,48 @@ class OpCounter:
         return self.ops / self.vectors
 
 
-def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> SparseCycleMatrix:
-    """Selected cycles of W A W*.
+def _walk_spectra(a: np.ndarray, real: bool, out: np.ndarray | None = None):
+    """Yield (ks, spectra) over A's cycles in blocks of _cycle_ranges,
+    cycle 0 in a block of its own: spectra[t] = fft(c_d, norm="forward")
+    for d = ks[t], c_d cycle d on its column walk, one FFT per block along
+    the contiguous walk axis.  A real A (real true) takes rffts, bins
+    0..n//2 only.
 
-    Up to log2 n cycles stream from A's cycles and B is never formed;
-    more take the masked full transform (counter.ops stays None), whose
-    result this is bit for bit.  The streamed values match it to about
-    eps * max|B|: the phases w^{jq} are taken at the reduced exponent
-    (j q) mod n, since the unreduced argument 2 pi j q / n carries an
-    absolute error that grows with j q.
+    Given out, an n x n complex array, the spectra are written into its
+    rows (-d) mod n, bins from column 0 on (the layout of
+    decomposition.circulant_decompose_via_transform), and spectra is the
+    view of those rows, all n columns: cycle 0's row is row 0, and every
+    other block's rows are one reversed slice.
+    """
+    n = a.shape[0]
+    source = a.real if real else a
+    fft = np.fft.rfft if real else np.fft.fft
+    bins = n // 2 + 1 if real else n
+    for block in _cycle_ranges(n):
+        for ks in (range(0, 1), range(1, block.stop)) if block.start == 0 else (block,):
+            if not ks:
+                continue
+            walks = _column_walks(source, ks.start, np.empty((len(ks), n), dtype=source.dtype))
+            if out is None:
+                yield ks, fft(walks, axis=1, norm="forward")
+                continue
+            rows = out[:1] if ks.start == 0 else out[n - ks.start : n - ks.stop : -1]
+            fft(walks, axis=1, norm="forward", out=rows[:, :bins])
+            yield ks, rows
+
+
+def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> SparseCycleMatrix:
+    """Selected cycles of W A W*, read from A without forming B.
+
+    An exactly Toeplitz A (core.Toeplitz.of) takes the closed form in its
+    diagonals at every k.  Otherwise b_j comes from h_j(d), one length-n
+    FFT per selected cycle: up to log2 n cycles take h_j as dot products
+    (counted in counter), more read it from the walk spectra (counter.ops
+    stays None).  Every route matches the masked full transform to about
+    eps * max|B|.  The dot products take the phases w^{jq} at the reduced
+    exponent (j q) mod n, since the unreduced argument 2 pi j q / n
+    carries an absolute error that grows with j q; the walk spectra need
+    no phase at all.
     """
     a = require_square(a)
     n = a.shape[0]
@@ -133,19 +174,36 @@ def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> 
     k = len(sel)
     if k == 0:
         raise ValueError("empty cycle selection")
-    if k >= n.bit_length():  # k > log2 n
-        return sparsify(similarity_transform(a), sel)
+    toeplitz = Toeplitz.of(a)
+    if toeplitz is not None:
+        return SparseCycleMatrix(n, sel, toeplitz.cycles(sel.indices))
 
     js = sel.as_array()
-    phase = np.exp(-2j * np.pi * (np.outer(np.arange(n), js) % n) / n)  # w^{qj}, (n, k)
-    h = np.empty((n, k), dtype=np.complex128)
-    for ks in _cycle_ranges(n):
-        block = _column_walks(a, ks.start, np.empty((len(ks), n), dtype=np.complex128))
-        h[ks.start : ks.stop] = block @ phase
-    walks = np.fft.fft(phase * h, axis=0) / n  # column t: cycle js[t] on the column walk
-    if counter is not None:
-        counter.ops = (counter.ops or 0) + k * n * (n + 1 + (n - 1).bit_length())
-        counter.vectors += n
-
-    _, cols = cycle_positions(n, js)
-    return SparseCycleMatrix(n, sel, np.take_along_axis(walks.T, cols, axis=1))
+    # row t: h_j(d) / n, j = js[t], times w^{jd} on the dot-product route
+    h = np.empty((k, n), dtype=np.complex128)
+    # cycle_positions reads a cycle j > n / 2 along the rows: entry p lies
+    # in column (p - j) mod n, so its column walk is rolled by j
+    shift = np.where(2 * js > n, js, 0)
+    if k < n.bit_length():  # k <= log2 n
+        phase = np.exp(-2j * np.pi * (np.outer(np.arange(n), js) % n) / n)  # w^{qj}, (n, k)
+        for ks in _cycle_ranges(n):
+            block = _column_walks(a, ks.start, np.empty((len(ks), n), dtype=np.complex128))
+            np.multiply((block @ phase).T, phase[ks.start : ks.stop].T / n, out=h[:, ks.start : ks.stop])
+        if counter is not None:
+            counter.ops = (counter.ops or 0) + k * n * (n + 1 + (n - 1).bit_length())
+            counter.vectors += n
+    else:
+        # h_j(d) / n is bin j of cycle d's spectrum; a real cycle has
+        # bin j = conj(bin n - j), so its rfft is read at min(j, n - j)
+        real = is_real(a)
+        bins = np.minimum(js, n - js) if real else js
+        for ks, spectra in _walk_spectra(a, real):
+            h[:, ks.start : ks.stop] = spectra[:, bins].T
+        if real:
+            h.imag[2 * js > n] *= -1
+        # the phase w^{jd} shifts the FFT over d: fft(w^{jd} x)[m] = fft(x)[m + j]
+        shift -= js
+    walks = np.fft.fft(h, axis=1, out=h)
+    for t in np.flatnonzero(shift):
+        walks[t] = np.roll(walks[t], shift[t])
+    return SparseCycleMatrix(n, sel, walks)

@@ -304,6 +304,18 @@ def test_eig_vs_n_sweep(tmp_path):
         assert _run(["eig-vs-n", "--n", "200", "--trials", trials, "--out", tmp_path / "y.csv"]) == 2
 
 
+def test_eig_vs_n_needs_a_block_size_that_divides_every_n(tmp_path, capsys):
+    # range(0, n, n // m) is the coset {j n/m} only when m divides n
+    spec = StructuredMatrixSpec(kind="block_toeplitz", n=300, m=3, symmetric=True, seed=1)
+    spec_file = tmp_path / "m3.json"
+    spec_file.write_text(json.dumps(spec.to_json_dict()))
+    out = tmp_path / "vsn.csv"
+    capsys.readouterr()
+    assert _run(["eig-vs-n", "--spec", spec_file, "--trials", 1, "--out", out]) == 2
+    assert "block size 3 must divide every n of the sweep, not 100" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eig_vs_n_frob_ratio_is_dropped_cycle_norm(tmp_path):
     out = tmp_path / "vsn.csv"
     seed, trials = 2, 2

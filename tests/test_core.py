@@ -333,6 +333,27 @@ def test_is_real_reads_the_dtype_first():
     assert peak < 1024
 
 
+def test_is_real_reads_a_toeplitz_layout_from_its_edges():
+    # a view with strides (-s, s) holds only its first row and column, so
+    # reading those answers exactly; every diagonal is tried in turn
+    n = 6
+    t = np.arange(1.0, 2 * n) + 0j
+    for d in range(2 * n - 1):
+        bumped = t.copy()
+        bumped[d] += 1e-300j
+        view = Toeplitz(bumped).dense()
+        for m in (view, view.T, view[::-1, ::-1], view[1:, :-1], view[::2, ::2]):
+            assert is_real(m) == (not np.ascontiguousarray(m).imag.any())
+        assert not is_real(view)
+    assert is_real(Toeplitz(t).dense())
+    # n^2 = 6.9e10 entries: only an O(n) read returns within the test
+    n = 1 << 18
+    huge = np.ones(2 * n - 1, dtype=complex)
+    assert is_real(Toeplitz(huge).dense())
+    huge[n // 3] = 1j
+    assert not is_real(Toeplitz(huge).dense())
+
+
 def test_hermitian_defect_matches_dense_form():
     rng = np.random.default_rng(1)
     for n in (1, 5, 33, 100):

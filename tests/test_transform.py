@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cspc import decomposition, sparse, transform
 from cspc.core import (
     CycleSelection,
     Toeplitz,
@@ -13,7 +14,7 @@ from cspc.core import (
     reflection_defect,
 )
 from cspc.decomposition import circulant_dense, toeplitz_s0
-from cspc.generators import StructuredMatrixSpec, gen_example1, generate
+from cspc.generators import StructuredMatrixSpec, SymbolSpec, gen_example1, generate
 from cspc.sparse import selections_from_norms, sparsify
 from cspc.transform import (
     OpCounter,
@@ -123,10 +124,16 @@ def test_extract_cycles_matches_masked_transform(n, indices):
     assert np.allclose(got.cycles, _reference_cycles(a, sel), atol=1e-10)
 
 
+def _within_roundoff(got, b, sel):
+    # perfbench's bound on extract_cycles: n * eps * max|B|
+    gap = np.abs(got - apply_cycle_mask(b, sel.indices)).max()
+    return gap <= b.shape[0] * np.finfo(float).eps * np.abs(b).max()
+
+
 @pytest.mark.parametrize("streamed", [0, 1])
 def test_extract_cycles_both_kernel_paths(streamed):
-    # Up to log2 n cycles stream from A's cycles and are counted; one more
-    # takes the full transform plus masking, uncounted and bit-identical.
+    # Up to log2 n cycles stream from A's cycles as dot products and are
+    # counted; one more is read from the walk spectra, uncounted.
     for n in (24, 32):
         rng = np.random.default_rng(42 + n)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -138,7 +145,7 @@ def test_extract_cycles_both_kernel_paths(streamed):
         if streamed:
             assert np.allclose(got.cycles, _reference_cycles(a, sel), atol=1e-12)
         else:
-            assert np.array_equal(got.cycles, _reference_cycles(a, sel))
+            assert _within_roundoff(got.cycles, similarity_transform(a), sel)
 
 
 def test_extract_cycles_non_power_of_two_falls_back():
@@ -176,15 +183,16 @@ def test_full_selection_op_count_is_full_fft():
     n = 64
     a = np.random.default_rng(0).standard_normal((n, n)) + 0j
     counter = OpCounter()
-    got = extract_cycles(a, CycleSelection.of(n, range(n)), counter)
+    sel = CycleSelection.of(n, range(n))
+    got = extract_cycles(a, sel, counter)
     assert counter.ops is None
-    assert np.array_equal(got.cycles, apply_cycle_mask(similarity_transform(a), range(n)))
+    assert _within_roundoff(got.cycles, similarity_transform(a), sel)
 
 
-@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("k", [1, 10, 16, 64])
 def test_extract_cycles_streams_in_small_memory(k):
-    # B alone is n^2 * 16 bytes; the streamed route holds a block of A's
-    # cycles and O(n k) more
+    # B alone is n^2 * 16 bytes; both routes hold a block of A's cycles or
+    # of their spectra and O(n k) more
     n = 1024
     a = np.random.default_rng(k).standard_normal((n, n)) + 0j
     sel = CycleSelection.of(n, range(0, n, n // k)[:k])
@@ -207,6 +215,27 @@ def test_streamed_cycles_precision():
     b = similarity_transform(a)
     gap = np.abs(extract_cycles(a, sel).cycles - apply_cycle_mask(b, sel.indices)).max()
     assert gap <= 16 * np.finfo(float).eps * np.abs(b).max()
+
+
+@pytest.mark.parametrize("n", [12, 32, 1000])
+def test_extract_cycles_never_forms_b(n, monkeypatch):
+    # every k, on both sides of the route rule k <= log2 n, real and complex
+    rng = np.random.default_rng(n + 3)
+    real = rng.standard_normal((n, n))
+    cases = [(a, similarity_transform(a)) for a in (real, real + 1j * rng.standard_normal((n, n)))]
+
+    def forbidden(a):
+        raise AssertionError("extract_cycles formed B")
+
+    monkeypatch.setattr(transform, "similarity_transform", forbidden)
+    streamed_max = n.bit_length() - 1
+    for k in (1, streamed_max, streamed_max + 1, n):
+        sel = CycleSelection.of(n, rng.choice(n, size=k, replace=False))
+        for a, b in cases:
+            counter = OpCounter()
+            got = extract_cycles(a, sel, counter).cycles
+            assert (counter.ops is not None) == (k <= streamed_max)
+            assert _within_roundoff(got, b, sel)
 
 
 def test_op_counter_accumulates_across_calls():
@@ -261,6 +290,91 @@ def test_toeplitz_closed_form_validation():
         Toeplitz(np.ones(0)).cycles([0])
     with pytest.raises(ValueError):
         Toeplitz(np.ones(7)).cycles([4])
+
+
+def _toeplitz_view(kind, n):
+    specs = {
+        "toeplitz": dict(kind="toeplitz", seed=n),
+        "toeplitz-symmetric": dict(kind="toeplitz", symmetric=True, seed=n),
+        "example1": dict(kind="example1"),
+        "symbol_toeplitz": dict(
+            kind="symbol_toeplitz", symbol=SymbolSpec(form="product", poly=(1.0, 1.0), trig={1: 1.0})
+        ),
+    }
+    a, _ = generate(StructuredMatrixSpec(n=n, **specs[kind]))
+    assert Toeplitz.of(a) is not None
+    return a
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "toeplitz-symmetric", "example1", "symbol_toeplitz"])
+@pytest.mark.parametrize("n", [7, 64, 1000, 1024])
+def test_extract_cycles_reads_toeplitz_from_its_diagonals(kind, n, monkeypatch):
+    a = _toeplitz_view(kind, n)
+    b = similarity_transform(a)
+    rng = np.random.default_rng(n)
+    closed_form = Toeplitz.cycles
+    calls = []
+
+    def counted(self, ks):
+        calls.append(len(ks))
+        return closed_form(self, ks)
+
+    monkeypatch.setattr(Toeplitz, "cycles", counted)
+    for k in sorted({min(k, n) for k in (1, 3, 16, n)}):
+        sel = CycleSelection.of(n, rng.choice(n, size=k, replace=False))
+        counter = OpCounter()
+        got = extract_cycles(a, sel, counter).cycles
+        assert counter.ops is None
+        assert _within_roundoff(got, b, sel)
+    assert len(calls) == len({min(k, n) for k in (1, 3, 16, n)})
+
+
+@pytest.mark.parametrize("k", [1, 16])
+def test_extract_cycles_perturbed_toeplitz_takes_the_dense_route(k, monkeypatch):
+    # one ulp off Toeplitz in the last entry: Toeplitz.of scans every row
+    # block and says no, so the cycles come from A's walks
+    n = 64
+    a = np.array(_toeplitz_view("toeplitz", n))
+    a[-1, -1] = np.nextafter(a[-1, -1].real, np.inf) + 1j * a[-1, -1].imag
+    assert Toeplitz.of(a) is None
+    b = similarity_transform(a)
+
+    def forbidden(self, ks):
+        raise AssertionError("a matrix that is not Toeplitz took the closed form")
+
+    monkeypatch.setattr(Toeplitz, "cycles", forbidden)
+    sel = CycleSelection.of(n, range(1, 2 * k, 2))
+    counter = OpCounter()
+    got = extract_cycles(a, sel, counter).cycles
+    assert (counter.ops is not None) == (k <= np.log2(n))
+    assert _within_roundoff(got, b, sel)
+
+
+@pytest.mark.parametrize("kind", ["quasi_periodic", "toeplitz"])
+def test_cycle_scan_chain_forms_b_twice(kind, monkeypatch):
+    # the chain perfbench's cycle-scan times: the caller's own B and the
+    # direct side of the dominance identity, and no third B for the
+    # 16-cycle extraction (k > log2 n) or the circulant components
+    n = 64
+    spec = {"quasi_periodic": dict(periods=(2, 3, 5)), "toeplitz": {}}[kind]
+    a, _ = generate(StructuredMatrixSpec(kind=kind, n=n, seed=3, **spec))
+    original = transform.similarity_transform
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(transform, "similarity_transform", counted)
+    monkeypatch.setattr(decomposition, "similarity_transform", counted)
+    b = transform.similarity_transform(a)
+    decomposition.cycle_weights(b)
+    decomposition.dominance_relation(a, CycleSelection.of(n, (0, 1, n // 2, n - 1)))
+    sel = sparse.select_dominant_cycles(b, 16)
+    transform.extract_cycles(a, sel)
+    decomposition.circulant_decompose_via_transform(a)
+    assert len(sel) > np.log2(n)
+    assert len(calls) == 2
 
 
 def _real_generator_output(kind, n):
