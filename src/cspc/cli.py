@@ -215,7 +215,15 @@ def run_precond_table(spec, flags):
         "matvec": {name: routes[name] for name in ("toeplitz-fft", "dense")},
         "source": {name: sources[name] for name in ("toeplitz-diagonals", "transform")},
         "pd_margins": [
-            {"budget": r.budget, "pd_margin": r.pd_margin} for r in results if r.method == "cycles"
+            {
+                "budget": r.budget,
+                "pd_margin": r.pd_margin,
+                "tapered": r.tapered,
+                "dropped": r.dropped,
+                "min_pivot": r.min_pivot,
+            }
+            for r in results
+            if r.method == "cycles"
         ],
     }
     return header, rows, diagnostics

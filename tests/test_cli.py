@@ -391,7 +391,26 @@ def test_precond_table(tmp_path):
     margins = manifest["pd_margins"]
     assert [m["budget"] for m in margins] == [64, 192]
     assert margins[0]["pd_margin"] >= 0  # k = 1, cycle 0 alone
-    assert margins[1]["pd_margin"] < 0  # k = 3, Example 1's indefinite {0, 1, n - 1}
+    # k = 3: Example 1's {0, 1, n - 1} is indefinite and tapered; the weak
+    # check still reads negative, the pivots of the tapered mask certify it
+    assert margins[1]["pd_margin"] < 0
+    assert [(m["tapered"], m["dropped"]) for m in margins] == [(False, 0), (True, 0)]
+    assert all(m["min_pivot"] > 0 for m in margins)
+
+
+def test_precond_table_indefinite_matrix_exits_3(tmp_path, capsys):
+    # 0.9 + cos(theta) is a Hermitian Toeplitz matrix with negative
+    # eigenvalues; the unpreconditioned solve, first in the table, breaks down
+    spec_file = tmp_path / "indefinite.json"
+    spec_file.write_text(json.dumps(
+        {"kind": "symbol_toeplitz", "n": 64,
+         "symbol": {"form": "banded", "trig": [[0, 0.9, 0], [1, 0.5, 0], [-1, 0.5, 0]]}}
+    ))
+    out = tmp_path / "indefinite.csv"
+    capsys.readouterr()
+    assert _run(["precond-table", "--spec", spec_file, "--budgets", "n,3n", "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
 
 
 def test_precond_table_block_toeplitz_takes_dense_matvec(tmp_path):

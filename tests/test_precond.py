@@ -29,6 +29,7 @@ from cspc.precond import (
     corner_block_side,
     pcg_solve,
     precond_benchmark,
+    taper_weights,
 )
 from cspc.decomposition import circulant_dense
 from cspc.sparse import SparseCycleMatrix, pd_sufficient_check, select_dominant_cycles, sparsify
@@ -301,8 +302,12 @@ def test_pcg_example1_iterations_at_2048():
 def test_preconditioner_pd_margin_is_recorded():
     n = 1000
     a, _ = gen_example1(n)
-    # the known indefinite mask {0, 1, n - 1} of Example 1 reports a negative margin
-    assert build_cycle_preconditioner(a, 3).pd_margin < 0
+    # Example 1's {0, 1, n - 1} is indefinite and gets tapered; the weak
+    # sufficient check still reads negative on the tapered mask, which its
+    # pivots certify
+    m = build_cycle_preconditioner(a, 3)
+    assert m.pd_margin < 0
+    assert m.tapered and m.certified
     assert build_cycle_preconditioner(a, 1).pd_margin >= 0
     assert build_tchan_preconditioner(a, 3 * n).pd_margin is None
     # a selection without its reflection partners is not checked
@@ -310,6 +315,157 @@ def test_preconditioner_pd_margin_is_recorded():
     a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)) + 8 * np.eye(16)
     assert select_dominant_cycles(similarity_transform(a), 2).indices == (0, 5)
     assert build_cycle_preconditioner(a, 2).pd_margin is None
+
+
+@pytest.mark.parametrize(
+    "n,want",
+    [(1000, [24, 22, 20, 19, 17]), (2048, [31, 29, 27, 25, 21])],
+)
+def test_example1_iterations_do_not_increase_with_k(n, want):
+    # untapered, the bands {0, +-1, ..., +-w} are indefinite for k > 1 and
+    # took 24, 30, 33, 30, 35 (n = 1000) and 31, 46, 45, 47, 52 (n = 2048)
+    a, rhs = gen_example1(n)
+    iterations = []
+    for k in (1, 3, 5, 9, 17):
+        m = build_cycle_preconditioner(a, k)
+        assert m.certified
+        assert (m.tapered, m.dropped) == (k > 1, 0)
+        _, rep = pcg_solve(a, rhs, m)
+        assert rep.converged
+        iterations.append(rep.iterations)
+    assert iterations == sorted(iterations, reverse=True)
+    assert iterations == want
+
+
+@pytest.mark.parametrize(
+    "spec,cycle_iterations",
+    [
+        (StructuredMatrixSpec(kind="example1", n=512), None),
+        (
+            StructuredMatrixSpec(
+                kind="block_toeplitz", n=200, m=5, symmetric=True, make_pd=True, seed=0
+            ),
+            [46, 38, 32, 29, 22],
+        ),
+    ],
+    ids=["example1", "block-toeplitz"],
+)
+def test_precond_table_masks_are_certified(spec, cycle_iterations):
+    n = spec.n
+    rows = precond_benchmark(spec, [k * n for k in (1, 3, 5, 9, 17)])
+    assert all(r.min_pivot > 0 for r in rows if r.method != "identity")
+    if cycle_iterations is not None:
+        # every block mask certifies untapered: the counts are those of
+        # the untapered masks
+        cycles = [r for r in rows if r.method == "cycles"]
+        assert not any(r.tapered for r in cycles)
+        assert [r.iterations for r in cycles] == cycle_iterations
+
+
+def test_certified_coset_mask_is_not_tapered():
+    spec = StructuredMatrixSpec(kind="block_toeplitz", n=40, m=4, symmetric=True, make_pd=True, seed=3)
+    a, _ = generate(spec)
+    m = build_cycle_preconditioner(a, 4)
+    assert m.certified and not m.tapered and m.dropped == 0
+    _, rep = pcg_solve(a, np.arange(1, 41), m)
+    assert (rep.iterations, rep.converged) == (25, True)  # the untapered count
+    # k = 9 adds cycles 1, 11, 29 and 39, and the mask turns indefinite; the
+    # taper drops them and keeps the coset (untapered, PCG took 23)
+    m = build_cycle_preconditioner(a, 9)
+    assert m.certified and m.tapered and m.dropped == 4 and m.nnz == 4 * 40
+    _, rep = pcg_solve(a, np.arange(1, 41), m)
+    assert (rep.iterations, rep.converged) == (25, True)
+
+
+def _pivot_cases():
+    n = 256
+    b = similarity_transform(gen_example1(n)[0])
+    for k in (1, 3, 5, 9, 17):
+        sp = sparsify(b, select_dominant_cycles(b, k))
+        tau = taper_weights(n, sp.selection.indices)
+        yield sp
+        yield SparseCycleMatrix(n, sp.selection, sp.cycles * tau[:, None])
+    spec = StructuredMatrixSpec(kind="block_toeplitz", n=40, m=4, symmetric=True, make_pd=True, seed=3)
+    b = similarity_transform(generate(spec)[0])
+    for k in (4, 9, 17):
+        yield sparsify(b, select_dominant_cycles(b, k))
+
+
+def test_pivot_certificate_matches_dense_spectrum():
+    # the sign of the smallest symmetric-mode pivot is that of lambda_min(S),
+    # and for PD S the pivot bounds lambda_min(S) from above
+    signs = []
+    for sp in _pivot_cases():
+        lam = np.linalg.eigvalsh(sp.densify()).min()
+        m = MaskPreconditioner(sp.to_scipy(), "mask")
+        assert (m.min_pivot > 0) == m.certified == (lam > 0)
+        if lam > 0:
+            assert m.min_pivot >= lam * (1 - 1e-10)
+        signs.append(lam > 0)
+    assert True in signs and False in signs
+
+
+def test_pivot_certificate_needs_a_hermitian_mask():
+    m, _ = _spread()  # random complex cycles
+    assert m.min_pivot is None and not m.certified
+    # a zero diagonal pivot: SuperLU pivots off the diagonal
+    swap = scipy.sparse.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    m = MaskPreconditioner(swap, "swap")
+    assert m.min_pivot == 0.0 and not m.certified
+
+
+@pytest.mark.parametrize(
+    "indices,want",
+    [
+        ([0, 1, 2, 10, 11], [1, 2 / 3, 1 / 3, 1 / 3, 2 / 3]),  # band, w = 2: Fejer
+        ([0, 4, 8], [1, 1, 1]),  # pure coset
+        # coset band {0, 4, 8} + {-1, 0, 1}: periodised Fejer
+        ([0, 1, 3, 4, 5, 7, 8, 9, 11], [1, 1 / 2, 1 / 2, 1, 1 / 2, 1 / 2, 1, 1 / 2, 1 / 2]),
+        ([0, 1, 5, 7, 11], [1, 1 / 2, 0, 0, 1 / 2]),  # +-5 lie outside H - H
+        ([0, 1, 3, 6, 9, 11], [1, 0, 1, 1, 1, 0]),  # the coset keeps 4, the band 3
+        ([0, 1, 4, 8, 11], [1, 1 / 2, 0, 0, 1 / 2]),  # both keep 3: the band
+        ([1, 11], [0, 0]),  # no cycle 0: no H
+    ],
+)
+def test_taper_weights(indices, want):
+    n = 12
+    tau = taper_weights(n, indices)
+    assert tau.tolist() == want
+    full = np.zeros(n)
+    full[indices] = tau
+    assert np.fft.fft(full).real.min() >= -1e-12  # T is positive semidefinite
+
+
+@pytest.mark.parametrize(
+    "indices", [[0, 1, 2, 3, 45, 46, 47], [0, 1, 11, 12, 13, 23, 24, 25, 35, 36, 37, 47]]
+)
+def test_taper_makes_any_hpd_mask_pd(indices):
+    # Schur product theorem: B HPD and T PSD with unit diagonal give B o T
+    # PD.  B = x x* + I / 100 masks to D_x M D_x* + I / 100, M the 0/1
+    # circulant of the selection, whose spectrum (a Dirichlet kernel) dips
+    # below zero, so the untapered mask is indefinite
+    n = 48
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = np.outer(x, x.conj()) + 0.01 * np.eye(n)
+    sp = sparsify(b, CycleSelection.of(n, indices))
+    tau = taper_weights(n, sp.selection.indices)
+    tapered = SparseCycleMatrix(n, sp.selection, sp.cycles * tau[:, None])
+    assert np.linalg.eigvalsh(sp.densify()).min() < 0
+    assert np.linalg.eigvalsh(tapered.densify()).min() > 0
+
+
+def test_indefinite_hermitian_a_raises():
+    # Example 1 shifted down by 0.05 has a negative eigenvalue; its k = 1
+    # mask (cycle 0) is still PD, its k = 3 band is not, tapered or not
+    n = 64
+    t = Toeplitz.of(gen_example1(n)[0]).t.copy()
+    t[n - 1] -= 0.05
+    a = Toeplitz(t).dense()
+    assert np.linalg.eigvalsh(a).min() < 0
+    assert build_cycle_preconditioner(a, 1).certified
+    with pytest.raises(NumericalError, match=r"cycles \(0, 1, 63\) is not positive definite"):
+        build_cycle_preconditioner(a, 3)
 
 
 def _dense_oracle(b, build, arg):
@@ -322,6 +478,12 @@ def _dense_oracle(b, build, arg):
         )
         return MaskPreconditioner(mask, "oracle"), None
     sp = sparsify(b, select_dominant_cycles(b, arg))
+    if np.linalg.eigvalsh(sp.densify()).min() < 0:
+        # Example 1's masks are wrapped bands {0, +-1, ..., +-w}: Fejer taper
+        d = np.minimum(sp.selection.as_array(), n - sp.selection.as_array())
+        w = int(d.max())
+        assert sorted(d.tolist()) == sorted([0] + 2 * list(range(1, w + 1)))
+        sp = SparseCycleMatrix(n, sp.selection, sp.cycles * (1 - d / (w + 1))[:, None])
     return MaskPreconditioner(sp.to_scipy(), "oracle"), pd_sufficient_check(sp).margin
 
 
@@ -414,8 +576,9 @@ def test_corner_block_mask_matches_cycle_cut(monkeypatch, a):
 
 
 def test_precond_table_at_2000_is_unchanged(tmp_path):
-    # the corner-block mask and the certified Toeplitz layout leave every
-    # iteration count and residual of this table as they were, to the bit
+    # the cycles rows at 3n and 5n hold Fejer-tapered masks (45 and 43
+    # iterations untapered); the corner-block rows keep their counts, and
+    # the symmetric-mode factor moves their residuals in the ninth digit
     out = tmp_path / "table.csv"
     argv = ["precond-table", "--n", "2000", "--budgets", "n,3n,5n", "--out", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -424,30 +587,32 @@ def test_precond_table_at_2000_is_unchanged(tmp_path):
         "method,budget,iterations,converged,final_residual",
         "identity,0,683,True,6.962479298836759e-07",
         "tchan,2000,30,True,8.78781814963285e-07",
-        "tchan,6000,23,True,8.266519159665129e-07",
-        "tchan,10000,23,True,8.519854590600237e-07",
+        "tchan,6000,23,True,8.266519167686997e-07",
+        "tchan,10000,23,True,8.519854501860289e-07",
         "cycles,2000,30,True,8.78781814963285e-07",
-        "cycles,6000,45,True,5.523706538614773e-07",
-        "cycles,10000,43,True,5.303036044832205e-07",
+        "cycles,6000,29,True,8.720272261573096e-08",
+        "cycles,10000,27,True,3.192906637322818e-07",
     ]
 
 
 def test_toeplitz_solves_in_linear_memory():
     # Example 1 at n = 65536: a dense A would take 64 GiB; the generator's
-    # view, both builds and both solves stay within a few vectors of size n.
-    # k = 3 is left out: the untapered 3-cycle mask stalls at this size
+    # view, the builds and the solves stay within a few vectors of size n.
+    # The k = 3 mask is tapered; untapered it did not converge in 400
     n = 65536
     tracemalloc.start()
     try:
         a, info = generate(StructuredMatrixSpec(kind="example1", n=n))
         builds = (
             (partial(build_cycle_preconditioner, a, 1), 146),
+            (partial(build_cycle_preconditioner, a, 3), 133),
             (partial(build_tchan_preconditioner, a, 3 * n), 91),
         )
         for build, iterations in builds:
             m = build()
             assert m.source == "toeplitz-diagonals"
-            _, rep = pcg_solve(a, info["rhs"], m)
+            assert m.certified
+            _, rep = pcg_solve(a, info["rhs"], m, max_iter=200)
             assert (rep.iterations, rep.converged, rep.matvec) == (iterations, True, "toeplitz-fft")
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -540,6 +705,8 @@ def test_precond_benchmark_rows():
     assert {r.matvec for r in rows} == {"toeplitz-fft"}
     assert [r.pd_margin is None for r in rows] == [True, True, True, False, False]
     assert [r.source for r in rows] == [None] + ["toeplitz-diagonals"] * 4
+    assert [r.min_pivot is not None and r.min_pivot > 0 for r in rows] == [False] + [True] * 4
+    assert [(r.tapered, r.dropped) for r in rows] == [(False, 0)] * 4 + [(True, 0)]
     ident = rows[0].iterations
     assert all(r.iterations <= ident for r in rows[1:])
     assert all(r.final_residual < 1e-6 for r in rows)
