@@ -21,7 +21,6 @@ from .core import (
     relaxation_diagonal,
 )
 from .decomposition import (
-    CirculantComponent,
     DominanceReport,
     circulant_decompose_recursive,
     circulant_decompose_via_transform,
@@ -78,7 +77,6 @@ __all__ = [
     "similarity_transform",
     "inverse_similarity_transform",
     "extract_cycles",
-    "CirculantComponent",
     "DominanceReport",
     "cycle_decompose",
     "circulant_decompose_recursive",

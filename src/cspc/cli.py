@@ -217,7 +217,6 @@ def run_precond_table(spec, flags):
         "pd_margins": [
             {
                 "budget": r.budget,
-                "pd_margin": r.pd_margin,
                 "tapered": r.tapered,
                 "dropped": r.dropped,
                 "min_pivot": r.min_pivot,

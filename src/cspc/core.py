@@ -7,8 +7,9 @@ storage, and is_real answers "is A real?" from the dtype in O(1),
 reading Im A only for a complex dtype: its first row and column for
 the Toeplitz layout of Toeplitz.dense(), else every entry.  What is
 computed from A is complex128 whatever A's dtype: B = W A W*, the masks
-of keep_cycles, circulant components and SparseCycleMatrix.  A "DiagonalVector" is a
-1-d complex array, and a cycle index is a plain int in [0, n-1].
+of keep_cycles, the n x n array F of circulant first rows and
+SparseCycleMatrix.  A "DiagonalVector" is a 1-d complex array, and a
+cycle index is a plain int in [0, n-1].
 
 Cycle k of an n x n matrix is the wrapped diagonal through positions
 ((q + k) mod n, q): cycle 0 is the main diagonal, cycle 1 the first
@@ -575,7 +576,7 @@ class CycleSelection:
         return iter(self.indices)
 
     def __contains__(self, k) -> bool:
-        return int(k) in set(self.indices)
+        return int(k) in self.indices
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.int64)

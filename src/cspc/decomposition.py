@@ -7,17 +7,16 @@ components A = sum_k R_k D_k where D_k is the relaxation diagonal
 exp(+2i*pi*k*q/n).  The components are mutually orthogonal under the
 Frobenius inner product, so norm bookkeeping across the split is exact.
 
-The components come by two independent routes: recursive peeling
-(circulant_decompose_recursive) and the FFT of A's cycles
-(circulant_decompose_via_transform).  The second rests on the identity:
-with c_d cycle d of A read down the columns, c_d[q] = A((q+d) mod n, q),
-entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n, so the
-spectrum of c_d, written as row (-d) mod n of one n x n array, holds
-entry (-d) mod n of every first row, and R_k's first row is column k.
-extract_cycles reads B's cycles from the same spectra.  A real A
-(core.is_real) has real cycles, whose spectra satisfy
-fft(c)[n - k] = conj(fft(c)[k]); the FFT routes here then take rffts,
-half the work, and read the other half by that symmetry.
+The split is one n x n array F, F[k] the first row of R_k, by two
+independent routes: recursive peeling (circulant_decompose_recursive)
+and the FFT of A's cycles (circulant_decompose_via_transform).  With
+c_d cycle d of A read down the columns, c_d[q] = A((q+d) mod n, q),
+entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n: the spectrum
+of c_d is column (-d) mod n of F.  transform._walk_spectra reads these
+spectra, one FFT per block of cycles, for F, for extract_cycles and for
+dominance_relation's predicted side.  A real A (core.is_real) has real
+cycles, fft(c)[n - k] = conj(fft(c)[k]), so the reader takes rffts,
+half the work, and the other half is read by that symmetry.
 
 The dominance identity ties the two pictures together: the energy that
 the cycles of A concentrate on a frequency set S equals the share of
@@ -48,7 +47,6 @@ from .sparse import SparseCycleMatrix
 from .transform import _walk_spectra, similarity_transform
 
 __all__ = [
-    "CirculantComponent",
     "DominanceReport",
     "cycle_decompose",
     "circulant_dense",
@@ -66,21 +64,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CirculantComponent:
-    """First row of a circulant R_k together with its relaxation index k."""
-
-    k: int
-    first_row: np.ndarray
-
-    def __post_init__(self):
-        fr = np.asarray(self.first_row, dtype=np.complex128)
-        if fr.ndim != 1 or fr.size < 1:
-            raise ValueError("first_row must be a nonempty vector")
-        object.__setattr__(self, "first_row", fr)
-        object.__setattr__(self, "k", int(self.k))
-
-
 def cycle_decompose(a) -> SparseCycleMatrix:
     """Split a into its n cycles, all kept in one SparseCycleMatrix;
     lossless, its densify() is a again."""
@@ -95,53 +78,49 @@ def cycle_decompose(a) -> SparseCycleMatrix:
 def circulant_dense(first_row) -> np.ndarray:
     """Dense circulant whose rows are successive right rotations of first_row."""
     r = np.asarray(first_row, dtype=np.complex128)
+    if r.ndim != 1 or r.size < 1:
+        raise ValueError(f"first row must be a nonempty vector, got shape {r.shape}")
     n = r.size
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     return r[idx]
 
 
-def component_dense(comp: CirculantComponent) -> np.ndarray:
-    """The dense matrix R_k D_k of a component."""
-    n = comp.first_row.size
-    return circulant_dense(comp.first_row) * relaxation_diagonal(n, comp.k)[None, :]
+def component_dense(first_row, k: int) -> np.ndarray:
+    """The dense matrix R_k D_k, R_k the circulant with this first row."""
+    r = circulant_dense(first_row)
+    return r * relaxation_diagonal(r.shape[0], k)[None, :]
 
 
-def circulant_decompose_recursive(a) -> list[CirculantComponent]:
+def circulant_decompose_recursive(a) -> np.ndarray:
     """Peel off circulant components one relaxation at a time.
 
     Step k averages each cycle of the residual to get the nearest
     circulant, subtracts it, and unwinds one relaxation so the next
-    component is again a plain circulant.  Entry j of R_k's first row is
-    the mean of residual cycle (n - j) mod n; that pairing is what makes
-    the recomposition sum_k R_k D_k land back on a.
+    component is again a plain circulant.  Entry j of R_k's first row,
+    F[k, j], is the mean of residual cycle (n - j) mod n; that pairing is
+    what makes the recomposition sum_k R_k D_k land back on a.
     """
     a = require_square(a)
     n = a.shape[0]
     d_back = relaxation_diagonal(n, n - 1)[None, :] if n > 1 else None
     positions = cycle_positions(n, range(n))
     residual = a.astype(np.complex128)
-    comps = []
+    f = np.empty((n, n), dtype=np.complex128)
     for k in range(n):
-        means = residual[positions].mean(axis=1)
-        first_row = means[(-np.arange(n)) % n]
-        comps.append(CirculantComponent(k, first_row))
+        f[k] = residual[positions].mean(axis=1)[(-np.arange(n)) % n]
         if k < n - 1:
-            residual = (residual - circulant_dense(first_row)) * d_back
-    return comps
+            residual = (residual - circulant_dense(f[k])) * d_back
+    return f
 
 
-def circulant_decompose_via_transform(a) -> list[CirculantComponent]:
-    """Same components as the recursive variant, from one FFT of A's cycles.
+def circulant_decompose_via_transform(a) -> np.ndarray:
+    """Same F as the recursive variant, from one FFT of A's cycles.
 
-    With c_d cycle d of a on the column walk, c_d[q] = a((q+d) mod n, q),
-    entry m of R_k's first row is fft(c_{(-m) mod n})[k] / n.  So the n
-    first rows are the columns of one n x n array whose row (-d) mod n is
-    the spectrum of c_d.  The name keeps "via_transform" because this is
-    the Fourier transform of A's cycles, from which B = W A W* is one more
-    FFT away; B itself is never formed.  The array is filled a block of
-    cycles at a time, one FFT per block along the walks read from strided
-    views of A in place (transform._walk_spectra), and component k's first
-    row is a view of its column k.
+    F is the transposed view, not a copy, of one n x n array whose row
+    (-d) mod n is the spectrum of cycle d on the column walk, filled a
+    block of cycles at a time by transform._walk_spectra.  The name keeps
+    "via_transform" because this is the Fourier transform of A's cycles,
+    from which B = W A W* is one more FFT away; B itself is never formed.
 
     For a real A (core.is_real) the cycles are real, so fft(c)[n - k]
     = conj(fft(c)[k]): bins 0..n//2 come from an rfft of the walks and
@@ -154,37 +133,32 @@ def circulant_decompose_via_transform(a) -> list[CirculantComponent]:
     for _, rows in _walk_spectra(a, real, out=spectra):
         if real:
             np.conjugate(rows[:, (n - 1) // 2 : 0 : -1], out=rows[:, n // 2 + 1 :])
-    return [CirculantComponent(k, spectra[:, k]) for k in range(n)]
+    return spectra.T
 
 
-def recompose(components: list[CirculantComponent], n: int) -> np.ndarray:
-    """Dense sum of R_k D_k over the given components."""
-    out = np.zeros((n, n), dtype=np.complex128)
-    for comp in components:
-        if comp.first_row.size != n:
-            raise ValueError(
-                f"component k={comp.k} has length {comp.first_row.size}, expected {n}"
-            )
-        out += component_dense(comp)
+def recompose(f) -> np.ndarray:
+    """Dense sum of R_k D_k over the rows F[k] of an n x n F."""
+    f = require_square(f)
+    out = np.zeros(f.shape, dtype=np.complex128)
+    for k, first_row in enumerate(f):
+        out += component_dense(first_row, k)
     return out
 
 
-def orthogonality_check(components: list[CirculantComponent]) -> float:
-    """Largest normalized cross inner product |<R_iD_i, R_jD_j>| over pairs.
+def orthogonality_check(dense: list[np.ndarray]) -> float:
+    """Largest normalized cross inner product |<X_i, X_j>| over pairs of
+    the given matrices, such as the components component_dense(F[k], k).
 
     Zero for a clean decomposition; the epsilon keeps all-zero
     components from dividing by zero.
     """
-    if len(components) < 2:
+    if len(dense) < 2:
         raise ValueError("need at least two components to compare")
-    dense = [component_dense(c) for c in components]
-    norms = [np.linalg.norm(d, "fro") for d in dense]
-    worst = 0.0
-    for i in range(len(dense)):
-        for j in range(i + 1, len(dense)):
-            ip = abs(np.vdot(dense[i], dense[j]))
-            worst = max(worst, ip / (norms[i] * norms[j] + 1e-300))
-    return worst
+    x = np.array([np.ravel(d) for d in dense])
+    norms = np.linalg.norm(x, axis=1)
+    cross = np.abs(x.conj() @ x.T) / (np.outer(norms, norms) + 1e-300)
+    np.fill_diagonal(cross, 0.0)
+    return float(cross.max())
 
 
 def cycle_weights(b) -> np.ndarray:
@@ -247,43 +221,32 @@ def dominance_relation(a, freq_set: CycleSelection) -> DominanceReport:
     freq_set.  Zero cycles of A carry zero weight; their (undefined)
     energies are reported as 0.  Disagreement beyond 1e-9 means the
     inputs broke an exact identity, so it raises instead of returning.
-    A real A (core.is_real) takes rffts of its cycles on the predicted
-    side and the real route of similarity_transform on the direct side.
-    |A|_F^2 is the sum of the cycles' squared norms, from the same pass.
+    A real A (core.is_real) takes the real route of similarity_transform
+    on the direct side.
     """
     a = require_square(a)
     n = a.shape[0]
     if freq_set.n != n:
         raise ValueError(f"selection is for n={freq_set.n}, matrix has n={n}")
 
-    # one pass over A's cycles gives both factors of every term: the
-    # weights, and partial_energy batched as one FFT per block.  A real
-    # cycle's spectrum has gamma_j = gamma_{n-j}, so a real A takes the
-    # rfft, read at min(j, n - j), and its Parseval total weights the
-    # bins 1, 2, ..., 2, ending in 1 for even n
+    # both factors of every term come from the walk spectra of A's cycles.
+    # By Parseval a cycle's |spectrum|^2 sums to its squared norm over n,
+    # its weight once normalised.  Bin j of partial_energy's DFT is bin
+    # (-j) mod n here; the column walk is cycle_positions' row walk rolled,
+    # which no |DFT| sees.  A real cycle has |bin j| = |bin n - j|: a real
+    # A's rfft is read at min(j, n - j), bins 1 .. (n - 1) // 2 counted twice
     real = is_real(a)
-    freq = freq_set.as_array()
+    js = freq_set.as_array()
+    freq = np.minimum(js, n - js) if real else -js % n
+    fold = np.ones(n // 2 + 1 if real else n)
     if real:
-        freq = np.minimum(freq, n - freq)
-        fold = np.ones(n // 2 + 1)
         fold[1 : (n + 1) // 2] = 2.0
     weights = np.empty(n)
     energies = np.zeros(n)
-    for ks, block in iter_cycle_blocks(a):
-        block = block.real if real else block
-        weights[ks.start : ks.stop] = np.linalg.norm(block, axis=1) ** 2
-        if real:
-            gamma = np.abs(np.fft.rfft(block, axis=1)) ** 2
-            gamma_total = gamma @ fold
-        else:
-            gamma = np.abs(np.fft.ifft(block, axis=1, norm="forward")) ** 2
-            gamma_total = gamma.sum(axis=1)
-        np.divide(
-            gamma[:, freq].sum(axis=1),
-            gamma_total,
-            out=energies[ks.start : ks.stop],
-            where=gamma_total > 0,
-        )
+    for ks, spectra in _walk_spectra(a, real):
+        gamma = np.abs(spectra) ** 2
+        w = np.dot(gamma, fold, out=weights[ks.start : ks.stop])
+        np.divide(gamma[:, freq].sum(axis=1), w, out=energies[ks.start : ks.stop], where=w > 0)
     total = weights.sum()
     if total == 0:
         raise ValueError("dominance is undefined for the zero matrix")

@@ -90,7 +90,7 @@ from .core import (
     require_square,
 )
 from .generators import StructuredMatrixSpec, generate
-from .sparse import SparseCycleMatrix, pd_sufficient_check, selections_from_norms
+from .sparse import SparseCycleMatrix, selections_from_norms
 from .transform import similarity_transform
 
 __all__ = [
@@ -139,17 +139,14 @@ class MaskPreconditioner:
     other S keeps SuperLU's default column ordering and partial pivoting,
     and min_pivot is None: nothing is certified.
 
-    build_cycle_preconditioner records three more facts on its mask:
-    pd_margin, the slack of sparse.pd_sufficient_check on S where it
-    applies (negative: that weaker check does not show S definite), and
-    tapered and dropped, whether S was tapered and how many cycles the
-    taper removed; a mask built otherwise keeps None, False and 0.
+    build_cycle_preconditioner records two more facts on its mask,
+    tapered and dropped: whether S was tapered and how many cycles the
+    taper removed; a mask built otherwise keeps False and 0.
     source names the route that read S out of B: "toeplitz-diagonals"
     (closed form from A's 2n - 1 diagonals) or "transform" (B formed
     densely); None for a mask the caller built.
     """
 
-    pd_margin: float | None = None
     tapered = False
     dropped = 0
 
@@ -287,10 +284,6 @@ def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
                 f"smallest pivot {m.min_pivot:g}"
             )
         m.tapered, m.dropped = True, int(keep.size - np.count_nonzero(keep))
-    try:
-        m.pd_margin = pd_sufficient_check(s).margin
-    except ValueError:  # selection without cycle 0 or not reflection-closed
-        pass
     return m
 
 
@@ -418,7 +411,6 @@ class BenchmarkRow:
     converged: bool
     final_residual: float
     matvec: str  # PcgReport.matvec of the solve
-    pd_margin: float | None  # MaskPreconditioner.pd_margin; None without one
     source: str | None  # MaskPreconditioner.source; None without one
     min_pivot: float | None  # MaskPreconditioner.min_pivot; None without one
     tapered: bool  # MaskPreconditioner.tapered; False without one
@@ -449,9 +441,9 @@ def precond_benchmark(spec: StructuredMatrixSpec, budgets, tol: float = 1e-6) ->
         _, rep = pcg_solve(a, rhs, m, tol=tol)
         final = rep.relative_residuals[-1] if rep.relative_residuals else 0.0
         if m is None:
-            mask = (None, None, None, False, 0)
+            mask = (None, None, False, 0)
         else:
-            mask = (m.pd_margin, m.source, m.min_pivot, m.tapered, m.dropped)
+            mask = (m.source, m.min_pivot, m.tapered, m.dropped)
         rows.append(
             BenchmarkRow(method, budget, rep.iterations, rep.converged, final, rep.matvec, *mask)
         )

@@ -16,15 +16,17 @@ cycle d of A and b_j cycle j of B, both on the column walk
     b_j = fft_d(w^{jd} h_j(d)) / n,   h_j(d) = sum_q c_d[q] w^{jq},
 
 the identity circulant_decompose_via_transform rests on (h_j(d) / n is
-entry (-d) mod n of circulant component R_j's first row), taken at the
-k selected frequencies.  The route to h is chosen from k and n alone:
+F[j, (-d) mod n], entry (-d) mod n of circulant component R_j's first
+row), taken at the k selected frequencies.  The route to h is chosen
+from k and n alone:
 
 * k <= log2 n: dot products of A's cycles with the k phase vectors,
   O(n^2 k) work, counted by OpCounter.
 * k > log2 n: bin j of each cycle's spectrum, from one FFT per block of
-  A's walks (_walk_spectra, the reader circulant_decompose_via_transform
-  shares; an rfft for real A, read at min(j, n - j) and conjugated past
-  n / 2), about n^2 log2 n / 2 work for a real A whatever k is.  The
+  A's walks (_walk_spectra, the reader that
+  circulant_decompose_via_transform and dominance_relation share; an
+  rfft for real A, read at min(j, n - j) and conjugated past n / 2),
+  about n^2 log2 n / 2 work for a real A whatever k is.  The
   phase is not applied: fft(w^{jd} x)[m] = fft(x)[(m + j) mod n], so it
   is a shift of the FFT's output by j.
 
@@ -132,8 +134,8 @@ def _walk_spectra(a: np.ndarray, real: bool, out: np.ndarray | None = None):
     0..n//2 only.
 
     Given out, an n x n complex array, the spectra are written into its
-    rows (-d) mod n, bins from column 0 on (the layout of
-    decomposition.circulant_decompose_via_transform), and spectra is the
+    rows (-d) mod n, bins from column 0 on (the transpose of
+    decomposition.circulant_decompose_via_transform's F), and spectra is the
     view of those rows, all n columns: cycle 0's row is row 0, and every
     other block's rows are one reversed slice.
     """

@@ -22,6 +22,7 @@ from cspc.core import (
 from cspc.decomposition import (
     circulant_decompose_recursive,
     circulant_decompose_via_transform,
+    component_dense,
     cycle_decompose,
     dominance_relation,
     orthogonality_check,
@@ -70,16 +71,17 @@ def test_magic_square_ground_truth():
     assert np.allclose(dec.densify(), MAGIC, atol=1e-12)
 
     root3 = np.sqrt(3.0)
-    expected_rows = [
-        np.array([5.0, 4.0, 6.0]),
-        np.array([1.5 - root3 / 2 * 1j, root3 * 1j, -1.5 - root3 / 2 * 1j]),
-        np.array([1.5 + root3 / 2 * 1j, -root3 * 1j, -1.5 + root3 / 2 * 1j]),
-    ]
+    expected_rows = np.array(
+        [
+            [5.0, 4.0, 6.0],
+            [1.5 - root3 / 2 * 1j, root3 * 1j, -1.5 - root3 / 2 * 1j],
+            [1.5 + root3 / 2 * 1j, -root3 * 1j, -1.5 + root3 / 2 * 1j],
+        ]
+    )
     for route in (circulant_decompose_recursive, circulant_decompose_via_transform):
-        comps = route(MAGIC)
-        for comp, expect in zip(comps, expected_rows):
-            assert np.abs(comp.first_row - expect).max() < 1e-12
-        assert np.abs(recompose(comps, 3) - MAGIC).max() < 1e-12
+        f = route(MAGIC)
+        assert np.abs(f - expected_rows).max() < 1e-12
+        assert np.abs(recompose(f) - MAGIC).max() < 1e-12
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -100,12 +102,9 @@ def test_transform_identity_suite():
         assert abs(na - nb) < 1e-12 * na
         assert np.abs(inverse_similarity_transform(b) - a).max() < 1e-10
 
-        comps = circulant_decompose_via_transform(a)
-        if n <= 64:
-            subset = comps
-        else:
-            subset = [comps[int(i)] for i in rng.choice(n, size=12, replace=False)]
-        assert orthogonality_check(subset) < 1e-10
+        f = circulant_decompose_via_transform(a)
+        ks = range(n) if n <= 64 else rng.choice(n, size=12, replace=False)
+        assert orthogonality_check([component_dense(f[k], k) for k in ks]) < 1e-10
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -17,7 +17,6 @@ from cspc.core import (
     fourier_matrix,
 )
 from cspc.decomposition import (
-    CirculantComponent,
     circulant_decompose_recursive,
     circulant_decompose_via_transform,
     circulant_dense,
@@ -38,11 +37,13 @@ from cspc.transform import similarity_transform
 MAGIC = np.array([[8, 1, 6], [3, 5, 7], [4, 9, 2]], dtype=float)
 
 ROOT3 = np.sqrt(3.0)
-MAGIC_FIRST_ROWS = [
-    np.array([5.0, 4.0, 6.0]),
-    np.array([1.5 - ROOT3 / 2 * 1j, ROOT3 * 1j, -1.5 - ROOT3 / 2 * 1j]),
-    np.array([1.5 + ROOT3 / 2 * 1j, -ROOT3 * 1j, -1.5 + ROOT3 / 2 * 1j]),
-]
+MAGIC_FIRST_ROWS = np.array(
+    [
+        [5.0, 4.0, 6.0],
+        [1.5 - ROOT3 / 2 * 1j, ROOT3 * 1j, -1.5 - ROOT3 / 2 * 1j],
+        [1.5 + ROOT3 / 2 * 1j, -ROOT3 * 1j, -1.5 + ROOT3 / 2 * 1j],
+    ]
+)
 
 
 def test_cycle_decompose_magic_square():
@@ -79,11 +80,10 @@ def test_cycle_decompose_holds_one_n_by_n_array():
 
 @pytest.mark.parametrize("route", [circulant_decompose_recursive, circulant_decompose_via_transform])
 def test_circulant_decompose_magic_square(route):
-    comps = route(MAGIC)
-    assert [c.k for c in comps] == [0, 1, 2]
-    for comp, expect in zip(comps, MAGIC_FIRST_ROWS):
-        assert np.allclose(comp.first_row, expect, atol=1e-12)
-    assert np.allclose(recompose(comps, 3), MAGIC, atol=1e-12)
+    f = route(MAGIC)
+    assert f.shape == (3, 3) and f.dtype == np.complex128
+    assert np.allclose(f, MAGIC_FIRST_ROWS, atol=1e-12)
+    assert np.allclose(recompose(f), MAGIC, atol=1e-12)
 
 
 def test_circulant_routes_agree():
@@ -92,10 +92,29 @@ def test_circulant_routes_agree():
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         rec = circulant_decompose_recursive(a)
         via = circulant_decompose_via_transform(a)
-        for x, y in zip(rec, via):
-            assert x.k == y.k
-            assert np.allclose(x.first_row, y.first_row, atol=1e-10)
-        assert np.allclose(recompose(rec, n), a, atol=1e-10)
+        assert np.allclose(rec, via, atol=1e-10)
+        assert np.allclose(recompose(rec), a, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 31, 64])
+def test_both_routes_return_one_array_of_first_rows(n):
+    rng = np.random.default_rng(n + 900)
+    for a in (rng.standard_normal((n, n)), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+        rec = circulant_decompose_recursive(a)
+        via = circulant_decompose_via_transform(a)
+        for f in (rec, via):
+            assert isinstance(f, np.ndarray) and f.shape == (n, n) and f.dtype == np.complex128
+        assert np.abs(rec - via).max() <= 1e-12 * np.abs(a).max()
+
+
+def test_via_transform_is_a_view_of_one_array():
+    # F is the transposed view of the one array the walk spectra are
+    # written into: its rows are disjoint strided views of that buffer
+    a = np.random.default_rng(17).standard_normal((16, 16))
+    f = circulant_decompose_via_transform(a)
+    assert f.base is not None and f.base.shape == (16, 16)
+    assert f[0].base is f.base and f[-1].base is f.base
+    assert np.may_share_memory(f[0], f[-1]) and not f[0].flags.owndata
 
 
 @pytest.mark.parametrize("n", [7, 8, 60, 64])
@@ -106,12 +125,11 @@ def test_via_transform_matches_b_formula(n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = similarity_transform(a)
     q = np.arange(n)
-    comps = circulant_decompose_via_transform(a)
+    got = circulant_decompose_via_transform(a)
     expect = np.array(
         [np.fft.fft(b[(q + k) % n, q]) / n * np.exp(-2j * np.pi * ((k * q) % n) / n) for k in range(n)]
     )
-    got = np.array([c.first_row for c in comps])
-    assert [c.k for c in comps] == list(range(n))
+    assert got.shape == (n, n)
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
@@ -130,12 +148,10 @@ def test_real_routes_match_oracles(n):
     for real_a in (a, a + 0j):
         via = circulant_decompose_via_transform(real_a)
         rec = circulant_decompose_recursive(real_a)
-        assert [c.k for c in via] == list(range(n))
-        for x, y in zip(rec, via):
-            assert np.abs(x.first_row - y.first_row).max() <= 1e-12 * np.abs(a).max()
-        for k in range(1, n):
-            assert np.array_equal(via[n - k].first_row, via[k].first_row.conj())
-        assert np.allclose(recompose(via, n), a, atol=1e-12)
+        assert via.shape == (n, n)
+        assert np.abs(rec - via).max() <= 1e-12 * np.abs(a).max()
+        assert np.array_equal(via[n - 1 : 0 : -1], via[1:].conj())
+        assert np.allclose(recompose(via), a, atol=1e-12)
 
         rep = dominance_relation(real_a, sel)
         assert rep.relative_magnitude == pytest.approx(direct, abs=1e-12)
@@ -167,8 +183,7 @@ def test_via_transform_matches_the_index_route_bit_for_bit(n):
     complex_a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     toeplitz = Toeplitz(rng.standard_normal(2 * n - 1) + 0j).dense()
     for a in (complex_a, complex_a.real, complex_a.T, toeplitz, toeplitz * 1j):
-        got = np.array([c.first_row for c in circulant_decompose_via_transform(a)])
-        assert np.array_equal(got, _via_put_along_axis(a))
+        assert np.array_equal(circulant_decompose_via_transform(a), _via_put_along_axis(a))
 
 
 def test_via_transform_never_forms_b(monkeypatch):
@@ -177,7 +192,7 @@ def test_via_transform_never_forms_b(monkeypatch):
 
     monkeypatch.setattr(decomposition_mod, "similarity_transform", refuse)
     a = np.random.default_rng(3).standard_normal((16, 16))
-    assert np.allclose(recompose(circulant_decompose_via_transform(a), 16), a, atol=1e-12)
+    assert np.allclose(recompose(circulant_decompose_via_transform(a)), a, atol=1e-12)
 
 
 def test_via_transform_memory():
@@ -200,38 +215,44 @@ def test_component_dense_structure():
     for p in range(3):
         for q in range(3):
             assert circ[p, q] == r[(q - p) % 3]
-    comp = CirculantComponent(1, r)
     d = np.exp(2j * np.pi * np.arange(3) / 3)
-    assert np.allclose(component_dense(comp), circ * d[None, :])
+    assert np.allclose(component_dense(r, 1), circ * d[None, :])
+
+
+def _components(f):
+    """The dense R_k D_k of every row of F."""
+    return [component_dense(row, k) for k, row in enumerate(f)]
 
 
 def test_components_sum_to_matrix():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((8, 8))
-    comps = circulant_decompose_via_transform(a)
-    assert np.allclose(sum(component_dense(c) for c in comps), a, atol=1e-12)
+    f = circulant_decompose_via_transform(a)
+    assert np.allclose(sum(_components(f)), a, atol=1e-12)
 
 
 def test_component_validation():
     with pytest.raises(ValueError):
-        CirculantComponent(0, np.zeros((2, 2)))
+        component_dense(np.zeros((2, 2)), 0)
     with pytest.raises(ValueError):
-        recompose([CirculantComponent(0, np.ones(3))], 4)
+        recompose(np.ones((1, 3)))
 
 
 def test_partial_recompose_is_a_component_sum():
-    # summing a subset of components is allowed and gives the approximation
-    comps = circulant_decompose_via_transform(MAGIC)
-    partial = recompose(comps[:1], 3)
-    assert np.allclose(partial, component_dense(comps[0]))
+    # zeroing rows of F keeps a subset of components, and recompose gives
+    # the approximation they sum to
+    f = circulant_decompose_via_transform(MAGIC)
+    partial = np.zeros_like(f)
+    partial[0] = f[0]
+    assert np.allclose(recompose(partial), component_dense(f[0], 0))
 
 
 def test_orthogonality_of_components():
-    comps = circulant_decompose_recursive(MAGIC)
+    comps = _components(circulant_decompose_recursive(MAGIC))
     assert orthogonality_check(comps) < 1e-12
     rng = np.random.default_rng(7)
     a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-    assert orthogonality_check(circulant_decompose_recursive(a)) < 1e-12
+    assert orthogonality_check(_components(circulant_decompose_recursive(a))) < 1e-12
     with pytest.raises(ValueError):
         orthogonality_check(comps[:1])
 
@@ -239,8 +260,7 @@ def test_orthogonality_of_components():
 def test_parseval_split_across_components():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    comps = circulant_decompose_via_transform(a)
-    total = sum(np.linalg.norm(component_dense(c)) ** 2 for c in comps)
+    total = sum(np.linalg.norm(c) ** 2 for c in _components(circulant_decompose_via_transform(a)))
     assert total == pytest.approx(np.linalg.norm(a) ** 2)
 
 
@@ -322,12 +342,16 @@ def test_dominance_batched_terms_match_per_cycle(n):
     assert np.abs(rep.partial_energies - energies).max() <= 1e-15
 
 
-def test_dominance_measures_reflected_cycles():
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", [9, 10])
+def test_dominance_measures_reflected_cycles(n, real):
     # the cycles of B captured by frequency set S are those with indices in
-    # the reflection of S, not S itself
+    # the reflection of S, not S itself; {1, 4} is not reflection-closed,
+    # so it catches a wrong sign of the spectrum bin (-j) mod n
     rng = np.random.default_rng(11)
-    n = 10
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = rng.standard_normal((n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((n, n))
     sel = CycleSelection.of(n, [1, 4])
     b = similarity_transform(a)
     kept = index_reflect(sel)
@@ -336,6 +360,7 @@ def test_dominance_measures_reflected_cycles():
     ) / np.linalg.norm(b) ** 2
     rep = dominance_relation(a, sel)
     assert rep.relative_magnitude == pytest.approx(direct)
+    assert rep.weighted_sum == pytest.approx(direct, abs=1e-12)
 
 
 def test_dominance_validation():

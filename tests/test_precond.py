@@ -299,22 +299,23 @@ def test_pcg_example1_iterations_at_2048():
         assert np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs) < 1e-6
 
 
-def test_preconditioner_pd_margin_is_recorded():
+def test_preconditioner_records_its_certificate():
     n = 1000
     a, _ = gen_example1(n)
-    # Example 1's {0, 1, n - 1} is indefinite and gets tapered; the weak
-    # sufficient check still reads negative on the tapered mask, which its
-    # pivots certify
+    # Example 1's {0, 1, n - 1} is indefinite and gets tapered; the pivots
+    # of the tapered mask certify it
     m = build_cycle_preconditioner(a, 3)
-    assert m.pd_margin < 0
     assert m.tapered and m.certified
-    assert build_cycle_preconditioner(a, 1).pd_margin >= 0
-    assert build_tchan_preconditioner(a, 3 * n).pd_margin is None
-    # a selection without its reflection partners is not checked
+    m = build_cycle_preconditioner(a, 1)
+    assert not m.tapered and m.certified
+    m = build_tchan_preconditioner(a, 3 * n)
+    assert (m.tapered, m.dropped) == (False, 0) and m.certified
+    # a non-Hermitian mask is neither certified nor tapered
     rng = np.random.default_rng(3)
     a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)) + 8 * np.eye(16)
     assert select_dominant_cycles(similarity_transform(a), 2).indices == (0, 5)
-    assert build_cycle_preconditioner(a, 2).pd_margin is None
+    m = build_cycle_preconditioner(a, 2)
+    assert m.min_pivot is None and not m.certified and not m.tapered
 
 
 @pytest.mark.parametrize(
@@ -469,14 +470,14 @@ def test_indefinite_hermitian_a_raises():
 
 
 def _dense_oracle(b, build, arg):
-    """Preconditioner and pd margin from the mask cut out of the dense B."""
+    """Preconditioner on the mask cut out of the dense B."""
     n = b.shape[0]
     if build is build_tchan_preconditioner:
         s = corner_block_side(n, arg)
         mask = scipy.sparse.block_diag(
             [scipy.sparse.diags(np.diag(b)[: n - s]), b[n - s :, n - s :]], format="csc"
         )
-        return MaskPreconditioner(mask, "oracle"), None
+        return MaskPreconditioner(mask, "oracle")
     sp = sparsify(b, select_dominant_cycles(b, arg))
     if np.linalg.eigvalsh(sp.densify()).min() < 0:
         # Example 1's masks are wrapped bands {0, +-1, ..., +-w}: Fejer taper
@@ -484,7 +485,7 @@ def _dense_oracle(b, build, arg):
         w = int(d.max())
         assert sorted(d.tolist()) == sorted([0] + 2 * list(range(1, w + 1)))
         sp = SparseCycleMatrix(n, sp.selection, sp.cycles * (1 - d / (w + 1))[:, None])
-    return MaskPreconditioner(sp.to_scipy(), "oracle"), pd_sufficient_check(sp).margin
+    return MaskPreconditioner(sp.to_scipy(), "oracle")
 
 
 @pytest.mark.parametrize(
@@ -500,7 +501,7 @@ def _dense_oracle(b, build, arg):
 def test_toeplitz_builders_never_form_b(monkeypatch, build, arg):
     n = 256
     a, _ = gen_example1(n)
-    oracle, margin = _dense_oracle(similarity_transform(a), build, arg)
+    oracle = _dense_oracle(similarity_transform(a), build, arg)
 
     def refuse(_):
         raise AssertionError("similarity_transform called on a Toeplitz A")
@@ -513,10 +514,7 @@ def test_toeplitz_builders_never_form_b(monkeypatch, build, arg):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     want = oracle.apply(v)
     assert np.linalg.norm(m.apply(v) - want) <= 1e-12 * np.linalg.norm(want)
-    if margin is None:
-        assert m.pd_margin is None
-    else:
-        assert abs(m.pd_margin - margin) <= 1e-12 * max(1.0, abs(margin))
+    assert abs(m.min_pivot - oracle.min_pivot) <= 1e-12 * abs(oracle.min_pivot)
 
 
 def test_non_toeplitz_builders_transform(monkeypatch):
@@ -703,7 +701,6 @@ def test_precond_benchmark_rows():
     ]
     assert all(r.converged for r in rows)
     assert {r.matvec for r in rows} == {"toeplitz-fft"}
-    assert [r.pd_margin is None for r in rows] == [True, True, True, False, False]
     assert [r.source for r in rows] == [None] + ["toeplitz-diagonals"] * 4
     assert [r.min_pivot is not None and r.min_pivot > 0 for r in rows] == [False] + [True] * 4
     assert [(r.tapered, r.dropped) for r in rows] == [(False, 0)] * 4 + [(True, 0)]
