@@ -40,7 +40,6 @@ from .precond import (
     build_cycle_preconditioner,
     build_tchan_preconditioner,
     pcg_solve,
-    precond_benchmark,
 )
 from .sparse import (
     BauerFikeBound,
@@ -104,7 +103,6 @@ __all__ = [
     "build_cycle_preconditioner",
     "build_tchan_preconditioner",
     "pcg_solve",
-    "precond_benchmark",
     "StructuredMatrixSpec",
     "SymbolSpec",
     "generate",

@@ -50,7 +50,7 @@ from .generators import (
     generate,
     with_seed,
 )
-from .precond import precond_benchmark
+from .precond import build_cycle_preconditioner, build_tchan_preconditioner, pcg_solve
 from .sparse import (
     direct_sparsify,
     eigen_error_report,
@@ -203,29 +203,42 @@ def run_sparsifier_compare(spec, flags):
     return ["trial", "method", "nnz", "mean_abs_eigenvalue"], rows, {}
 
 
+# the mask fields of a precond-table solve record, as the unpreconditioned
+# solve reads them
+_NO_MASK = {"source": None, "min_pivot": None, "tapered": False, "dropped": 0}
+
+
 def run_precond_table(spec, flags):
-    if not flags["budgets"]:
+    """PCG iterations with no preconditioner, then corner-block and cycle
+    masks for each nonzero budget (k = budget // n cycles), all on the
+    right-hand side (1, ..., n); one manifest record per solve."""
+    budgets, n = flags["budgets"], spec.n
+    if not budgets:
         raise ConfigError("precond-table needs --budgets")
-    results = precond_benchmark(spec, flags["budgets"], tol=flags["tol"])
-    rows = [(r.method, r.budget, r.iterations, r.converged, r.final_residual) for r in results]
+    for budget in budgets:
+        if budget < n:
+            raise ConfigError(f"budget {budget} below dimension {n}")
+        if budget > n * n:
+            raise ConfigError(f"budget {budget} above n^2 = {n * n}")
+    a, _ = generate(spec)
+    rhs = np.arange(1, n + 1, dtype=np.complex128)
+    rows, solves = [], []
+
+    def solve(method, budget, m):
+        _, rep = pcg_solve(a, rhs, m, tol=flags["tol"])
+        # rhs is nonzero, so PCG takes at least one step and records its residual
+        final = rep.relative_residuals[-1]
+        rows.append((method, budget, rep.iterations, rep.converged, final))
+        record = {"method": method, "budget": budget, "matvec": rep.matvec}
+        solves.append(record | {key: getattr(m, key, default) for key, default in _NO_MASK.items()})
+
+    solve("identity", 0, None)
+    for budget in budgets:
+        solve("tchan", budget, build_tchan_preconditioner(a, budget))
+    for budget in budgets:
+        solve("cycles", budget, build_cycle_preconditioner(a, budget // n))
     header = ["method", "budget", "iterations", "converged", "final_residual"]
-    routes = Counter(r.matvec for r in results)
-    sources = Counter(r.source for r in results)
-    diagnostics = {
-        "matvec": {name: routes[name] for name in ("toeplitz-fft", "dense")},
-        "source": {name: sources[name] for name in ("toeplitz-diagonals", "transform")},
-        "pd_margins": [
-            {
-                "budget": r.budget,
-                "tapered": r.tapered,
-                "dropped": r.dropped,
-                "min_pivot": r.min_pivot,
-            }
-            for r in results
-            if r.method == "cycles"
-        ],
-    }
-    return header, rows, diagnostics
+    return header, rows, {"solves": solves}
 
 
 def run_symbol_compare(spec, flags):

@@ -73,6 +73,7 @@ route that ran ("toeplitz-fft" or "dense").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -89,18 +90,15 @@ from .core import (
     hermitian_defect,
     require_square,
 )
-from .generators import StructuredMatrixSpec, generate
 from .sparse import SparseCycleMatrix, selections_from_norms
 from .transform import similarity_transform
 
 __all__ = [
     "MaskPreconditioner",
     "PcgReport",
-    "BenchmarkRow",
     "build_cycle_preconditioner",
     "build_tchan_preconditioner",
     "pcg_solve",
-    "precond_benchmark",
 ]
 
 # relative Frobenius defect up to which A (pcg_solve) and a mask
@@ -291,13 +289,8 @@ def corner_block_side(n: int, nnz_budget: int) -> int:
     """Largest s with (n - s) + s^2 within the budget; s = 1 at budget n."""
     if nnz_budget < n:
         raise ConfigError(f"budget {nnz_budget} below dimension {n}")
-    s = int((1 + np.sqrt(1 + 4 * (nnz_budget - n))) / 2)
-    s = min(max(s, 1), n)
-    while s > 1 and (n - s) + s * s > nnz_budget:
-        s -= 1
-    while s < n and (n - (s + 1)) + (s + 1) ** 2 <= nnz_budget:
-        s += 1
-    return s
+    # the largest s with s (s - 1) <= budget - n, in exact integers; s >= 1
+    return min((1 + math.isqrt(1 + 4 * (nnz_budget - n))) // 2, n)
 
 
 def build_tchan_preconditioner(a, nnz_budget: int) -> MaskPreconditioner:
@@ -401,50 +394,3 @@ def pcg_solve(
         rho = rho_new
         p = z + beta * p
     return x, PcgReport(it, residuals, converged, tol, route)
-
-
-@dataclass(frozen=True)
-class BenchmarkRow:
-    method: str
-    budget: int
-    iterations: int
-    converged: bool
-    final_residual: float
-    matvec: str  # PcgReport.matvec of the solve
-    source: str | None  # MaskPreconditioner.source; None without one
-    min_pivot: float | None  # MaskPreconditioner.min_pivot; None without one
-    tapered: bool  # MaskPreconditioner.tapered; False without one
-    dropped: int  # MaskPreconditioner.dropped; 0 without one
-
-
-def precond_benchmark(spec: StructuredMatrixSpec, budgets, tol: float = 1e-6) -> list[BenchmarkRow]:
-    """Iteration counts for no preconditioner, corner-block and cycle
-    preconditioners over a list of nonzero budgets.
-
-    The matrix comes from the spec; the right-hand side is (1, ..., n)
-    throughout so runs are comparable.  Cycle budgets translate to
-    k = budget // n cycles.
-    """
-    a, info = generate(spec)
-    n = spec.n
-    rhs = info.get("rhs", np.arange(1, n + 1, dtype=np.complex128))
-    budgets = [int(budget) for budget in budgets]
-    runs = [("identity", 0, lambda: None)]
-    runs += [("tchan", budget, partial(build_tchan_preconditioner, a, budget)) for budget in budgets]
-    runs += [
-        ("cycles", budget, partial(build_cycle_preconditioner, a, max(budget // n, 1)))
-        for budget in budgets
-    ]
-    rows = []
-    for method, budget, build in runs:
-        m = build()
-        _, rep = pcg_solve(a, rhs, m, tol=tol)
-        final = rep.relative_residuals[-1] if rep.relative_residuals else 0.0
-        if m is None:
-            mask = (None, None, False, 0)
-        else:
-            mask = (m.source, m.min_pivot, m.tapered, m.dropped)
-        rows.append(
-            BenchmarkRow(method, budget, rep.iterations, rep.converged, final, rep.matvec, *mask)
-        )
-    return rows

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cspc.cli import run_precond_table
 from cspc.core import (
     CycleSelection,
     apply_cycle_mask,
@@ -43,7 +44,6 @@ from cspc.precond import (
     build_cycle_preconditioner,
     build_tchan_preconditioner,
     pcg_solve,
-    precond_benchmark,
 )
 from cspc.sparse import (
     bauer_fike_bound,
@@ -261,9 +261,10 @@ def _decayed_block_toeplitz(n, m, rho, seed):
 def test_preconditioner_iteration_table():
     t0 = time.perf_counter()
     spec = StructuredMatrixSpec(kind="example1", n=2000)
-    rows = precond_benchmark(spec, [2000, 6000, 10000, 14000, 18000], tol=1e-6)
-    by = {(r.method, r.budget): r.iterations for r in rows}
-    assert all(r.converged for r in rows)
+    flags = {"budgets": [2000, 6000, 10000, 14000, 18000], "tol": 1e-6}
+    _, rows, _ = run_precond_table(spec, flags)
+    by = {(method, budget): iterations for method, budget, iterations, _, _ in rows}
+    assert all(converged for _, _, _, converged, _ in rows)
     assert abs(by[("identity", 0)] - 683) <= 0.15 * 683
     assert abs(by[("cycles", 2000)] - 30) <= 0.15 * 30
     for budget in (6000, 10000, 14000, 18000):

@@ -370,6 +370,10 @@ def test_sparsifier_compare(tmp_path):
     assert not (tmp_path / "bad.csv").exists()
 
 
+# the keys of each precond-table manifest record, one record per solve
+SOLVE_KEYS = ["method", "budget", "matvec", "source", "min_pivot", "tapered", "dropped"]
+
+
 def test_precond_table(tmp_path):
     out = tmp_path / "table.csv"
     code = _run(
@@ -384,17 +388,29 @@ def test_precond_table(tmp_path):
     ]
     assert all(r[3] == "True" for r in rows)
     manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+    solves = manifest["solves"]
+    # one record per CSV row, in CSV order
+    assert [list(r) for r in solves] == [SOLVE_KEYS] * 5
+    assert [(r["method"], str(r["budget"])) for r in solves] == [(r[0], r[1]) for r in rows]
     # Example 1 is exactly Toeplitz: every solve takes the FFT matvec
-    assert manifest["matvec"] == {"toeplitz-fft": 5, "dense": 0}
+    assert [r["matvec"] for r in solves] == ["toeplitz-fft"] * 5
     # and every mask is read from its diagonals, B never formed
-    assert manifest["source"] == {"toeplitz-diagonals": 4, "transform": 0}
-    margins = manifest["pd_margins"]
-    assert [sorted(m) for m in margins] == [["budget", "dropped", "min_pivot", "tapered"]] * 2
-    assert [m["budget"] for m in margins] == [64, 192]
+    assert [r["source"] for r in solves] == [None] + ["toeplitz-diagonals"] * 4
     # k = 3: Example 1's {0, 1, n - 1} is indefinite and tapered, and the
     # pivots of the tapered mask certify it
-    assert [(m["tapered"], m["dropped"]) for m in margins] == [(False, 0), (True, 0)]
-    assert all(m["min_pivot"] > 0 for m in margins)
+    assert [(r["tapered"], r["dropped"]) for r in solves] == [(False, 0)] * 4 + [(True, 0)]
+    assert solves[0]["min_pivot"] is None
+    assert all(r["min_pivot"] > 0 for r in solves[1:])
+
+
+@pytest.mark.parametrize("budget", ["65n", "9999999999999999999999n"])
+def test_precond_table_oversize_budget_is_config_error(budget, tmp_path, capsys, monkeypatch):
+    # n^2 = 4096 nonzeros is the whole matrix; the check comes before any solve
+    monkeypatch.setattr(cspc.cli, "pcg_solve", None)
+    out = tmp_path / "big.csv"
+    args = ["precond-table", "--n", "64", "--budgets", f"n,{budget}", "--out", out]
+    _assert_config_error(_run(args), capsys)
+    assert not out.exists()
 
 
 def test_precond_table_indefinite_matrix_exits_3(tmp_path, capsys):
@@ -422,8 +438,11 @@ def test_precond_table_block_toeplitz_takes_dense_matvec(tmp_path):
     _, rows = _read_csv(out)
     assert all(r[3] == "True" for r in rows)
     manifest = json.loads((tmp_path / "block.csv.manifest.json").read_text())
-    assert manifest["matvec"] == {"toeplitz-fft": 0, "dense": 3}
-    assert manifest["source"] == {"toeplitz-diagonals": 0, "transform": 2}
+    solves = manifest["solves"]
+    assert [list(r) for r in solves] == [SOLVE_KEYS] * 3
+    assert [(r["method"], str(r["budget"])) for r in solves] == [(r[0], r[1]) for r in rows]
+    assert [r["matvec"] for r in solves] == ["dense"] * 3
+    assert [r["source"] for r in solves] == [None, "transform", "transform"]
 
 
 def test_symbol_compare_default_symbol(tmp_path):

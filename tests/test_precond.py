@@ -10,7 +10,7 @@ import scipy.sparse
 
 import cspc.precond
 
-from cspc.cli import main
+from cspc.cli import main, run_precond_table
 from cspc.core import (
     ConfigError,
     CycleSelection,
@@ -28,7 +28,6 @@ from cspc.precond import (
     build_tchan_preconditioner,
     corner_block_side,
     pcg_solve,
-    precond_benchmark,
     taper_weights,
 )
 from cspc.decomposition import circulant_dense
@@ -152,6 +151,8 @@ def test_corner_block_side_values():
     assert corner_block_side(2000, 3 * 2000) == 63
     assert corner_block_side(2000, 2000) == 1
     assert corner_block_side(4, 16) == 4
+    # integer arithmetic: exact at any budget, past the int64 range too
+    assert corner_block_side(2000, 2**64 + 1) == 2000
     with pytest.raises(ConfigError):
         corner_block_side(100, 99)
 
@@ -353,14 +354,17 @@ def test_example1_iterations_do_not_increase_with_k(n, want):
 )
 def test_precond_table_masks_are_certified(spec, cycle_iterations):
     n = spec.n
-    rows = precond_benchmark(spec, [k * n for k in (1, 3, 5, 9, 17)])
-    assert all(r.min_pivot > 0 for r in rows if r.method != "identity")
+    flags = {"budgets": [k * n for k in (1, 3, 5, 9, 17)], "tol": 1e-6}
+    _, rows, diagnostics = run_precond_table(spec, flags)
+    solves = diagnostics["solves"]
+    # every mask, corner blocks and cycles alike
+    assert all(r["min_pivot"] > 0 for r in solves if r["method"] != "identity")
     if cycle_iterations is not None:
         # every block mask certifies untapered: the counts are those of
         # the untapered masks
-        cycles = [r for r in rows if r.method == "cycles"]
-        assert not any(r.tapered for r in cycles)
-        assert [r.iterations for r in cycles] == cycle_iterations
+        cycles = [i for i, r in enumerate(solves) if r["method"] == "cycles"]
+        assert not any(solves[i]["tapered"] for i in cycles)
+        assert [rows[i][2] for i in cycles] == cycle_iterations
 
 
 def test_certified_coset_mask_is_not_tapered():
@@ -688,10 +692,11 @@ def test_pcg_refresh_is_the_true_residual():
     assert rep.relative_residuals[49] == np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs)
 
 
-def test_precond_benchmark_rows():
+def test_precond_table_rows():
     spec = StructuredMatrixSpec(kind="example1", n=64)
-    rows = precond_benchmark(spec, budgets=(64, 192), tol=1e-6)
-    methods = [(r.method, r.budget) for r in rows]
+    _, rows, diagnostics = run_precond_table(spec, {"budgets": (64, 192), "tol": 1e-6})
+    solves = diagnostics["solves"]
+    methods = [(method, budget) for method, budget, *_ in rows]
     assert methods == [
         ("identity", 0),
         ("tchan", 64),
@@ -699,11 +704,12 @@ def test_precond_benchmark_rows():
         ("cycles", 64),
         ("cycles", 192),
     ]
-    assert all(r.converged for r in rows)
-    assert {r.matvec for r in rows} == {"toeplitz-fft"}
-    assert [r.source for r in rows] == [None] + ["toeplitz-diagonals"] * 4
-    assert [r.min_pivot is not None and r.min_pivot > 0 for r in rows] == [False] + [True] * 4
-    assert [(r.tapered, r.dropped) for r in rows] == [(False, 0)] * 4 + [(True, 0)]
-    ident = rows[0].iterations
-    assert all(r.iterations <= ident for r in rows[1:])
-    assert all(r.final_residual < 1e-6 for r in rows)
+    assert [(r["method"], r["budget"]) for r in solves] == methods
+    assert all(converged for _, _, _, converged, _ in rows)
+    assert {r["matvec"] for r in solves} == {"toeplitz-fft"}
+    assert [r["source"] for r in solves] == [None] + ["toeplitz-diagonals"] * 4
+    assert [r["min_pivot"] is not None and r["min_pivot"] > 0 for r in solves] == [False] + [True] * 4
+    assert [(r["tapered"], r["dropped"]) for r in solves] == [(False, 0)] * 4 + [(True, 0)]
+    ident = rows[0][2]
+    assert all(iterations <= ident for _, _, iterations, _, _ in rows[1:])
+    assert all(final < 1e-6 for *_, final in rows)
