@@ -29,6 +29,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -312,17 +313,21 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
 
 
 def _parse_budgets(raw: str, n: int) -> tuple[int, ...]:
-    """Budget tokens: plain integers, or multiples of the dimension like "3n"."""
+    """Budget tokens: plain integers, or multiples of the dimension like
+    "3n" or "1.5n", multiplied out exactly and rounded toward zero.  A
+    multiplier with an exponent is malformed: Fraction would expand it in
+    full, 10^999999999 for "1e999999999n"."""
     out = []
     for tok in raw.replace(",", " ").split():
         t = tok.strip().lower()
         try:
-            if t.endswith("n"):
-                mult = t[:-1]
-                out.append(int(float(mult) * n) if mult else n)
-            else:
+            if not t.endswith("n"):
                 out.append(int(t))
-        except (ValueError, OverflowError) as e:  # "xn", "infn"
+            elif "e" in t:
+                raise ValueError("exponent")
+            else:
+                out.append(int(Fraction(t[:-1] or 1) * n))
+        except (ValueError, ZeroDivisionError) as e:  # "xn", "infn", "1/0n"
             raise ConfigError(f"malformed budget {tok!r}") from e
     return tuple(out)
 

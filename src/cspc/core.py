@@ -350,7 +350,8 @@ class Toeplitz:
 
     def cycle_norms(self) -> np.ndarray:
         """The l2 norms of all n cycles of W A W*, from one real FFT of
-        |u|^2; cycles j and n - j come out bit-identical."""
+        |u|^2; cycles j and n - j come out bit-identical.  NumericalError
+        if any of them is not finite."""
         u, h0 = self._terms()
         n = self.n
         w = np.abs(u) ** 2
@@ -361,7 +362,7 @@ class Toeplitz:
         # sum w (1 - cos) >= 0 in exact arithmetic; roundoff may dip below
         energy = np.maximum(w.sum() - f[np.minimum(j, n - j)], 0.0)
         norms[1:] = np.sqrt(energy / (2 * n * self._sines(j) ** 2))
-        return norms
+        return _finite_norms(norms)
 
     def entries(self, rows, cols) -> np.ndarray:
         """Entries of W A W* at positions (rows, cols), integer arrays of one
@@ -526,7 +527,8 @@ def iter_cycle_blocks(a):
 
 
 def cycle_norms(a) -> np.ndarray:
-    """The l2 norms of all n cycles of square matrix a, via iter_cycle_blocks.
+    """The l2 norms of all n cycles of square matrix a, via iter_cycle_blocks;
+    NumericalError if any of them is not finite.
 
     Bit-identical to np.linalg.norm(apply_cycle_mask(a, k)) for every k:
     that norm is sqrt(re . re + im . im) with BLAS dot products, and one
@@ -544,12 +546,30 @@ def cycle_norms(a) -> np.ndarray:
             im = block.imag
             sq += np.matmul(im[:, None, :], im[:, :, None])
         np.sqrt(sq[:, 0, 0], out=norms[ks.start : ks.stop])
+    return _finite_norms(norms)
+
+
+def _finite_norms(norms: np.ndarray) -> np.ndarray:
+    """norms as they are if all n are finite; else NumericalError, named
+    after the first cycle whose norm is nan or inf.  O(n): a nan or inf
+    entry of the matrix shows in the norm of its cycle, so the matrix
+    itself is never scanned."""
+    finite = np.isfinite(norms)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise NumericalError(f"cycle {j} has norm {norms[j]:g}")
     return norms
 
 
 @dataclass(frozen=True)
 class CycleSelection:
-    """A strictly increasing set of cycle indices of an n x n matrix."""
+    """A strictly increasing set of cycle indices of an n x n matrix.
+
+    Selections are read in coset bands (L, w): G is the subgroup of the L
+    multiples of g = n / L, for a divisor L of n, and the band G + {-w,
+    ..., w}, 0 <= w < g, is the L min(2w + 1, g) cycles within w of G.
+    L = 1 is the wrapped band {0, +-1, ..., +-w}, w = 0 the subgroup G.
+    """
 
     n: int
     indices: tuple[int, ...]
@@ -580,6 +600,28 @@ class CycleSelection:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.int64)
+
+    def coset_band(self) -> tuple[int, int] | None:
+        """The inner coset band (L, w) of the selection, None when cycle 0
+        is not selected.
+
+        For each divisor L of n with G inside the selection, w is the
+        largest with the band G + {-w, ..., w} inside it; of these bands
+        the one with the most cycles, L min(2w + 1, g), is kept, the
+        smaller L on a tie.  G inside the selection bounds L by its size,
+        so at most that many divisors are tried, each in O(n).
+        """
+        kept = np.zeros(self.n, dtype=bool)
+        kept[self.as_array()] = True
+        best, most = None, 0
+        for L in (d for d in range(1, len(self) + 1) if self.n % d == 0):
+            inside = kept.reshape(L, -1).all(axis=0)  # inside[r]: G + r selected, r < g
+            # entry j - 1 is True when both G + j and G - j are selected
+            w = int(np.argmin(np.append(inside[1:] & inside[:0:-1], False)))
+            cycles = L * min(2 * w + 1, inside.size)
+            if inside[0] and cycles > most:
+                best, most = (L, w), cycles
+        return best
 
     def complement(self) -> "CycleSelection":
         missing = sorted(set(range(self.n)) - set(self.indices))

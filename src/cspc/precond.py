@@ -9,14 +9,15 @@ are built here:
 
 * Cycle mask: S keeps the k dominant cycles of B, k n nonzeros
   (SparseCycleMatrix.to_scipy()).  Fill stays small for the selections
-  the generators produce, near-diagonal ({0, 1, n-1}, {0, 1, 2, n-2,
-  n-1}) or coset-structured ({0, n/m, 2n/m, ...}): at n = 1000-2048 and
-  k <= 16, L + U held 1.1-3.3x the nnz of S, so factoring and solving
+  the generators produce, coset bands (L, w) (core.CycleSelection) that
+  are near-diagonal, L = 1 ({0, 1, n-1}, {0, 1, 2, n-2, n-1}), or
+  subgroups, w = 0 ({0, n/m, 2n/m, ...}): at n = 1000-2048 and k <= 16,
+  the LU factors held 1.1-3.3x the nnz of S, so factoring and solving
   cost far less than a dense LU.  Selections spread over the whole
   index range fill in toward dense: at n = 2048 with 16 random cycles,
-  L + U held 93-96x nnz (about 0.75 n^2), and the sparse factorization
-  lost to a dense LU.  No caller produces such a selection; it is not
-  guarded.
+  the factors held 93-96x nnz (about 0.75 n^2), and the sparse
+  factorization lost to a dense LU.  No caller produces such a
+  selection; it is not guarded.
 * Corner-block mask (T. Chan style): S keeps the full diagonal plus a
   dense s x s bottom-right corner, s maximal under the nonzero budget
   (n - s) + s^2.  At s = 1 the two coincide (single dominant cycle of a
@@ -27,16 +28,23 @@ PCG needs its preconditioner Hermitian positive definite, and every
 Hermitian mask is certified PD, or not, from the pivots of its own
 factor (MaskPreconditioner).  An untapered cycle mask is a Strang-like
 truncation of B and can be indefinite: Example 1's bands {0, +-1, ...,
-+-w} are, for every k > 1, and at n = 2048 they took 46, 45, 47 and 52
++-w}, coset bands (L, w) = (1, w) in the notation of core.CycleSelection,
+are, for every k > 1 (n = 2048, k = 3: three negative pivots, the
+smallest -3.9e-3), and at n = 2048 they took 46, 45, 47 and 52
 iterations at k = 3, 5, 9 and 17 against 31 at k = 1.  A cycle mask its
-pivots reject is tapered (build_cycle_preconditioner, taper_weights),
-the analogue of T. Chan's Fejer mean over Strang's Dirichlet truncation
-(Chan & Ng, SIAM Review 1996) and of covariance tapering (Furrer, Genton
-& Nychka, JCGS 2006).  Example 1 at n = 2048 then takes 31, 29, 27, 25
-and 21 iterations, and its k = 3 solve at n = 65536 converges in 133.
-A certified mask is kept as it is: block_toeplitz's untapered masks at
-n = 1000, m = 5 certify, and tapering them anyway cost iterations
-(seed 1: 72 -> 80 at k = 3, 33 -> 40 at k = 17).
+pivots reject is tapered over its inner coset band
+(build_cycle_preconditioner, taper_weights), the analogue of T. Chan's
+Fejer mean over Strang's Dirichlet truncation (Chan & Ng, SIAM Review
+1996) and of covariance tapering (Furrer, Genton & Nychka, JCGS 2006).
+Example 1 at n = 2048 then takes 31, 29, 27, 25 and 21 iterations (the
+tapered k = 3 mask's smallest pivot is +6.4e-4), and its k = 3 solve at
+n = 65536 converges in 133 instead of stalling.  A certified mask is
+kept as it is: block_toeplitz's untapered masks at n = 1000, m = 5
+(seeds 0-2, k <= 17) certify, and tapering them anyway cost iterations
+(seed 1: 72 -> 80 at k = 3, 33 -> 40 at k = 17).  Smaller block
+matrices can have indefinite masks, and there the taper costs a few
+iterations: 16 -> 17 at k = 15-17 (n = 200, m = 5, seed 1), 23 -> 25 and
+19 -> 20 at k = 9 and 17 (n = 40, m = 4, seed 3).
 
 Both builders choose how to read B once, from A.  When A is exactly
 Toeplitz (core.Toeplitz.of), B is never formed: all n cycle norms come
@@ -211,41 +219,31 @@ def _cycle_source(a: np.ndarray):
     return "transform", partial(cycle_norms, b), lambda rows, cols: b[rows, cols]
 
 
-def taper_weights(n: int, indices) -> np.ndarray:
+def taper_weights(sel: CycleSelection) -> np.ndarray:
     """Weights tau_d >= 0, one per cycle d of the selection, with tau_0 = 1
     and fft(tau) >= 0, so S o T is PD for every PD S.
 
-    tau_d = |H n (H + d)| / |H|, the normalised autocorrelation of a set
-    H with H - H inside the selection, counted in integers.  H is a coset
-    band G + {0, ..., w}, G the multiples of a divisor L of n: among the
-    (L, w) with G + {-w, ..., w} inside the selection, the one that keeps
-    the most cycles (tau_d > 0), the larger L on a tie.  A wrapped band
-    {0, +-1, ..., +-w} gives the Fejer weights 1 - min(d, n - d) / (w + 1),
-    a pure coset {0, L, 2L, ...} gives tau = 1 throughout, a coset band a
-    periodised Fejer.  Cycles outside H - H get tau = 0.  A selection
-    without cycle 0 admits no H: all zero.
+    tau_d = |H n (H + d)| / |H|, the normalised autocorrelation of H = G +
+    {0, ..., w} for the selection's inner coset band (L, w)
+    (CycleSelection.coset_band): H - H is the band G + {-w, ..., w}, inside
+    the selection, and tau_d > 0 exactly on it, so the band with the most
+    cycles keeps the most.  H repeats with period g = n / L, and with r = d
+    mod g, in integers up to the one division,
+
+        tau_d = (max(0, w + 1 - r) + max(0, w + 1 - (g - r))) / (w + 1).
+
+    A wrapped band (L = 1) gives the Fejer weights 1 - min(d, n - d) / (w +
+    1), a subgroup (w = 0) tau = 1 throughout, a coset band a periodised
+    Fejer.  Cycles outside the band get tau = 0.  A selection without cycle
+    0 has no band: all zero.
     """
-    ks = np.asarray(indices, dtype=np.int64)
-    kept = np.zeros(n, dtype=bool)
-    kept[ks] = True
-    best = np.zeros(ks.size)
-    for size in range(1, ks.size + 1):  # |G| = n / L, at most |selection|
-        if n % size:
-            continue
-        period = n // size
-        coset = np.arange(0, n, period)
-        if not kept[coset].all():
-            continue
-        w = 0
-        while w + 1 < period and kept[(coset + w + 1) % n].all() and kept[(coset - w - 1) % n].all():
-            w += 1
-        h = np.zeros(n, dtype=bool)
-        h[(coset[:, None] + np.arange(w + 1)).ravel() % n] = True
-        h_size = np.count_nonzero(h)
-        tau = np.array([np.count_nonzero(h & np.roll(h, d)) / h_size for d in ks.tolist()])
-        if np.count_nonzero(tau) > np.count_nonzero(best):
-            best = tau
-    return best
+    band = sel.coset_band()
+    if band is None:
+        return np.zeros(len(sel))
+    L, w = band
+    g = sel.n // L
+    r = sel.as_array() % g
+    return (np.maximum(0, w + 1 - r) + np.maximum(0, w + 1 - (g - r))) / (w + 1)
 
 
 def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
@@ -270,7 +268,7 @@ def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
     m = MaskPreconditioner(s.to_scipy(), label, source=source)
     if m.min_pivot is not None and not m.certified:
         m = None  # the rejected factor goes before the second is made
-        tau = taper_weights(n, sel.indices)
+        tau = taper_weights(sel)
         keep = tau > 0
         cycles = s.cycles[keep]
         cycles *= tau[keep, None]
@@ -336,11 +334,14 @@ def pcg_solve(
     m is any object with an apply(v) method (or None for no
     preconditioning).  Returns the solution and a report with the
     per-iteration relative residuals |b - A x| / |b|.  Definiteness is
-    only checked along the way: a search direction with Re(p* A p) <= 0
-    raises NumericalError.  Hermitian symmetry and a finite tol > 0 are
-    checked up front and raise ConfigError.  An exactly Toeplitz A is
-    applied through its circulant embedding (see the module docstring);
-    the report's matvec names the route.
+    only checked along the way: a search direction whose Re(p* A p) is
+    not > 0, nan included, raises NumericalError.  Hermitian symmetry (a
+    nan defect fails it) and a finite tol > 0 are checked up front and
+    raise ConfigError.  A non-finite b raises NumericalError before any
+    product, and so does a residual that turns non-finite, at that
+    iteration, so no nan or inf comes back as a result.  An exactly
+    Toeplitz A is applied through its circulant embedding (see the module
+    docstring); the report's matvec names the route.
     """
     if not 0 < tol < np.inf:  # also rejects nan
         raise ConfigError(f"tolerance must be finite and > 0, got {tol}")
@@ -354,13 +355,15 @@ def pcg_solve(
         route, matvec, defect = "dense", partial(_dense_matvec, a), hermitian_defect(a)
     else:
         route, matvec, defect = "toeplitz-fft", toeplitz.matvec, toeplitz.hermitian_defect()
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:  # also rejects a nan defect
         raise ConfigError("matrix is not Hermitian to working tolerance")
     if max_iter is None:
         max_iter = max(10 * n, 100)
 
     x = np.zeros(n, dtype=np.complex128)
     nb = np.linalg.norm(b)
+    if not np.isfinite(nb):
+        raise NumericalError(f"rhs norm is not finite: |b| = {nb:g}")
     residuals: list[float] = []
     if nb == 0:
         return x, PcgReport(0, residuals, True, tol, route)
@@ -374,7 +377,7 @@ def pcg_solve(
     while it < max_iter:
         ap = matvec(p)
         denom = np.vdot(p, ap).real
-        if denom <= 0:
+        if not denom > 0:  # also stops at a nan
             raise NumericalError(f"conjugate gradient breakdown at iteration {it}: p*Ap = {denom:g}")
         alpha = rho / denom
         x += alpha * p
@@ -384,6 +387,8 @@ def pcg_solve(
         else:
             r = r - alpha * ap
         rel = np.linalg.norm(r) / nb
+        if not np.isfinite(rel):
+            raise NumericalError(f"conjugate gradient residual at iteration {it} is {rel:g}")
         residuals.append(float(rel))
         if rel < tol:
             converged = True

@@ -16,7 +16,7 @@ import pytest
 
 import cspc
 import cspc.cli
-from cspc.cli import _trial_seeds, build_parser, main, run_heatmap
+from cspc.cli import _parse_budgets, _trial_seeds, build_parser, main, run_heatmap
 from cspc.core import CycleSelection, apply_cycle_mask, cycle_positions
 from cspc.generators import (
     FORM_FIELDS,
@@ -403,13 +403,18 @@ def test_precond_table(tmp_path):
     assert all(r["min_pivot"] > 0 for r in solves[1:])
 
 
-@pytest.mark.parametrize("budget", ["65n", "9999999999999999999999n"])
-def test_precond_table_oversize_budget_is_config_error(budget, tmp_path, capsys, monkeypatch):
-    # n^2 = 4096 nonzeros is the whole matrix; the check comes before any solve
+@pytest.mark.parametrize(
+    "budget,nnz",
+    [("65n", 4160), ("9999999999999999999999n", 639999999999999999999936)],
+    ids=["65n", "9999999999999999999999n"],
+)
+def test_precond_table_oversize_budget_is_config_error(budget, nnz, tmp_path, capsys, monkeypatch):
+    # n^2 = 4096 nonzeros is the whole matrix; the check comes before any
+    # solve, and names the budget multiplied out exactly
     monkeypatch.setattr(cspc.cli, "pcg_solve", None)
     out = tmp_path / "big.csv"
     args = ["precond-table", "--n", "64", "--budgets", f"n,{budget}", "--out", out]
-    _assert_config_error(_run(args), capsys)
+    assert f"budget {nnz} above n^2 = 4096" in _assert_config_error(_run(args), capsys)
     assert not out.exists()
 
 
@@ -567,7 +572,11 @@ def test_malformed_tokens_and_zero_n_are_config_errors(tmp_path, capsys):
     for bad in ("1,x", "3q", "xn"):
         assert _run(["eig-errors", "--n", "12", "--cycles", bad, "--out", out]) == 2
         assert _run(["precond-table", "--n", "16", "--budgets", bad, "--out", out]) == 2
-    assert _run(["precond-table", "--n", "16", "--budgets", "infn", "--out", out]) == 2
+    # "1e999999999n" would be expanded to a billion digits
+    for bad in ("infn", "nann", "1/0n", "1e999999999n"):
+        assert _run(["precond-table", "--n", "16", "--budgets", bad, "--out", out]) == 2
+    # multiples of n are exact: 2.3 * 100 is 229.99999999999997 in floats
+    assert _parse_budgets("n, 1.5n 2.3n,7", 100) == (100, 150, 230, 7)
     capsys.readouterr()
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"kind": "toeplitz", "n": 6}))
@@ -577,10 +586,11 @@ def test_malformed_tokens_and_zero_n_are_config_errors(tmp_path, capsys):
     assert not out.exists()
 
 
-def _assert_config_error(code, capsys):
+def _assert_config_error(code, capsys) -> str:
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 MALFORMED_SPECS = {

@@ -6,6 +6,7 @@ import pytest
 
 from cspc.core import (
     CycleSelection,
+    NumericalError,
     Toeplitz,
     _column_walks,
     apply_cycle_mask,
@@ -24,7 +25,8 @@ from cspc.core import (
     require_square,
 )
 from cspc.generators import StructuredMatrixSpec, SymbolSpec, gen_example1, generate
-from cspc.sparse import sparsify
+from cspc.sparse import select_dominant_cycles, selections_from_norms, sparsify
+from cspc.transform import similarity_transform
 
 MAGIC = np.array([[8, 1, 6], [3, 5, 7], [4, 9, 2]], dtype=float)
 
@@ -251,6 +253,19 @@ def test_cycle_norms_read_a_toeplitz_view_in_place():
         tracemalloc.stop()
     assert peak < 4 * (1 << 14) * 16
     assert np.array_equal(norms, [np.linalg.norm(apply_cycle_mask(a, k)) for k in range(n)])
+
+
+def test_nonfinite_cycle_norms_raise():
+    with pytest.raises(NumericalError, match="cycle 0 has norm nan"):
+        select_dominant_cycles(np.full((8, 8), np.nan), 3)
+    a = np.eye(8)
+    a[5, 2] = np.inf  # on cycle 3
+    with pytest.raises(NumericalError, match="cycle 3 has norm inf"):
+        cycle_norms(a)
+    t = Toeplitz.of(gen_example1(16)[0]).t.copy()
+    t[20] = np.nan
+    with pytest.raises(NumericalError, match="has norm nan"):
+        Toeplitz(t).cycle_norms()
 
 
 def _cycle_sets(n, rng):
@@ -617,6 +632,78 @@ def test_cycle_selection_validation():
         CycleSelection.of(4, [-1])
     with pytest.raises(ValueError):
         CycleSelection(4, (2, 1))
+
+
+def _dominant_norms(a):
+    t = Toeplitz.of(a)
+    return t.cycle_norms() if t is not None else cycle_norms(similarity_transform(a))
+
+
+@pytest.mark.parametrize(
+    "spec,bands",
+    [
+        # the subgroup of the block size m = 5 and its bands; k = 1 and 3
+        # select {400} and {400, 600}, without cycle 0
+        (
+            StructuredMatrixSpec(kind="block_toeplitz", n=1000, m=5, symmetric=True, seed=2),
+            [None, None, (5, 0), (5, 1), (5, 2), (5, 4)],
+        ),
+        (
+            StructuredMatrixSpec(kind="toeplitz", n=1000, symmetric=True, seed=1),
+            [(1, 0), (1, 1), (1, 2), (1, 7), (1, 12), (1, 22)],
+        ),
+        # unions such as {0, 400, 500, 600}: the band inside them
+        (
+            StructuredMatrixSpec(kind="quasi_periodic", n=1000, periods=(2, 5), seed=1),
+            [(1, 0), (2, 0), (2, 0), (2, 1), (5, 1), (5, 2)],
+        ),
+    ],
+    ids=["block_toeplitz", "toeplitz", "quasi_periodic"],
+)
+def test_coset_band_of_dominant_selections(spec, bands):
+    a, _ = generate(spec)
+    sels = selections_from_norms(_dominant_norms(a), [1, 3, 5, 15, 25, 45])
+    assert [sel.coset_band() for sel in sels] == bands
+
+
+@pytest.mark.parametrize(
+    "n,indices,band",
+    [
+        (1, [0], (1, 0)),
+        (12, range(12), (1, 11)),  # everything: the widest band of L = 1
+        (12, [1, 11], None),  # no cycle 0
+        (12, [], None),
+        (12, [0, 4, 8], (3, 0)),
+        (12, [0, 6], (2, 0)),
+        # the subgroup {0, 4, 8} and the band {0, 1, 11} both keep 3: the
+        # smaller L
+        (12, [0, 1, 4, 8, 11], (1, 1)),
+        (12, [0, 1, 3, 6, 9, 11], (4, 0)),  # the subgroup keeps 4, the band 3
+        (12, [0, 1, 3, 4, 5, 7, 8, 9, 11], (3, 1)),
+    ],
+)
+def test_coset_band_cases(n, indices, band):
+    assert CycleSelection(n, tuple(indices)).coset_band() == band
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coset_band_is_the_largest_band_inside(n):
+    # against the definition: every (L, w) whose band lies inside the
+    # selection, ranked by its size, then by the smaller L
+    for bits in range(1, 1 << n):
+        indices = [j for j in range(n) if bits >> j & 1]
+        inside = []
+        for size in (d for d in range(1, n + 1) if n % d == 0):
+            g = n // size
+            for w in range(g):
+                band = {(s * g + o) % n for s in range(size) for o in range(-w, w + 1)}
+                if band <= set(indices):
+                    inside.append((-len(band), size, -w))
+        want = None
+        if inside:
+            _, size, neg_w = min(inside)
+            want = (size, -neg_w)
+        assert CycleSelection(n, tuple(indices)).coset_band() == want, indices
 
 
 def test_every_export_resolves():

@@ -387,7 +387,7 @@ def _pivot_cases():
     b = similarity_transform(gen_example1(n)[0])
     for k in (1, 3, 5, 9, 17):
         sp = sparsify(b, select_dominant_cycles(b, k))
-        tau = taper_weights(n, sp.selection.indices)
+        tau = taper_weights(sp.selection)
         yield sp
         yield SparseCycleMatrix(n, sp.selection, sp.cycles * tau[:, None])
     spec = StructuredMatrixSpec(kind="block_toeplitz", n=40, m=4, symmetric=True, make_pd=True, seed=3)
@@ -434,11 +434,26 @@ def test_pivot_certificate_needs_a_hermitian_mask():
 )
 def test_taper_weights(indices, want):
     n = 12
-    tau = taper_weights(n, indices)
+    tau = taper_weights(CycleSelection(n, indices))
     assert tau.tolist() == want
     full = np.zeros(n)
     full[indices] = tau
     assert np.fft.fft(full).real.min() >= -1e-12  # T is positive semidefinite
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_taper_weights_count_the_band(n):
+    # the closed form against |H n (H + d)| / |H|, H = G + {0, ..., w}
+    # counted from the band, on every selection of Z_n
+    for bits in range(1, 1 << n):
+        sel = CycleSelection(n, tuple(j for j in range(n) if bits >> j & 1))
+        band = sel.coset_band()
+        want = np.zeros(len(sel))
+        if band is not None:
+            size, w = band
+            h = {(s * (n // size) + o) % n for s in range(size) for o in range(w + 1)}
+            want = np.array([len(h & {(j + d) % n for j in h}) / len(h) for d in sel])
+        assert taper_weights(sel).tobytes() == want.tobytes(), sel
 
 
 @pytest.mark.parametrize(
@@ -454,7 +469,7 @@ def test_taper_makes_any_hpd_mask_pd(indices):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = np.outer(x, x.conj()) + 0.01 * np.eye(n)
     sp = sparsify(b, CycleSelection.of(n, indices))
-    tau = taper_weights(n, sp.selection.indices)
+    tau = taper_weights(sp.selection)
     tapered = SparseCycleMatrix(n, sp.selection, sp.cycles * tau[:, None])
     assert np.linalg.eigvalsh(sp.densify()).min() < 0
     assert np.linalg.eigvalsh(tapered.densify()).min() > 0
@@ -641,6 +656,52 @@ def test_pcg_real_dense_matrix_is_never_cast_to_complex():
     x_complex, rep_complex = pcg_solve(a + 0j, rhs)
     assert rep_complex.iterations == rep.iterations
     assert np.abs(x - x_complex).max() <= 1e-10 * np.abs(x_complex).max()
+
+
+def test_pcg_nonfinite_rhs_raises_before_any_product(monkeypatch):
+    a, rhs = gen_example1(64)
+    a = np.array(a)  # dense, so every product goes through _dense_matvec
+    monkeypatch.setattr(cspc.precond, "_dense_matvec", None)
+    for bad in (np.nan, np.inf):
+        b = rhs.copy()
+        b[5] = bad
+        with pytest.raises(NumericalError, match="rhs"):
+            pcg_solve(a, b)
+
+
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_pcg_nonfinite_matrix_is_not_hermitian(where):
+    # a nan defect fails the Hermitian check: an all-nan A, and Example 1
+    # with one inf entry, where A - A* holds inf - inf
+    if where == "all":
+        a, b = np.full((8, 8), np.nan), np.ones(8)
+    else:
+        a, b = gen_example1(64)
+        a = np.array(a)
+        a[3, 7] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ConfigError, match="Hermitian"):
+        pcg_solve(a, b)
+
+
+class _NanPreconditioner:
+    def apply(self, v):
+        return np.full_like(v, np.nan)
+
+
+def test_pcg_nan_curvature_is_a_breakdown():
+    a, rhs = gen_example1(64)
+    with pytest.raises(NumericalError, match="breakdown at iteration 0"):
+        pcg_solve(a, rhs, _NanPreconditioner())
+
+
+def test_pcg_nonfinite_residual_raises():
+    # an HPD system whose first CG residual is 5e4 times longer than b
+    # (CG does not shrink |r|): |b| = 1e152 is finite, |r| overflows
+    a, b = np.diag([1.0, 1e10]), 1e152 * np.array([1.0, 1e-5])
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError, match="residual at iteration 1 is inf"
+    ):
+        pcg_solve(a, b)
 
 
 def test_pcg_breakdown_on_indefinite():
