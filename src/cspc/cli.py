@@ -59,7 +59,7 @@ from .sparse import (
     selections_from_norms,
     spectrum,
 )
-from .transform import similarity_transform
+from .transform import read, similarity_transform
 
 __all__ = ["main"]
 
@@ -86,7 +86,7 @@ def _trials(spec: StructuredMatrixSpec, trials: int):
 
 def run_cycle_norms(spec, flags):
     a, _ = generate(spec)
-    norms = cycle_norms(similarity_transform(a)).tolist()
+    norms = read(a).cycle_norms().tolist()
     # plotting convention: cycle 0 shown at folded index n
     rows = [(k, k or spec.n, norm) for k, norm in enumerate(norms)]
     return ["cycle_index", "folded_index", "l2_norm"], rows, {}

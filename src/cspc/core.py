@@ -145,23 +145,34 @@ def relaxation_diagonal(n: int, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * k * np.arange(n) / n)
 
 
+def _finite_matrix(norm: float) -> float:
+    """norm, the Frobenius norm of a matrix or of its first rows, or its
+    square, as it is if finite; else NumericalError.  A nan or inf entry
+    shows in it, so the matrix is never scanned for one; so do entries
+    past about 1e154, whose squares overflow."""
+    if not np.isfinite(norm):
+        raise NumericalError(f"matrix is not finite, or too large to square: |A|_F reads {norm:g}")
+    return norm
+
+
 def _mirror_defect(m: np.ndarray, mirror) -> float:
     """|m - conj(M)|_F / |m|_F of square matrix m, M its mirror image;
-    0.0 for the zero matrix.
+    0.0 for the zero matrix, NumericalError when m is not finite.
 
     mirror(r, out) writes the rows r (a slice) of conj(M) into out.
     Summed over blocks of 32 rows through one 32 x n buffer, so nothing of
-    size n x n is formed.
+    size n x n is formed.  Each block's rows are checked finite before
+    their difference is taken, so no inf - inf or inf / inf is evaluated.
     """
     n = m.shape[0]
     buf = np.empty((min(n, _DEFECT_BLOCK_ROWS), n), m.dtype)
     diff2 = norm2 = 0.0
     for r0 in range(0, n, _DEFECT_BLOCK_ROWS):
         r = slice(r0, min(r0 + _DEFECT_BLOCK_ROWS, n))
+        norm2 = _finite_matrix(norm2 + np.linalg.norm(m[r]) ** 2)
         diff = buf[: r.stop - r0]
         mirror(r, diff)
         diff2 += np.linalg.norm(np.subtract(m[r], diff, out=diff)) ** 2
-        norm2 += np.linalg.norm(m[r]) ** 2
     return float(np.sqrt(diff2 / norm2)) if norm2 else 0.0
 
 
@@ -263,7 +274,12 @@ class Toeplitz:
     with the same reduced sine; the difference taken directly would carry
     a relative error of about eps / |1 - e^{-2 pi i j / n}| (~300 eps at
     j = 1, n = 2048).
+
+    It is one of the two readers of transform.read, which names it by
+    route.
     """
+
+    route = "toeplitz"
 
     def __init__(self, t):
         t = np.asarray(t, dtype=np.complex128)
@@ -322,8 +338,9 @@ class Toeplitz:
         return self._weighted_norm(self.t)
 
     def hermitian_defect(self) -> float:
-        """core.hermitian_defect of A, from the diagonals; 0.0 for A = 0."""
-        norm = self.frobenius_norm()
+        """core.hermitian_defect of A, from the diagonals; 0.0 for A = 0,
+        NumericalError when A is not finite."""
+        norm = _finite_matrix(self.frobenius_norm())
         return self._weighted_norm(self.t - self.t[::-1].conj()) / norm if norm else 0.0
 
     @cached_property

@@ -46,60 +46,44 @@ matrices can have indefinite masks, and there the taper costs a few
 iterations: 16 -> 17 at k = 15-17 (n = 200, m = 5, seed 1), 23 -> 25 and
 19 -> 20 at k = 9 and 17 (n = 40, m = 4, seed 3).
 
-Both builders choose how to read B once, from A.  When A is exactly
-Toeplitz (core.Toeplitz.of), B is never formed: all n cycle norms come
-from one real FFT of the 2n - 1 diagonals and the entries the mask keeps
-from two more (core.Toeplitz.cycle_norms and entries; the class
-docstring gives the identity and its precision), so a build is
-O(n log n).  The Toeplitz generators return A as a read-only view of its
-diagonals, which Toeplitz.of reads in O(n) without a scan, so such an A
-is never held or read as n x n at all.  The selection goes through the
-one tie rule, sparse.selections_from_norms, and the norms of
-reflection partners j and n - j of a Toeplitz B tie bit for bit.  Every
-other A is transformed once, O(n^2 log n), and the entries are gathered
-from B.  MaskPreconditioner.source names the route ("toeplitz-diagonals"
-or "transform").
+Both builders and pcg_solve read A through one reader, transform.read,
+whose docstring gives its routes, and never ask which kind it got.  An
+exactly Toeplitz A is answered from its 2n - 1 diagonals, so a build or
+a product is O(n log n) and the Toeplitz generators' A, a read-only view
+of its diagonals, is never read as n x n; any other A is read from its
+entries, and B is formed only for the corner block's.  The selection
+goes through the one tie rule, sparse.selections_from_norms.
+MaskPreconditioner.source and PcgReport.matvec carry the reader's
+route, "toeplitz" or "dense".  Measured on a 2-core Intel Xeon VM with
+one BLAS thread: Example 1's k = 1, k = 3 and 3n corner-block builds at
+n = 2048 took 1.6, 3.6 and 2.2 ms from the diagonals against 226, 233
+and 155 ms through the transform, and cspc precond-table --n 2000
+--budgets n,3n,5n 1.9 s against 10.9 s with the dense product, at the
+same iteration counts; at n = 65536 the k = 1, k = 3 and 3n builds and
+solves stay within a 31 MB tracemalloc peak.  A dense cycle build
+(block_toeplitz, m = 4, symmetric, make_pd, seed 1, k = 1, 3, 9) took
+10.5-13.9 ms at n = 1024 and 62-74 ms at n = 2048 in a tracemalloc peak
+of at most 1.4 MB, where forming B took 15-17 ms and 107-141 ms in
+17-69 MB, with the same selections.
 
 The solver is plain left-preconditioned conjugate gradient for Hermitian
 positive definite systems with x0 = 0.  Iteration counts are sensitive
 to residual bookkeeping, so the policy is fixed: the recurrence residual
 is replaced by the true residual b - A x every 50 iterations, and
 convergence is declared on |r| / |b| < tol right after the x update.
-
-The product A x takes one of two routes, chosen from A itself.  When A
-is exactly Toeplitz (core.Toeplitz.of: the generators' layout is
-Toeplitz by construction, any other array has every entry equal to its
-down-right neighbour, checked in 32-row blocks), it goes through the
-circulant embedding of size 2n, O(n log n), and the Hermitian check
-through the 2n - 1 diagonals, O(n) (core.Toeplitz.matvec and
-hermitian_defect).  Every other A, including a Toeplitz matrix perturbed
-by one ulp, takes the dense product a @ x and core.hermitian_defect; a
-real A (the block_toeplitz generator's float64) as a @ Re x + i a @ Im x,
-so nothing of size n x n is allocated per product.  The report names the
-route that ran ("toeplitz-fft" or "dense").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse
 
-from .core import (
-    ConfigError,
-    CycleSelection,
-    NumericalError,
-    Toeplitz,
-    cycle_norms,
-    cycle_positions,
-    hermitian_defect,
-    require_square,
-)
+from .core import ConfigError, CycleSelection, NumericalError
 from .sparse import SparseCycleMatrix, selections_from_norms
-from .transform import similarity_transform
+from .transform import read
 
 __all__ = [
     "MaskPreconditioner",
@@ -148,9 +132,8 @@ class MaskPreconditioner:
     build_cycle_preconditioner records two more facts on its mask,
     tapered and dropped: whether S was tapered and how many cycles the
     taper removed; a mask built otherwise keeps False and 0.
-    source names the route that read S out of B: "toeplitz-diagonals"
-    (closed form from A's 2n - 1 diagonals) or "transform" (B formed
-    densely); None for a mask the caller built.
+    source is the route of the reader (transform.read) that read S out of
+    B, "toeplitz" or "dense"; None for a mask the caller built.
     """
 
     tapered = False
@@ -204,21 +187,6 @@ def _is_hermitian(mask) -> bool:
     return bool(np.linalg.norm(diff) <= HERMITIAN_TOL * np.linalg.norm(mask.data))
 
 
-def _cycle_source(a: np.ndarray):
-    """(source, norms, entries) through which the builders read B = W A W*.
-
-    norms() returns all n cycle norms of B and entries(rows, cols) B's
-    entries at those positions.  An exactly Toeplitz A takes both from its
-    diagonals in O(n log n) and B is never formed; any other A is
-    transformed once.
-    """
-    toeplitz = Toeplitz.of(a)
-    if toeplitz is not None:
-        return "toeplitz-diagonals", toeplitz.cycle_norms, toeplitz.entries
-    b = similarity_transform(a)
-    return "transform", partial(cycle_norms, b), lambda rows, cols: b[rows, cols]
-
-
 def taper_weights(sel: CycleSelection) -> np.ndarray:
     """Weights tau_d >= 0, one per cycle d of the selection, with tau_0 = 1
     and fft(tau) >= 0, so S o T is PD for every PD S.
@@ -257,15 +225,14 @@ def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
     scaled, so k = 1 (T. Chan's circulant) is never tapered, nor is a mask
     the pivots already certify.
     """
-    a = require_square(a)
-    n = a.shape[0]
+    reader = read(a)
+    n = reader.n
     if not 1 <= k_cycles <= n:
         raise ValueError(f"cycle count {k_cycles} out of range [1, {n}]")
-    source, norms, entries = _cycle_source(a)
-    sel = selections_from_norms(norms(), [k_cycles])[0]
-    s = SparseCycleMatrix(n, sel, entries(*cycle_positions(n, sel.indices)))
+    sel = selections_from_norms(reader.cycle_norms(), [k_cycles])[0]
+    s = SparseCycleMatrix(n, sel, reader.cycles(sel.indices))
     label = f"cycle preconditioner with cycles {sel.indices}"
-    m = MaskPreconditioner(s.to_scipy(), label, source=source)
+    m = MaskPreconditioner(s.to_scipy(), label, source=reader.route)
     if m.min_pivot is not None and not m.certified:
         m = None  # the rejected factor goes before the second is made
         tau = taper_weights(sel)
@@ -273,7 +240,7 @@ def build_cycle_preconditioner(a, k_cycles: int) -> MaskPreconditioner:
         cycles = s.cycles[keep]
         cycles *= tau[keep, None]
         s = SparseCycleMatrix(n, CycleSelection(n, sel.as_array()[keep]), cycles)
-        m = MaskPreconditioner(s.to_scipy(), f"tapered {label}", source=source)
+        m = MaskPreconditioner(s.to_scipy(), f"tapered {label}", source=reader.route)
         if not m.certified:
             raise NumericalError(
                 f"{label} is not positive definite, tapered or not: "
@@ -292,17 +259,16 @@ def corner_block_side(n: int, nnz_budget: int) -> int:
 
 
 def build_tchan_preconditioner(a, nnz_budget: int) -> MaskPreconditioner:
-    a = require_square(a)
-    n = a.shape[0]
+    reader = read(a)
+    n = reader.n
     s = corner_block_side(n, nnz_budget)
-    source, _, entries = _cycle_source(a)
     # the diagonal ahead of the corner, then the s x s corner row by row
     head, corner = np.arange(n - s), np.arange(n - s, n)
     rows = np.concatenate([head, np.repeat(corner, s)])
     cols = np.concatenate([head, np.tile(corner, s)])
-    mask = scipy.sparse.csc_matrix((entries(rows, cols), (rows, cols)), shape=(n, n))
+    mask = scipy.sparse.csc_matrix((reader.entries(rows, cols), (rows, cols)), shape=(n, n))
     label = f"corner-block preconditioner with corner side {s}"
-    return MaskPreconditioner(mask, label, source=source)
+    return MaskPreconditioner(mask, label, source=reader.route)
 
 
 @dataclass
@@ -311,15 +277,7 @@ class PcgReport:
     relative_residuals: list[float]
     converged: bool
     tolerance: float
-    matvec: str  # "toeplitz-fft" or "dense", the route A x took
-
-
-def _dense_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for complex x.  A real a takes two real products, since a @ x
-    would cast a to a complex copy of n^2 entries on every call."""
-    if np.iscomplexobj(a):
-        return a @ x
-    return a @ x.real + 1j * (a @ x.imag)
+    matvec: str  # the route of A's reader (transform.read), "toeplitz" or "dense"
 
 
 def pcg_solve(
@@ -335,27 +293,22 @@ def pcg_solve(
     preconditioning).  Returns the solution and a report with the
     per-iteration relative residuals |b - A x| / |b|.  Definiteness is
     only checked along the way: a search direction whose Re(p* A p) is
-    not > 0, nan included, raises NumericalError.  Hermitian symmetry (a
-    nan defect fails it) and a finite tol > 0 are checked up front and
-    raise ConfigError.  A non-finite b raises NumericalError before any
+    not > 0, nan included, raises NumericalError.  Hermitian symmetry and
+    a finite tol > 0 are checked up front and raise ConfigError; an A
+    holding nan or inf raises NumericalError there instead (its reader's
+    hermitian_defect).  A non-finite b raises NumericalError before any
     product, and so does a residual that turns non-finite, at that
-    iteration, so no nan or inf comes back as a result.  An exactly
-    Toeplitz A is applied through its circulant embedding (see the module
-    docstring); the report's matvec names the route.
+    iteration, so no nan or inf comes back as a result.  A x is the
+    reader's matvec (transform.read); the report's matvec names its route.
     """
     if not 0 < tol < np.inf:  # also rejects nan
         raise ConfigError(f"tolerance must be finite and > 0, got {tol}")
-    a = require_square(a)
-    n = a.shape[0]
+    reader = read(a)
+    n = reader.n
     b = np.asarray(b, dtype=np.complex128).ravel()
     if b.size != n:
         raise ValueError(f"rhs has length {b.size}, matrix has n={n}")
-    toeplitz = Toeplitz.of(a)
-    if toeplitz is None:
-        route, matvec, defect = "dense", partial(_dense_matvec, a), hermitian_defect(a)
-    else:
-        route, matvec, defect = "toeplitz-fft", toeplitz.matvec, toeplitz.hermitian_defect()
-    if not defect <= HERMITIAN_TOL:  # also rejects a nan defect
+    if not reader.hermitian_defect() <= HERMITIAN_TOL:
         raise ConfigError("matrix is not Hermitian to working tolerance")
     if max_iter is None:
         max_iter = max(10 * n, 100)
@@ -366,7 +319,7 @@ def pcg_solve(
         raise NumericalError(f"rhs norm is not finite: |b| = {nb:g}")
     residuals: list[float] = []
     if nb == 0:
-        return x, PcgReport(0, residuals, True, tol, route)
+        return x, PcgReport(0, residuals, True, tol, reader.route)
 
     r = b.copy()
     z = m.apply(r) if m is not None else r.copy()
@@ -375,7 +328,7 @@ def pcg_solve(
     it = 0
     converged = False
     while it < max_iter:
-        ap = matvec(p)
+        ap = reader.matvec(p)
         denom = np.vdot(p, ap).real
         if not denom > 0:  # also stops at a nan
             raise NumericalError(f"conjugate gradient breakdown at iteration {it}: p*Ap = {denom:g}")
@@ -383,7 +336,7 @@ def pcg_solve(
         x += alpha * p
         it += 1
         if it % 50 == 0:
-            r = b - matvec(x)
+            r = b - reader.matvec(x)
         else:
             r = r - alpha * ap
         rel = np.linalg.norm(r) / nb
@@ -398,4 +351,4 @@ def pcg_solve(
         beta = rho_new / rho
         rho = rho_new
         p = z + beta * p
-    return x, PcgReport(it, residuals, converged, tol, route)
+    return x, PcgReport(it, residuals, converged, tol, reader.route)

@@ -1,4 +1,4 @@
-"""Fourier engines: the two-sided similarity transform and cycle extraction.
+"""Fourier engines: the two-sided similarity transform and the readers of B.
 
 Sign convention, fixed once: the similarity transform conjugates by the
 unitary Fourier matrix W (negative kernel, 1/sqrt(n)): B = W A W*.
@@ -9,34 +9,11 @@ that work: conj(W) = P W with P the index reflection p -> (-p) mod n,
 so B[(-p) mod n, q] = conj(B[p, (-q) mod n]), and rows 0..n//2 from an
 rfft down the columns determine the rest (similarity_transform).
 
-extract_cycles reads selected cycles of B without forming it.  With c_d
-cycle d of A and b_j cycle j of B, both on the column walk
-(c_d[q] = A((q + d) mod n, q)), and w = exp(-2 pi i / n),
-
-    b_j = fft_d(w^{jd} h_j(d)) / n,   h_j(d) = sum_q c_d[q] w^{jq},
-
-the identity circulant_decompose_via_transform rests on (h_j(d) / n is
-F[j, (-d) mod n], entry (-d) mod n of circulant component R_j's first
-row), taken at the k selected frequencies.  The route to h is chosen
-from k and n alone:
-
-* k <= log2 n: dot products of A's cycles with the k phase vectors,
-  O(n^2 k) work, counted by OpCounter.
-* k > log2 n: bin j of each cycle's spectrum, from one FFT per block of
-  A's walks (_walk_spectra, the reader that
-  circulant_decompose_via_transform and dominance_relation share; an
-  rfft for real A, read at min(j, n - j) and conjugated past n / 2),
-  about n^2 log2 n / 2 work for a real A whatever k is.  The
-  phase is not applied: fft(w^{jd} x)[m] = fft(x)[(m + j) mod n], so it
-  is a shift of the FFT's output by j.
-
-Either way one length-n FFT per selected cycle finishes, in O(n k)
-memory beside A.
-
-A Toeplitz A needs neither: B's cycles and their norms have a closed
-form in its 2n - 1 diagonals, core.Toeplitz.cycles and cycle_norms (the
-class docstring gives the identity and its precision), which
-extract_cycles takes at every k.
+Every other question about a matrix, about B (its cycle norms, cycles or
+entries) or about A (A x, its Hermitian defect), goes through one reader
+per matrix, read(a): core.Toeplitz for an exactly Toeplitz A, Dense for
+any other.  read's docstring gives the routes of both, and
+extract_cycles is a reader's cycles on a selection.
 """
 
 from __future__ import annotations
@@ -48,6 +25,8 @@ from .core import (
     Toeplitz,
     _column_walks,
     _cycle_ranges,
+    _finite_norms,
+    hermitian_defect,
     is_real,
     require_square,
 )
@@ -55,6 +34,8 @@ from .sparse import SparseCycleMatrix
 
 __all__ = [
     "OpCounter",
+    "Dense",
+    "read",
     "similarity_transform",
     "inverse_similarity_transform",
     "extract_cycles",
@@ -156,56 +137,152 @@ def _walk_spectra(a: np.ndarray, real: bool, out: np.ndarray | None = None):
             yield ks, rows
 
 
-def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> SparseCycleMatrix:
-    """Selected cycles of W A W*, read from A without forming B.
+def read(a, counter: OpCounter | None = None) -> Toeplitz | Dense:
+    """The reader of square matrix a: core.Toeplitz.of(a) when a is
+    exactly Toeplitz, else Dense(a, counter).
 
-    An exactly Toeplitz A (core.Toeplitz.of) takes the closed form in its
-    diagonals at every k.  Otherwise b_j comes from h_j(d), one length-n
-    FFT per selected cycle: up to log2 n cycles take h_j as dot products
-    (counted in counter), more read it from the walk spectra (counter.ops
-    stays None).  Every route matches the masked full transform to about
-    eps * max|B|.  The dot products take the phases w^{jq} at the reduced
-    exponent (j q) mod n, since the unreduced argument 2 pi j q / n
-    carries an absolute error that grows with j q; the walk spectra need
-    no phase at all.
+    Both answer the same questions, n, route, cycle_norms(), cycles(ks),
+    entries(rows, cols), matvec(x) and hermitian_defect(), so no caller
+    asks which one it got; route names it, "toeplitz" or "dense".  An
+    exactly Toeplitz A is one whose layout is Toeplitz (the generators'
+    read-only view of 2n - 1 diagonals, read in O(n)) or whose every
+    entry equals its down-right neighbour (scanned in 32-row blocks); a
+    Toeplitz matrix perturbed by one ulp is dense.  The routes:
+
+    * cycle_norms, all n norms of B = W A W*: one real FFT of the
+      diagonals, O(n log n) (Toeplitz); running sums over the spectra of
+      A's column walks, about n^2 log2 n / 2 work for a real A (Dense).
+    * cycles(ks), cycles of B in the reading order of
+      core.cycle_positions: the closed form, two FFTs plus O(k n)
+      (Toeplitz); dot products for k <= log2 n, counted in counter, or
+      the walk spectra above that, then one FFT per cycle (Dense).
+    * entries(rows, cols): the closed form, O(1) per entry after two
+      FFTs (Toeplitz); gathered from similarity_transform(a), O(n^2 log
+      n), formed once per call (Dense, the only route that forms B).
+    * matvec(x), A x: the circulant embedding of size 2n, O(n log n)
+      (Toeplitz); a @ x, a real A as two real products so it is never
+      cast to complex (Dense).
+    * hermitian_defect(), |A - A*|_F / |A|_F: from the diagonals, O(n)
+      (Toeplitz); core.hermitian_defect, O(n^2) (Dense).
+
+    Every route of cycles and entries matches the masked full transform
+    to about eps * max|B|.  A nan or inf in A makes cycle_norms and
+    hermitian_defect raise NumericalError.  The counter is read only by
+    Dense's dot-product route; a Toeplitz A leaves it untouched.
     """
-    a = require_square(a)
-    n = a.shape[0]
-    if sel.n != n:
-        raise ValueError(f"selection is for n={sel.n}, matrix has n={n}")
-    k = len(sel)
-    if k == 0:
-        raise ValueError("empty cycle selection")
-    toeplitz = Toeplitz.of(a)
-    if toeplitz is not None:
-        return SparseCycleMatrix(n, sel, toeplitz.cycles(sel.indices))
+    return Toeplitz.of(a) or Dense(a, counter)
 
-    js = sel.as_array()
-    # row t: h_j(d) / n, j = js[t], times w^{jd} on the dot-product route
-    h = np.empty((k, n), dtype=np.complex128)
-    # cycle_positions reads a cycle j > n / 2 along the rows: entry p lies
-    # in column (p - j) mod n, so its column walk is rolled by j
-    shift = np.where(2 * js > n, js, 0)
-    if k < n.bit_length():  # k <= log2 n
-        phase = np.exp(-2j * np.pi * (np.outer(np.arange(n), js) % n) / n)  # w^{qj}, (n, k)
-        for ks in _cycle_ranges(n):
-            block = _column_walks(a, ks.start, np.empty((len(ks), n), dtype=np.complex128))
-            np.multiply((block @ phase).T, phase[ks.start : ks.stop].T / n, out=h[:, ks.start : ks.stop])
-        if counter is not None:
-            counter.ops = (counter.ops or 0) + k * n * (n + 1 + (n - 1).bit_length())
-            counter.vectors += n
-    else:
-        # h_j(d) / n is bin j of cycle d's spectrum; a real cycle has
-        # bin j = conj(bin n - j), so its rfft is read at min(j, n - j)
-        real = is_real(a)
-        bins = np.minimum(js, n - js) if real else js
-        for ks, spectra in _walk_spectra(a, real):
-            h[:, ks.start : ks.stop] = spectra[:, bins].T
-        if real:
-            h.imag[2 * js > n] *= -1
-        # the phase w^{jd} shifts the FFT over d: fft(w^{jd} x)[m] = fft(x)[m + j]
-        shift -= js
-    walks = np.fft.fft(h, axis=1, out=h)
-    for t in np.flatnonzero(shift):
-        walks[t] = np.roll(walks[t], shift[t])
-    return SparseCycleMatrix(n, sel, walks)
+
+class Dense:
+    """Reader of a square A that is not exactly Toeplitz (see read); B =
+    W A W* is formed only by entries.
+
+    Cycles: with c_d cycle d of A and b_j cycle j of B, both on the
+    column walk (c_d[q] = A((q + d) mod n, q)), and w = exp(-2 pi i / n),
+
+        b_j = fft_d(w^{jd} h_j(d)) / n,   h_j(d) = sum_q c_d[q] w^{jq},
+
+    the identity circulant_decompose_via_transform rests on (h_j(d) / n
+    is bin j of fft(c_d, norm="forward"), entry (-d) mod n of circulant
+    component R_j's first row), taken at the k asked-for frequencies.
+    The route to h is chosen from k and n alone:
+
+    * k <= log2 n: dot products of A's cycles with the k phase vectors,
+      O(n^2 k) work, counted by OpCounter.  The phases w^{jq} are taken
+      at the reduced exponent (j q) mod n, since the unreduced argument
+      2 pi j q / n carries an absolute error that grows with j q.
+    * k > log2 n: bin j of each cycle's spectrum, from one FFT per block
+      of A's walks (_walk_spectra, the reader that
+      circulant_decompose_via_transform and dominance_relation share; an
+      rfft for real A, read at min(j, n - j) and conjugated past n / 2),
+      about n^2 log2 n / 2 work for a real A whatever k is.  The phase is
+      not applied: fft(w^{jd} x)[m] = fft(x)[(m + j) mod n], so it is a
+      shift of the FFT's output by j.
+
+    Either way one length-n FFT per cycle finishes, in O(n k) memory
+    beside A.  Cycle norms follow from the same identity by Parseval,
+
+        |b_j|^2 = n sum_d |bin j of fft(c_d, norm="forward")|^2,
+
+    one running sum per bin over the walk spectra.
+    """
+
+    route = "dense"
+
+    def __init__(self, a, counter: OpCounter | None = None):
+        self.a = require_square(a)
+        self.n = self.a.shape[0]
+        self.counter = counter
+
+    def cycle_norms(self) -> np.ndarray:
+        """The l2 norms of all n cycles of B, never forming it; a real A
+        reads its rfft at min(j, n - j), so cycles j and n - j come out
+        bit-identical.  NumericalError if any of them is not finite."""
+        n = self.n
+        real = is_real(self.a)
+        power = sum((np.abs(spectra) ** 2).sum(axis=0) for _, spectra in _walk_spectra(self.a, real))
+        if real:  # the rfft's bins 0 .. n // 2; |bin j| = |bin n - j|
+            power = power[np.minimum(np.arange(n), n - np.arange(n))]
+        return _finite_norms(np.sqrt(n * power))
+
+    def cycles(self, ks) -> np.ndarray:
+        """Cycles ks of B as a (len(ks), n) array in the reading order of
+        core.cycle_positions."""
+        a, n = self.a, self.n
+        js = np.asarray(ks, dtype=np.int64).ravel()
+        k = js.size
+        # row t: h_j(d) / n, j = js[t], times w^{jd} on the dot-product route
+        h = np.empty((k, n), dtype=np.complex128)
+        # cycle_positions reads a cycle j > n / 2 along the rows: entry p lies
+        # in column (p - j) mod n, so its column walk is rolled by j
+        shift = np.where(2 * js > n, js, 0)
+        if k < n.bit_length():  # k <= log2 n
+            phase = np.exp(-2j * np.pi * (np.outer(np.arange(n), js) % n) / n)  # w^{qj}, (n, k)
+            for ks in _cycle_ranges(n):
+                block = _column_walks(a, ks.start, np.empty((len(ks), n), dtype=np.complex128))
+                np.multiply((block @ phase).T, phase[ks.start : ks.stop].T / n, out=h[:, ks.start : ks.stop])
+            if self.counter is not None:
+                self.counter.ops = (self.counter.ops or 0) + k * n * (n + 1 + (n - 1).bit_length())
+                self.counter.vectors += n
+        else:
+            # h_j(d) / n is bin j of cycle d's spectrum; a real cycle has
+            # bin j = conj(bin n - j), so its rfft is read at min(j, n - j)
+            real = is_real(a)
+            bins = np.minimum(js, n - js) if real else js
+            for ks, spectra in _walk_spectra(a, real):
+                h[:, ks.start : ks.stop] = spectra[:, bins].T
+            if real:
+                h.imag[2 * js > n] *= -1
+            # the phase w^{jd} shifts the FFT over d: fft(w^{jd} x)[m] = fft(x)[m + j]
+            shift -= js
+        walks = np.fft.fft(h, axis=1, out=h)
+        for t in np.flatnonzero(shift):
+            walks[t] = np.roll(walks[t], shift[t])
+        return walks
+
+    def entries(self, rows, cols) -> np.ndarray:
+        """Entries of B at positions (rows, cols), gathered from B formed
+        once by similarity_transform."""
+        return similarity_transform(self.a)[rows, cols]
+
+    def matvec(self, x) -> np.ndarray:
+        """A x for complex x.  A real A takes two real products, since a @ x
+        would cast A to a complex copy of n^2 entries on every call."""
+        if np.iscomplexobj(self.a):
+            return self.a @ x
+        return self.a @ x.real + 1j * (self.a @ x.imag)
+
+    def hermitian_defect(self) -> float:
+        """core.hermitian_defect of A."""
+        return hermitian_defect(self.a)
+
+
+def extract_cycles(a, sel: CycleSelection, counter: OpCounter | None = None) -> SparseCycleMatrix:
+    """Selected cycles of W A W*, read from A without forming B: the
+    cycles of read(a, counter), whose docstring gives the routes."""
+    reader = read(a, counter)
+    if sel.n != reader.n:
+        raise ValueError(f"selection is for n={sel.n}, matrix has n={reader.n}")
+    if len(sel) == 0:
+        raise ValueError("empty cycle selection")
+    return SparseCycleMatrix(reader.n, sel, reader.cycles(sel.indices))

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 import cspc
 import cspc.cli
 from cspc.cli import _parse_budgets, _trial_seeds, build_parser, main, run_heatmap
-from cspc.core import CycleSelection, apply_cycle_mask, cycle_positions
+from cspc.core import CycleSelection, apply_cycle_mask, cycle_norms, cycle_positions
 from cspc.generators import (
     FORM_FIELDS,
     KIND_FIELDS,
@@ -185,6 +186,38 @@ def test_cycle_norms_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload) == 6
     assert set(payload[0]) == {"cycle_index", "folded_index", "l2_norm"}
+
+
+def test_cycle_norms_read_the_diagonals_at_65536(tmp_path):
+    # the default spec is Toeplitz: its norms come from one FFT of the
+    # diagonals, where B would take 64 GiB
+    n = 65536
+    out = tmp_path / "norms.csv"
+    tracemalloc.start()
+    try:
+        assert _run(["cycle-norms", "--n", str(n), "--out", out]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    _, rows = _read_csv(out)
+    assert len(rows) == n
+    norms = [r[2] for r in rows]
+    assert norms[1:] == norms[:0:-1]  # reflection partners, bit for bit
+
+
+def test_cycle_norms_match_the_transform(tmp_path):
+    spec = {"kind": "block_toeplitz", "n": 60, "m": 4, "seed": 2}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    for args in (["--n", "64"], ["--spec", spec_file]):
+        out = tmp_path / "norms.csv"
+        assert _run(["cycle-norms", *args, "--out", out]) == 0
+        manifest = json.loads((tmp_path / "norms.csv.manifest.json").read_text())
+        a, _ = generate(StructuredMatrixSpec(**manifest["config"]["spec"]))
+        want = cycle_norms(similarity_transform(a))
+        got = np.array([float(r[2]) for r in _read_csv(out)[1]])
+        assert np.abs(got - want).max() <= a.shape[0] * np.finfo(float).eps * want.max()
 
 
 def test_eig_errors_requires_cycles(tmp_path):
@@ -392,10 +425,10 @@ def test_precond_table(tmp_path):
     # one record per CSV row, in CSV order
     assert [list(r) for r in solves] == [SOLVE_KEYS] * 5
     assert [(r["method"], str(r["budget"])) for r in solves] == [(r[0], r[1]) for r in rows]
-    # Example 1 is exactly Toeplitz: every solve takes the FFT matvec
-    assert [r["matvec"] for r in solves] == ["toeplitz-fft"] * 5
-    # and every mask is read from its diagonals, B never formed
-    assert [r["source"] for r in solves] == [None] + ["toeplitz-diagonals"] * 4
+    # Example 1 is exactly Toeplitz: every solve and every mask reads A
+    # through the Toeplitz reader, from its diagonals, B never formed
+    assert [r["matvec"] for r in solves] == ["toeplitz"] * 5
+    assert [r["source"] for r in solves] == [None] + ["toeplitz"] * 4
     # k = 3: Example 1's {0, 1, n - 1} is indefinite and tapered, and the
     # pivots of the tapered mask certify it
     assert [(r["tapered"], r["dropped"]) for r in solves] == [(False, 0)] * 4 + [(True, 0)]
@@ -447,7 +480,7 @@ def test_precond_table_block_toeplitz_takes_dense_matvec(tmp_path):
     assert [list(r) for r in solves] == [SOLVE_KEYS] * 3
     assert [(r["method"], str(r["budget"])) for r in solves] == [(r[0], r[1]) for r in rows]
     assert [r["matvec"] for r in solves] == ["dense"] * 3
-    assert [r["source"] for r in solves] == [None, "transform", "transform"]
+    assert [r["source"] for r in solves] == [None, "dense", "dense"]
 
 
 def test_symbol_compare_default_symbol(tmp_path):

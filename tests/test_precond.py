@@ -8,7 +8,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import cspc.core
 import cspc.precond
+import cspc.transform
 
 from cspc.cli import main, run_precond_table
 from cspc.core import (
@@ -286,7 +288,7 @@ def test_pcg_toeplitz_hermitian_check_bound():
             continue
         x, rep = pcg_solve(bumped, np.ones(n))
         assert rep.converged
-        assert rep.matvec == "toeplitz-fft"
+        assert rep.matvec == "toeplitz"
         assert np.linalg.norm(np.ones(n) - bumped @ x) / np.sqrt(n) < 1e-6
 
 
@@ -296,7 +298,7 @@ def test_pcg_example1_iterations_at_2048():
     cases = ((build_cycle_preconditioner(a, 1), 31), (build_tchan_preconditioner(a, 3 * n), 24))
     for m, iterations in cases:
         x, rep = pcg_solve(a, rhs, m)
-        assert (rep.iterations, rep.converged, rep.matvec) == (iterations, True, "toeplitz-fft")
+        assert (rep.iterations, rep.converged, rep.matvec) == (iterations, True, "toeplitz")
         assert np.linalg.norm(rhs - a @ x) / np.linalg.norm(rhs) < 1e-6
 
 
@@ -525,9 +527,9 @@ def test_toeplitz_builders_never_form_b(monkeypatch, build, arg):
     def refuse(_):
         raise AssertionError("similarity_transform called on a Toeplitz A")
 
-    monkeypatch.setattr(cspc.precond, "similarity_transform", refuse)
+    monkeypatch.setattr(cspc.transform, "similarity_transform", refuse)
     m = build(a, arg)
-    assert m.source == "toeplitz-diagonals"
+    assert m.source == "toeplitz"
     assert m.nnz == oracle.nnz
     rng = np.random.default_rng(1)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -537,6 +539,7 @@ def test_toeplitz_builders_never_form_b(monkeypatch, build, arg):
 
 
 def test_non_toeplitz_builders_transform(monkeypatch):
+    # the dense reader forms B for the corner block's entries alone
     spec = StructuredMatrixSpec(kind="block_toeplitz", n=40, m=4, symmetric=True, make_pd=True, seed=3)
     a, _ = generate(spec)
     calls = []
@@ -545,10 +548,48 @@ def test_non_toeplitz_builders_transform(monkeypatch):
         calls.append(1)
         return similarity_transform(x)
 
-    monkeypatch.setattr(cspc.precond, "similarity_transform", counted)
-    for m in (build_cycle_preconditioner(a, 4), build_tchan_preconditioner(a, 3 * 40)):
-        assert m.source == "transform"
-    assert len(calls) == 2
+    monkeypatch.setattr(cspc.transform, "similarity_transform", counted)
+    assert build_cycle_preconditioner(a, 4).source == "dense"
+    assert calls == []
+    assert build_tchan_preconditioner(a, 3 * 40).source == "dense"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,k", [(40, 3), (40, 9), (1024, 3), (1024, 15)])
+def test_dense_cycle_builders_never_form_b(monkeypatch, n, k):
+    # k on both sides of log2 n: dot products below, walk spectra above
+    spec = StructuredMatrixSpec(kind="block_toeplitz", n=n, m=4, symmetric=True, make_pd=True, seed=1)
+    a, _ = generate(spec)
+    b = similarity_transform(a)
+    sel = select_dominant_cycles(b, k)
+    oracle = sparsify(b, sel)
+
+    def refuse(_):
+        raise AssertionError("similarity_transform called by a cycle build")
+
+    monkeypatch.setattr(cspc.transform, "similarity_transform", refuse)
+    m = build_cycle_preconditioner(a, k)
+    want = MaskPreconditioner(oracle.to_scipy(), "oracle")
+    # these masks certify untapered, so the build is the oracle's mask
+    assert (m.source, m.tapered, m.nnz) == ("dense", False, want.nnz)
+    assert abs(m.min_pivot - want.min_pivot) <= 1e-12 * abs(want.min_pivot)
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.linalg.norm(m.apply(v) - want.apply(v)) <= 1e-12 * np.linalg.norm(want.apply(v))
+
+
+def test_dense_cycle_build_in_small_memory():
+    # B would be 16 MiB at n = 1024; the build reads A's walks block by block
+    spec = StructuredMatrixSpec(kind="block_toeplitz", n=1024, m=4, symmetric=True, make_pd=True, seed=1)
+    a, _ = generate(spec)
+    tracemalloc.start()
+    try:
+        m = build_cycle_preconditioner(a, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.source == "dense" and m.certified
+    assert peak < 4 * 2**20
 
 
 def _corner_mask_from_cycles(a, s):
@@ -583,7 +624,7 @@ def test_corner_block_mask_matches_cycle_cut(monkeypatch, a):
     n = a.shape[0]
     for budget in (n, 3 * n, 5 * n, n * n):
         mask, source = build_tchan_preconditioner(a, budget)
-        assert source == ("transform" if n == 60 else "toeplitz-diagonals")
+        assert source == ("dense" if n == 60 else "toeplitz")
         s = corner_block_side(n, budget)
         want = _corner_mask_from_cycles(a, s)
         assert mask.nnz == want.nnz == n - s + s * s
@@ -627,10 +668,10 @@ def test_toeplitz_solves_in_linear_memory():
         )
         for build, iterations in builds:
             m = build()
-            assert m.source == "toeplitz-diagonals"
+            assert m.source == "toeplitz"
             assert m.certified
             _, rep = pcg_solve(a, info["rhs"], m, max_iter=200)
-            assert (rep.iterations, rep.converged, rep.matvec) == (iterations, True, "toeplitz-fft")
+            assert (rep.iterations, rep.converged, rep.matvec) == (iterations, True, "toeplitz")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -660,8 +701,9 @@ def test_pcg_real_dense_matrix_is_never_cast_to_complex():
 
 def test_pcg_nonfinite_rhs_raises_before_any_product(monkeypatch):
     a, rhs = gen_example1(64)
-    a = np.array(a)  # dense, so every product goes through _dense_matvec
-    monkeypatch.setattr(cspc.precond, "_dense_matvec", None)
+    a = np.array(a)  # a plain array: Toeplitz by its entries, but never multiplied
+    monkeypatch.setattr(cspc.core.Toeplitz, "matvec", None)
+    monkeypatch.setattr(cspc.transform.Dense, "matvec", None)
     for bad in (np.nan, np.inf):
         b = rhs.copy()
         b[5] = bad
@@ -670,16 +712,16 @@ def test_pcg_nonfinite_rhs_raises_before_any_product(monkeypatch):
 
 
 @pytest.mark.parametrize("where", ["all", "one"])
-def test_pcg_nonfinite_matrix_is_not_hermitian(where):
-    # a nan defect fails the Hermitian check: an all-nan A, and Example 1
-    # with one inf entry, where A - A* holds inf - inf
+def test_pcg_nonfinite_matrix_is_a_numerical_failure(where):
+    # a non-finite A fails in its reader's Hermitian check, before any
+    # inf - inf or inf / inf: an all-nan A, and Example 1 with one inf entry
     if where == "all":
         a, b = np.full((8, 8), np.nan), np.ones(8)
     else:
         a, b = gen_example1(64)
         a = np.array(a)
         a[3, 7] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(ConfigError, match="Hermitian"):
+    with pytest.raises(NumericalError, match="not finite"):
         pcg_solve(a, b)
 
 
@@ -767,8 +809,8 @@ def test_precond_table_rows():
     ]
     assert [(r["method"], r["budget"]) for r in solves] == methods
     assert all(converged for _, _, _, converged, _ in rows)
-    assert {r["matvec"] for r in solves} == {"toeplitz-fft"}
-    assert [r["source"] for r in solves] == [None] + ["toeplitz-diagonals"] * 4
+    assert {r["matvec"] for r in solves} == {"toeplitz"}
+    assert [r["source"] for r in solves] == [None] + ["toeplitz"] * 4
     assert [r["min_pivot"] is not None and r["min_pivot"] > 0 for r in solves] == [False] + [True] * 4
     assert [(r["tapered"], r["dropped"]) for r in solves] == [(False, 0)] * 4 + [(True, 0)]
     ident = rows[0][2]

@@ -7,6 +7,7 @@ import scipy.linalg
 from cspc import decomposition, sparse, transform
 from cspc.core import (
     CycleSelection,
+    NumericalError,
     Toeplitz,
     apply_cycle_mask,
     cycle_norms,
@@ -348,6 +349,59 @@ def test_extract_cycles_perturbed_toeplitz_takes_the_dense_route(k, monkeypatch)
     got = extract_cycles(a, sel, counter).cycles
     assert (counter.ops is not None) == (k <= np.log2(n))
     assert _within_roundoff(got, b, sel)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["hermitian", "general"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 64, 257])
+def test_toeplitz_and_dense_readers_agree(n, real, symmetric):
+    # the same matrix read from its 2n - 1 diagonals and from its n x n
+    # entries: every question answered within n eps of its scale
+    rng = np.random.default_rng(n)
+    t = rng.standard_normal(2 * n - 1) + (0 if real else 1j * rng.standard_normal(2 * n - 1))
+    if symmetric:
+        t = (t + t[::-1].conj()) / 2
+    toeplitz = Toeplitz(t)
+    a = np.array(toeplitz.dense())
+    dense = transform.Dense(a.real if real else a)
+    assert (toeplitz.route, dense.route, toeplitz.n, dense.n) == ("toeplitz", "dense", n, n)
+    b = similarity_transform(a)
+    roundoff = n * np.finfo(float).eps
+
+    norms = dense.cycle_norms()
+    assert np.abs(toeplitz.cycle_norms() - norms).max() <= roundoff * np.abs(b).max()
+    if real:
+        assert norms[1:].tobytes() == norms[:0:-1].tobytes()
+    # k <= log2 n takes the dot products, k > log2 n the walk spectra
+    for k in sorted({1, max(1, n.bit_length() - 1), min(n, n.bit_length()), n}):
+        ks = rng.choice(n, size=k, replace=False)
+        assert np.abs(toeplitz.cycles(ks) - dense.cycles(ks)).max() <= roundoff * np.abs(b).max()
+        assert np.abs(dense.cycles(ks) - apply_cycle_mask(b, ks)).max() <= roundoff * np.abs(b).max()
+    rows, cols = rng.integers(n, size=(2, 3 * n))
+    assert np.abs(toeplitz.entries(rows, cols) - dense.entries(rows, cols)).max() <= roundoff * np.abs(b).max()
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ax = a @ x
+    assert np.abs(toeplitz.matvec(x) - dense.matvec(x)).max() <= roundoff * np.abs(ax).max()
+    assert abs(toeplitz.hermitian_defect() - dense.hermitian_defect()) <= roundoff
+    if symmetric:
+        assert toeplitz.hermitian_defect() == dense.hermitian_defect() == 0.0
+
+    t[n - 1] = np.nan  # the main diagonal
+    for reader in (Toeplitz(t), transform.Dense(np.array(Toeplitz(t).dense()))):
+        for question in (reader.cycle_norms, reader.hermitian_defect):
+            with pytest.raises(NumericalError):
+                question()
+
+
+def test_read_picks_the_reader():
+    a, _ = gen_example1(64)
+    assert isinstance(transform.read(a), Toeplitz)
+    assert isinstance(transform.read(np.array(a)), Toeplitz)  # Toeplitz by its entries
+    perturbed = np.array(a)
+    perturbed[-1, -1] += 1e-12
+    counter = OpCounter()
+    reader = transform.read(perturbed, counter)
+    assert isinstance(reader, transform.Dense) and reader.counter is counter
 
 
 @pytest.mark.parametrize("kind", ["quasi_periodic", "toeplitz"])
