@@ -47,6 +47,7 @@ from .sparse import (
     PdCheckReport,
     SparseCycleMatrix,
     bauer_fike_bound,
+    cycle_spectrum,
     direct_sparsify,
     eigen_error_report,
     pd_sufficient_check,
@@ -96,6 +97,7 @@ __all__ = [
     "sparsify",
     "direct_sparsify",
     "spectrum",
+    "cycle_spectrum",
     "eigen_error_report",
     "bauer_fike_bound",
     "pd_sufficient_check",

@@ -41,7 +41,6 @@ from .core import (
     _circulant_view,
     cycle_norms,
     iter_cycle_blocks,
-    keep_cycles,
 )
 from .generators import (
     KIND_FIELDS,
@@ -53,6 +52,7 @@ from .generators import (
 )
 from .precond import build_cycle_preconditioner, build_tchan_preconditioner, pcg_solve
 from .sparse import (
+    cycle_spectrum,
     direct_sparsify,
     eigen_error_report,
     select_dominant_cycles,
@@ -100,29 +100,64 @@ def _eig_error_stats(
     sel: CycleSelection,
     solvers: Counter,
     kept: np.ndarray | None = None,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float, float]:
     """(mean, std) relative eigenvalue error of the cycles sel of b = W A W*
-    against the reference eigenvalues of A, and |B - B~|_F / |A|_F, with
-    a_norm = |A|_F.
+    against the reference eigenvalues of A, |B - B~|_F / |A|_F, with
+    a_norm = |A|_F, and the Hoffman-Wielandt ratio of _certificate.
 
-    B~ is b masked to the cycles sel (core.keep_cycles), written into kept
-    when given.  B - B~ is the dropped cycles, so the ratio is the l2 norm
-    of their norms (norms holds all n cycle norms of b), with no n x n
-    difference, and reads exactly 0 when every cycle is kept.
+    B~'s eigenvalues are sparse.cycle_spectrum(b, sel), with kept the
+    scratch array of its dense route when given.  B - B~ is the dropped
+    cycles, so |B - B~|_F is the l2 norm of their norms (norms holds all
+    n cycle norms of b), with no n x n difference, and reads exactly 0
+    when every cycle is kept.
     """
-    rep = eigen_error_report(spectrum(keep_cycles(b, sel.indices, kept), solvers), reference)
-    dropped = np.delete(norms, sel.as_array())
-    ratio = float(np.linalg.norm(dropped) / a_norm)
-    return rep.mean_relative_error, rep.std_relative_error, ratio
+    approx = cycle_spectrum(b, sel, solvers, kept)
+    rep = eigen_error_report(approx, reference)
+    delta = float(np.linalg.norm(np.delete(norms, sel.as_array())))
+    hw = _certificate(reference, approx, delta, a_norm)
+    return rep.mean_relative_error, rep.std_relative_error, delta / a_norm, hw
+
+
+def _certificate(reference, approx, delta: float, a_norm: float) -> float:
+    """|lambda - lambda~|_2 / |Delta|_F with both spectra sorted, when both
+    are Hermitian (real arrays, the contract of spectrum and
+    cycle_spectrum); nan otherwise, and when Delta = 0.
+
+    For Hermitian B and B~ = B - Delta the ratio is at most 1 (Hoffman &
+    Wielandt, Duke Math. J. 20, 1953), so a gap above |Delta|_F + n eps
+    |A|_F means a solver or a route is wrong: NumericalError.
+    """
+    if not (np.isrealobj(reference) and np.isrealobj(approx)):
+        return np.nan
+    gap = float(np.linalg.norm(np.sort(reference) - np.sort(approx)))
+    if not gap <= delta + reference.size * np.finfo(float).eps * a_norm:
+        raise NumericalError(
+            f"eigenvalues moved by {gap:.6g} in l2, more than |B - B~|_F = {delta:.6g} allows"
+        )
+    return gap / delta if delta else np.nan
+
+
+def _largest(ratios: np.ndarray) -> float | None:
+    """The largest of a row's certificate ratios, over the trials that
+    have one (not nan); None when none has."""
+    top = np.fmax.reduce(ratios)
+    return None if np.isnan(top) else float(top)
+
+
+def _spread(x: np.ndarray) -> float:
+    """Population std of x, exactly 0.0 when its values are all equal:
+    x.std() of equal values reads the rounding of their mean, 1e-17 for
+    three equal values near 0.1."""
+    return float(x.std()) if np.ptp(x) else 0.0
 
 
 def _solver_counts(solvers: Counter) -> dict:
     """Manifest fields: how many spectra each solver computed, how many of
-    them were solved as a real matrix, and how many of those in two halves."""
+    them were solved as a real matrix, how many of those in two halves,
+    and how many took cycle_spectrum's coset route."""
     return {
         "spectra": {name: solvers[name] for name in ("eigvalsh", "eigvals")},
-        "real_form": solvers["real_form"],
-        "split": solvers["split"],
+        **{route: solvers[route] for route in ("real_form", "split", "coset")},
     }
 
 
@@ -142,14 +177,14 @@ def run_eig_errors(spec, flags):
         a_norm, kept = np.linalg.norm(a, "fro"), np.empty_like(b)
         stats.append([_eig_error_stats(a_norm, b, norms, reference, sel, solvers, kept) for sel in sels])
         sizes.append([len(sel) for sel in sels])
-    stats = np.array(stats)  # (trial, k, [mean, std, ratio])
+    stats = np.array(stats)  # (trial, k, [mean, std, ratio, certificate])
     sizes = np.array(sizes)  # (trial, k): cycles kept, k - 1 where k would split a tied pair
     rows = [
         (
             k,
             float(stats[:, j, 0].mean()),
             float(stats[:, j, 1].mean()),
-            float(stats[:, j, 0].std()),
+            _spread(stats[:, j, 0]),
             float(stats[:, j, 2].mean()),
         )
         for j, k in enumerate(cycles)
@@ -158,8 +193,12 @@ def run_eig_errors(spec, flags):
         {"k_cycles": k, "min": int(sizes[:, j].min()), "max": int(sizes[:, j].max())}
         for j, k in enumerate(cycles)
     ]
+    hw = [
+        {"k_cycles": k, "max_ratio": _largest(stats[:, j, 3])}
+        for j, k in enumerate(cycles)
+    ]
     header = ["k_cycles", "mean_rel_err", "std_rel_err", "std_rel_err_across", "frob_residual_ratio"]
-    return header, rows, {"cycles_kept": kept, **_solver_counts(solvers)}
+    return header, rows, {"cycles_kept": kept, "hoffman_wielandt": hw, **_solver_counts(solvers)}
 
 
 def run_eig_vs_n(spec, flags):
@@ -173,7 +212,7 @@ def run_eig_vs_n(spec, flags):
     if uneven:
         raise ConfigError(f"block size {spec.m} must divide every n of the sweep, not {uneven[0]}")
     solvers = Counter()
-    rows = []
+    rows, hw = [], []
     for n in sizes:
         stats = []
         for a, b in _trials(replace(spec, n=n), flags["trials"]):
@@ -182,10 +221,12 @@ def run_eig_vs_n(spec, flags):
             a_norm = np.linalg.norm(a, "fro")
             stats.append(_eig_error_stats(a_norm, b, cycle_norms(b), reference, sel, solvers))
         stats = np.array(stats)
+        hw.append({"n": n, "max_ratio": _largest(stats[:, 3])})
         rows.append(
             (n, float(stats[:, 0].mean()), float(stats[:, 1].mean()), float(stats[:, 2].mean()))
         )
-    return ["n", "mean_rel_err", "std_rel_err", "frob_residual_ratio"], rows, _solver_counts(solvers)
+    header = ["n", "mean_rel_err", "std_rel_err", "frob_residual_ratio"]
+    return header, rows, {"hoffman_wielandt": hw, **_solver_counts(solvers)}
 
 
 def run_sparsifier_compare(spec, flags):
@@ -198,8 +239,8 @@ def run_sparsifier_compare(spec, flags):
     nnz = k * n
     rows = []
     for t, (a, b) in enumerate(_trials(spec, flags["trials"])):
-        kept = keep_cycles(b, select_dominant_cycles(b, k).indices)
-        rows.append((t, "cycle", nnz, float(np.mean(np.abs(spectrum(kept))))))
+        approx = cycle_spectrum(b, select_dominant_cycles(b, k))
+        rows.append((t, "cycle", nnz, float(np.mean(np.abs(approx)))))
         rows.append((t, "direct", nnz, float(np.mean(np.abs(spectrum(direct_sparsify(a, nnz)))))))
     return ["trial", "method", "nnz", "mean_abs_eigenvalue"], rows, {}
 

@@ -640,6 +640,30 @@ class CycleSelection:
                 best, most = (L, w), cycles
         return best
 
+    def coset_envelope(self) -> tuple[int, int]:
+        """The outer coset envelope (L, w) of the selection: of the bands
+        G + {-w, ..., w} that contain it, the one with the fewest cycles,
+        L min(2w + 1, g), the smaller L on a tie.
+
+        For each divisor L, w is the largest distance of a selected cycle
+        j from G, min(j mod g, g - j mod g), in O(|S|).  A band has at
+        least L cycles, so the divisors stop at the fewest found so far.
+        """
+        ks = self.as_array()
+        best, fewest = (1, 0), self.n + 1
+        for L in range(1, self.n + 1):
+            if L >= fewest:
+                break
+            if self.n % L:
+                continue
+            g = self.n // L
+            r = ks % g
+            w = int(np.minimum(r, g - r).max(initial=0))
+            cycles = L * min(2 * w + 1, g)
+            if cycles < fewest:
+                best, fewest = (L, w), cycles
+        return best
+
     def complement(self) -> "CycleSelection":
         missing = sorted(set(range(self.n)) - set(self.indices))
         return CycleSelection(self.n, tuple(missing))

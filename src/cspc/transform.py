@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     CycleSelection,
+    NumericalError,
     Toeplitz,
     _column_walks,
     _cycle_ranges,
@@ -58,8 +59,22 @@ def similarity_transform(a) -> np.ndarray:
     The identity then holds exactly (core.reflection_defect is 0.0), and
     B agrees with the complex route to about eps * max|B|.  Both passes
     write into B in place, so beside B only O(n) is allocated.
+
+    B[0, 0] is the mean of A's entries, so a nan or inf anywhere in A
+    leaves it non-finite: NumericalError, from that one entry, and A is
+    never scanned.  The passes run with invalid operations unflagged,
+    since only a non-finite A has them.
     """
     a = require_square(a)
+    with np.errstate(invalid="ignore"):
+        b = _fourier_passes(a)
+    if not np.isfinite(b[0, 0]):
+        raise NumericalError(f"matrix is not finite: B[0, 0], the mean of its entries, reads {b[0, 0]}")
+    return b
+
+
+def _fourier_passes(a: np.ndarray) -> np.ndarray:
+    """similarity_transform's two passes, complex or real (see there)."""
     if not is_real(a):
         return np.fft.ifft(np.fft.fft(a, axis=0), axis=1)
     n = a.shape[0]

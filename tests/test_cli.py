@@ -294,12 +294,15 @@ def test_eig_errors_manifest_records_kept_cycles_and_solvers(tmp_path):
     # symmetric Toeplitz: the reference and every reflection-closed B~ are
     # Hermitian, one reference and one approximation per k and trial
     assert manifest["spectra"] == {"eigvalsh": trials * (1 + len(cycles)), "eigvals": 0}
-    # A is real and every kept B~ is reflection-closed, so each is solved
-    # through a real matrix
-    assert manifest["real_form"] == trials * (1 + len(cycles))
+    # k = 1 keeps cycle 0 alone, whose values are the eigenvalues (the
+    # coset route); every wider band is left to the dense route
+    assert manifest["coset"] == trials
+    # A is real and every other kept B~ is reflection-closed, so each is
+    # solved through a real matrix
+    assert manifest["real_form"] == trials * len(cycles)
     # and each of those in two halves: A is centrosymmetric (split by J),
     # and the real form of every B~ commutes with G = H J H
-    assert manifest["split"] == trials * (1 + len(cycles))
+    assert manifest["split"] == trials * len(cycles)
 
 
 @pytest.mark.parametrize("seed", [1, 38, 64])
@@ -324,17 +327,78 @@ def test_eig_vs_n_sweep(tmp_path):
     assert header == ["n", "mean_rel_err", "std_rel_err", "frob_residual_ratio"]
     assert [r[0] for r in rows] == ["100", "200"]
     # symmetric block-Toeplitz, m = 5, with its coset of cycles {j n/5}:
-    # every spectrum is Hermitian and has a real form, a reference and an
-    # approximation per n and trial
+    # every spectrum is Hermitian, a reference and an approximation per n
+    # and trial.  Each reference has a real form; each approximation is
+    # n / 5 blocks of 5 x 5 (the coset route)
     manifest = json.loads((tmp_path / "vsn.csv.manifest.json").read_text())
     assert manifest["spectra"] == {"eigvalsh": 2 * 2 * 2, "eigvals": 0}
-    assert manifest["real_form"] == 2 * 2 * 2
-    # a block-Toeplitz A with m = 5 is not centrosymmetric, so neither it
-    # nor its B~ splits in half
+    assert manifest["real_form"] == 2 * 2
+    assert manifest["coset"] == 2 * 2
+    # a block-Toeplitz A with m = 5 is not centrosymmetric, so it does not
+    # split in half
     assert manifest["split"] == 0
     assert _run(["eig-vs-n", "--n", "50", "--out", tmp_path / "y.csv"]) == 2
     for trials in ("0", "-1"):
         assert _run(["eig-vs-n", "--n", "200", "--trials", trials, "--out", tmp_path / "y.csv"]) == 2
+
+
+def _certificates(path):
+    return json.loads(Path(f"{path}.manifest.json").read_text())["hoffman_wielandt"]
+
+
+def test_hoffman_wielandt_certificate_in_the_manifest(tmp_path):
+    # symmetric Toeplitz: every row is Hermitian, so each records its
+    # largest |lambda - lambda~|_2 / |B - B~|_F, at most 1; the k = n row
+    # drops nothing and records null
+    out = tmp_path / "errs.csv"
+    n = 64
+    assert _run(["eig-errors", "--n", n, "--cycles", "1,3,9,64", "--trials", 3, "--seed", 5, "--out", out]) == 0
+    hw = _certificates(out)
+    assert [row["k_cycles"] for row in hw] == [1, 3, 9, 64]
+    assert all(0 < row["max_ratio"] <= 1 for row in hw[:-1])
+    assert hw[-1]["max_ratio"] is None
+    # by hand, trial by trial, for k = 3
+    ratios = []
+    for seed in _trial_seeds(5, 3):
+        a, _ = generate(StructuredMatrixSpec(kind="toeplitz", n=n, seed=seed, symmetric=True))
+        b = similarity_transform(a)
+        sel = select_dominant_cycles(b, 3)
+        approx = np.linalg.eigvalsh(b * np.isin((np.subtract.outer(range(n), range(n))) % n, sel.indices))
+        delta = np.linalg.norm([np.linalg.norm(apply_cycle_mask(b, j)) for j in sel.complement()])
+        ratios.append(np.linalg.norm(np.linalg.eigvalsh(a) - approx) / delta)
+    assert hw[1]["max_ratio"] == pytest.approx(max(ratios), rel=1e-9)
+    # eig-vs-n: one Hermitian row per n
+    out = tmp_path / "vsn.csv"
+    assert _run(["eig-vs-n", "--n", 300, "--trials", 2, "--seed", 3, "--out", out]) == 0
+    hw = _certificates(out)
+    assert [row["n"] for row in hw] == [100, 200, 300]
+    assert all(0 < row["max_ratio"] <= 1 for row in hw)
+
+
+def test_hoffman_wielandt_certificate_is_null_without_hermitian_spectra(tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"kind": "toeplitz", "n": 24, "seed": 1}))
+    out = tmp_path / "errs.csv"
+    assert _run(["eig-errors", "--spec", spec_file, "--cycles", "1,5", "--trials", 2, "--out", out]) == 0
+    assert [row["max_ratio"] for row in _certificates(out)] == [None, None]
+
+
+@pytest.mark.parametrize("experiment", ["eig-errors", "eig-vs-n"])
+def test_hoffman_wielandt_violation_exits_3(experiment, tmp_path, monkeypatch, capsys):
+    # an approximate spectrum moved further than |B - B~|_F allows means a
+    # route or a solver is wrong
+    solve = cspc.cli.cycle_spectrum
+
+    def moved(b, sel, solvers=None, out=None):
+        values = solve(b, sel, solvers, out)
+        values[-1] += 2 * np.linalg.norm(b)
+        return values
+
+    monkeypatch.setattr(cspc.cli, "cycle_spectrum", moved)
+    flags = ["--cycles", "3"] if experiment == "eig-errors" else []
+    args = [experiment, "--n", 100, *flags, "--trials", 1, "--seed", 1, "--out", tmp_path / "x.csv"]
+    assert _run(args) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_eig_vs_n_needs_a_block_size_that_divides_every_n(tmp_path, capsys):

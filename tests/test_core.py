@@ -706,6 +706,73 @@ def test_coset_band_is_the_largest_band_inside(n):
         assert CycleSelection(n, tuple(indices)).coset_band() == want, indices
 
 
+@pytest.mark.parametrize(
+    "spec,envelopes",
+    [
+        (
+            StructuredMatrixSpec(kind="block_toeplitz", n=1000, m=5, symmetric=True, seed=2),
+            [(5, 0), (5, 1), (5, 2), (5, 4)],
+        ),
+        (
+            StructuredMatrixSpec(kind="toeplitz", n=1000, symmetric=True, seed=1),
+            [(1, 2), (1, 7), (1, 12), (1, 22)],
+        ),
+        # unions such as {0, 400, 500, 600}: not coset bands, but inside one
+        (
+            StructuredMatrixSpec(kind="quasi_periodic", n=1000, periods=(2, 5), seed=1),
+            [(10, 0), (10, 1), (10, 3), (10, 5)],
+        ),
+    ],
+    ids=["block_toeplitz", "toeplitz", "quasi_periodic"],
+)
+def test_coset_envelope_of_dominant_selections(spec, envelopes):
+    a, _ = generate(spec)
+    sels = selections_from_norms(_dominant_norms(a), [5, 15, 25, 45])
+    assert [sel.coset_envelope() for sel in sels] == envelopes
+
+
+@pytest.mark.parametrize(
+    "n,indices,envelope",
+    [
+        (1, [0], (1, 0)),
+        (12, [], (1, 0)),
+        (12, [0], (1, 0)),
+        (12, [5], (2, 1)),  # the odd coset's band, 6 cycles, against 11 for L = 1
+        (12, [4], (3, 0)),
+        (12, [1, 11], (1, 1)),  # cycle 0 need not be selected
+        (12, [0, 4, 8], (3, 0)),
+        (12, [0, 1, 4], (1, 4)),  # 9 cycles; L = 3 and w = 1 also has 9
+        (12, [0, 1, 6, 7], (2, 1)),  # 6 cycles; L = 1 needs all 12
+        (12, range(12), (1, 6)),
+        # ties: {0, 1} fits in L = 1, w = 1 and in the whole group of L = 3;
+        # {0, 1, 2} in L = 1, w = 1 and in L = 3, w = 0: the smaller L
+        (3, [0, 1], (1, 1)),
+        (3, [0, 1, 2], (1, 1)),
+        (2, [0, 1], (1, 1)),
+        (12, [0, 1, 3, 6, 9], (1, 6)),  # every L = 1, 2, 3, 4 needs all 12
+    ],
+)
+def test_coset_envelope_cases(n, indices, envelope):
+    assert CycleSelection(n, tuple(indices)).coset_envelope() == envelope
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coset_envelope_is_the_smallest_band_around(n):
+    # against the definition: every (L, w) whose band holds the selection,
+    # ranked by its size, then by the smaller L
+    for bits in range(1 << n):
+        indices = [j for j in range(n) if bits >> j & 1]
+        around = []
+        for size in (d for d in range(1, n + 1) if n % d == 0):
+            g = n // size
+            for w in range(g):
+                band = {(s * g + o) % n for s in range(size) for o in range(-w, w + 1)}
+                if set(indices) <= band:
+                    around.append((len(band), size, w))
+        _, size, w = min(around)
+        assert CycleSelection(n, tuple(indices)).coset_envelope() == (size, w), indices
+
+
 def test_every_export_resolves():
     # a deleted class must not linger in any __all__
     import importlib

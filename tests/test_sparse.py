@@ -24,6 +24,7 @@ from cspc.sparse import (
     SparseCycleMatrix,
     _real_form,
     bauer_fike_bound,
+    cycle_spectrum,
     direct_sparsify,
     eigen_error_report,
     pd_sufficient_check,
@@ -606,3 +607,118 @@ def test_pd_check_fails_on_dominant_off_diagonal():
     rep = pd_sufficient_check(sp)
     assert not rep.holds
     assert rep.margin < 0
+
+
+def _coset(n, L, w=0):
+    """The coset band G + {-w, ..., w} of the L multiples of n / L."""
+    return CycleSelection.of(n, [(s * (n // L) + d) % n for s in range(L) for d in range(-w, w + 1)])
+
+
+def _spec(kind, n, symmetric, m=None):
+    fields = {"m": m} if m else {}
+    return StructuredMatrixSpec(kind=kind, n=n, seed=n, symmetric=symmetric, **fields)
+
+
+@pytest.mark.parametrize(
+    "spec,L,w,route,solver",
+    [
+        # L = 1, w = 0: cycle 0 is the spectrum
+        (_spec("toeplitz", 256, True), 1, 0, "coset", "eigvalsh"),
+        (_spec("toeplitz", 255, True), 1, 0, "coset", "eigvalsh"),
+        (_spec("toeplitz", 255, False), 1, 0, "coset", "eigvals"),
+        # L = 5: 5 x 5 blocks
+        (_spec("block_toeplitz", 1000, True, 5), 5, 0, "coset", "eigvalsh"),
+        (_spec("block_toeplitz", 1005, True, 5), 5, 0, "coset", "eigvalsh"),
+        (_spec("block_toeplitz", 200, False, 5), 5, 0, "coset", "eigvals"),
+        # g = 4 cosets are the fewest the coset route takes
+        (_spec("toeplitz", 256, True), 64, 0, "coset", "eigvalsh"),
+        (_spec("toeplitz", 96, False), 24, 0, "coset", "eigvals"),
+        # g = 2 and 3 are left to the dense route, through its real form
+        (_spec("toeplitz", 256, True), 128, 0, None, "eigvalsh"),
+        (_spec("toeplitz", 99, True), 33, 0, None, "eigvalsh"),
+        # w > 0, Hermitian or not: the dense route
+        (_spec("toeplitz", 1000, True), 1, 1, None, "eigvalsh"),
+        (_spec("toeplitz", 257, True), 1, 1, None, "eigvalsh"),
+        (_spec("block_toeplitz", 1000, True, 5), 5, 1, None, "eigvalsh"),
+        (_spec("toeplitz", 512, False), 1, 1, None, "eigvals"),
+    ],
+)
+def test_cycle_spectrum_routes_agree_with_the_dense_route(spec, L, w, route, solver):
+    b = similarity_transform(generate(spec)[0])
+    sel = _coset(spec.n, L, w)
+    assert sel.coset_envelope() == (L, w)
+    solvers, dense_solvers = Counter(), Counter()
+    got = cycle_spectrum(b, sel, solvers)
+    want = spectrum(keep_cycles(b, sel.indices), dense_solvers)
+    assert got.dtype == want.dtype == (np.float64 if solver == "eigvalsh" else np.complex128)
+    if route is None:
+        assert solvers == dense_solvers
+        assert np.array_equal(got, want)
+        return
+    assert solvers == Counter({solver: 1, route: 1})
+    scale = np.abs(want).max()
+    if solver == "eigvalsh":
+        assert np.all(np.diff(got) >= 0)
+        gap = np.abs(got - want).max()
+    else:
+        rows, cols = scipy.optimize.linear_sum_assignment(np.abs(want[:, None] - got[None, :]))
+        gap = np.abs(want[rows] - got[cols]).max()
+    assert gap <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12])
+def test_cycle_spectrum_on_every_selection_of_a_small_matrix(n):
+    # tiny n take the coset route or the dense one; each agrees with spectrum
+    b = _random_b(n, n)
+    hermitian = b + b.conj().T
+    for m in (b, hermitian):
+        for bits in range(1, 1 << n, max(1, (1 << n) // 300)):
+            sel = CycleSelection.of(n, [j for j in range(n) if bits >> j & 1])
+            got = cycle_spectrum(m, sel)
+            want = spectrum(keep_cycles(m, sel.indices))
+            assert got.dtype == want.dtype
+            rows, cols = scipy.optimize.linear_sum_assignment(np.abs(want[:, None] - got[None, :]))
+            assert np.abs(want[rows] - got[cols]).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def test_cycle_spectrum_dense_route_writes_into_out():
+    n = 64
+    b = similarity_transform(generate(_spec("toeplitz", n, True))[0])
+    sel = _coset(n, 1, 4)
+    out = np.empty_like(b)
+    got = cycle_spectrum(b, sel, out=out)
+    assert np.array_equal(out, keep_cycles(b, sel.indices))
+    assert np.array_equal(got, spectrum(out))
+    with pytest.raises(ValueError):
+        cycle_spectrum(b, CycleSelection.of(n + 1, [0]))
+
+
+def test_cycle_spectrum_rejects_non_finite_kept_values():
+    # a nan on cycle 0, and entries whose squares overflow: the coset
+    # route raises what the dense route raises for the same B~
+    b = similarity_transform(generate(_spec("block_toeplitz", 200, True, 5))[0])
+    sel = _coset(200, 5)
+    nan = b.copy()
+    nan[0, 0] = np.nan
+    for m in (nan, 1e155 * b):
+        for solve in (lambda: cycle_spectrum(m, sel), lambda: spectrum(keep_cycles(m, sel.indices))):
+            with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+                solve()
+
+
+def test_coset_route_memory():
+    # the m = 5 block coset at n = 1000: the (200, 5, 5) stack, where the
+    # masked n x n matrix alone is 16 MB
+    n = 1000
+    b = similarity_transform(generate(_spec("block_toeplitz", n, True, 5))[0])
+    sel = _coset(n, 5)
+    peaks = []
+    for solve in (lambda: cycle_spectrum(b, sel), lambda: keep_cycles(b, sel.indices)):
+        tracemalloc.start()
+        try:
+            solve()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2 * 2**20
+    assert peaks[1] >= n * n * 16

@@ -51,6 +51,22 @@ def test_real_route_matches_complex_formula(n):
     assert np.array_equal(similarity_transform(c), np.fft.ifft(np.fft.fft(c, axis=0), axis=1))
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [1, 7, 8])
+def test_similarity_transform_rejects_non_finite_input(n, bad, real):
+    # B[0, 0] is the mean of A's entries: one bad entry anywhere reaches it
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((n, n))
+    for where in {(0, 0), (0, n - 1), (n - 1, 0), (n // 2, (n - 1) // 2 + n // 3)}:
+        bad_a = a.copy()
+        bad_a[where] = bad
+        with pytest.raises(NumericalError):
+            similarity_transform(bad_a)
+
+
 def test_real_route_memory():
     # B itself, the half spectrum of n // 2 + 1 rows and FFT scratch
     n = 1024
