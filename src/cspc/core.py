@@ -24,7 +24,9 @@ same order, which the tests check entry for entry.  A per-cycle value
 goes back onto the matrix through a strided circulant view, entry (p, q)
 reading the value of cycle (p - q) mod n: keep_cycles, the one way a set
 of cycles becomes an n x n matrix, masks with the view of the set's
-indicator.
+indicator (sparse.cycle_spectrum's dense route forms B~ so), and the
+heatmap experiment (cli) divides each entry by its cycle's peak through
+the view of the peaks.
 
 Toeplitz is the one representation of a Toeplitz matrix: its 2n - 1
 diagonals, from which its product, norms and the entries of its
@@ -161,15 +163,19 @@ def _mirror_defect(m: np.ndarray, mirror) -> float:
 
     mirror(r, out) writes the rows r (a slice) of conj(M) into out.
     Summed over blocks of 32 rows through one 32 x n buffer, so nothing of
-    size n x n is formed.  Each block's rows are checked finite before
-    their difference is taken, so no inf - inf or inf / inf is evaluated.
+    size n x n is formed.  m may also be a stack of matrices, its rows
+    then the entries of its first axis (sparse.cycle_spectrum's coset
+    stack), and the buffer holds 32 of them.  Each block's rows are
+    checked finite before their difference is taken, so no inf - inf or
+    inf / inf is evaluated.
     """
     n = m.shape[0]
-    buf = np.empty((min(n, _DEFECT_BLOCK_ROWS), n), m.dtype)
+    buf = np.empty((min(n, _DEFECT_BLOCK_ROWS), *m.shape[1:]), m.dtype)
     diff2 = norm2 = 0.0
     for r0 in range(0, n, _DEFECT_BLOCK_ROWS):
         r = slice(r0, min(r0 + _DEFECT_BLOCK_ROWS, n))
-        norm2 = _finite_matrix(norm2 + np.linalg.norm(m[r]) ** 2)
+        with np.errstate(over="ignore"):  # an overflow reads inf, and raises here
+            norm2 = _finite_matrix(norm2 + np.linalg.norm(m[r]) ** 2)
         diff = buf[: r.stop - r0]
         mirror(r, diff)
         diff2 += np.linalg.norm(np.subtract(m[r], diff, out=diff)) ** 2
@@ -340,7 +346,8 @@ class Toeplitz:
     def hermitian_defect(self) -> float:
         """core.hermitian_defect of A, from the diagonals; 0.0 for A = 0,
         NumericalError when A is not finite."""
-        norm = _finite_matrix(self.frobenius_norm())
+        with np.errstate(over="ignore"):  # an overflow reads inf, and raises here
+            norm = _finite_matrix(self.frobenius_norm())
         return self._weighted_norm(self.t - self.t[::-1].conj()) / norm if norm else 0.0
 
     @cached_property
@@ -369,15 +376,17 @@ class Toeplitz:
         """The l2 norms of all n cycles of W A W*, from one real FFT of
         |u|^2; cycles j and n - j come out bit-identical.  NumericalError
         if any of them is not finite."""
-        u, h0 = self._terms()
         n = self.n
-        w = np.abs(u) ** 2
-        f = np.fft.rfft(w).real
         j = np.arange(1, n)
         norms = np.empty(n)
-        norms[0] = np.linalg.norm(h0) / np.sqrt(n)
-        # sum w (1 - cos) >= 0 in exact arithmetic; roundoff may dip below
-        energy = np.maximum(w.sum() - f[np.minimum(j, n - j)], 0.0)
+        # an overflow, or an inf diagonal's inf - inf, reads inf or nan, and _finite_norms raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, h0 = self._terms()
+            w = np.abs(u) ** 2
+            f = np.fft.rfft(w).real
+            norms[0] = np.linalg.norm(h0) / np.sqrt(n)
+            # sum w (1 - cos) >= 0 in exact arithmetic; roundoff may dip below
+            energy = np.maximum(w.sum() - f[np.minimum(j, n - j)], 0.0)
         norms[1:] = np.sqrt(energy / (2 * n * self._sines(j) ** 2))
         return _finite_norms(norms)
 
@@ -558,10 +567,11 @@ def cycle_norms(a) -> np.ndarray:
     norms = np.empty(a.shape[0])
     for ks, block in iter_cycle_blocks(a):
         re = block.real
-        sq = np.matmul(re[:, None, :], re[:, :, None])
-        if np.iscomplexobj(block):
-            im = block.imag
-            sq += np.matmul(im[:, None, :], im[:, :, None])
+        with np.errstate(over="ignore"):  # an overflow reads inf, and _finite_norms raises
+            sq = np.matmul(re[:, None, :], re[:, :, None])
+            if np.iscomplexobj(block):
+                im = block.imag
+                sq += np.matmul(im[:, None, :], im[:, :, None])
         np.sqrt(sq[:, 0, 0], out=norms[ks.start : ks.stop])
     return _finite_norms(norms)
 

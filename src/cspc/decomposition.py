@@ -23,6 +23,9 @@ the cycles of A concentrate on a frequency set S equals the share of
 |B|_F^2 that B = W A W* carries on the reflected cycle set T (index_reflect
 of S).  dominance_relation computes both sides and checks them against
 each other.
+
+The Toeplitz closed forms, toeplitz_s0 and toeplitz_partial_energy, are
+exact; the tests hold them to FFT oracles at 1e-9.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ are built here:
   are near-diagonal, L = 1 ({0, 1, n-1}, {0, 1, 2, n-2, n-1}), or
   subgroups, w = 0 ({0, n/m, 2n/m, ...}): at n = 1000-2048 and k <= 16,
   the LU factors held 1.1-3.3x the nnz of S, so factoring and solving
-  cost far less than a dense LU.  Selections spread over the whole
+  ran 20-1200x faster than a dense LU.  Selections spread over the whole
   index range fill in toward dense: at n = 2048 with 16 random cycles,
   the factors held 93-96x nnz (about 0.75 n^2), and the sparse
-  factorization lost to a dense LU.  No caller produces such a
-  selection; it is not guarded.
+  factorization took 1.4-1.7 s against 0.41 s for a dense LU.  No caller
+  produces such a selection; it is not guarded.
 * Corner-block mask (T. Chan style): S keeps the full diagonal plus a
   dense s x s bottom-right corner, s maximal under the nonzero budget
   (n - s) + s^2.  At s = 1 the two coincide (single dominant cycle of a
@@ -79,7 +79,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .core import ConfigError, CycleSelection, NumericalError
 from .sparse import SparseCycleMatrix, selections_from_norms
@@ -122,7 +121,11 @@ class MaskPreconditioner:
     P S P^T = L D L* with D the diagonal of U.  By Sylvester's law of
     inertia S is positive definite exactly when every pivot is positive;
     min_pivot is the smallest one, at least lambda_min(S) when S is PD,
-    and its sign is the certificate (certified).  S is Hermitian to
+    and its sign is the certificate (certified), read from the factor
+    the build needs anyway, so no eigensolve runs.  It is the one
+    definiteness measure a mask carries: the weaker
+    sparse.pd_sufficient_check reads -3.2e-4 on Example 1's tapered k = 3
+    mask at n = 2048, which the pivots certify.  S is Hermitian to
     roundoff, so the pivots are real to roundoff and their real parts are
     read.  A zero diagonal pivot makes SuperLU pivot off the diagonal
     (perm_r != perm_c); S is then not PD and min_pivot reads 0.0.  Any
@@ -259,6 +262,8 @@ def corner_block_side(n: int, nnz_budget: int) -> int:
 
 
 def build_tchan_preconditioner(a, nnz_budget: int) -> MaskPreconditioner:
+    import scipy.sparse  # on first use, as in SparseCycleMatrix.to_scipy
+
     reader = read(a)
     n = reader.n
     s = corner_block_side(n, nnz_budget)

@@ -235,7 +235,8 @@ class Dense:
         bit-identical.  NumericalError if any of them is not finite."""
         n = self.n
         real = is_real(self.a)
-        power = sum((np.abs(spectra) ** 2).sum(axis=0) for _, spectra in _walk_spectra(self.a, real))
+        with np.errstate(over="ignore"):  # an overflow reads inf, and _finite_norms raises
+            power = sum((np.abs(spectra) ** 2).sum(axis=0) for _, spectra in _walk_spectra(self.a, real))
         if real:  # the rfft's bins 0 .. n // 2; |bin j| = |bin n - j|
             power = power[np.minimum(np.arange(n), n - np.arange(n))]
         return _finite_norms(np.sqrt(n * power))

@@ -59,9 +59,10 @@ def test_parser_covers_all_experiments():
 
 
 def test_import_loads_only_the_scipy_modules_a_run_needs():
-    # scipy.optimize (complex matching) and scipy.sparse.linalg (which loads
-    # scipy.linalg; mask preconditioners) are imported where they are used
-    lazy = ("scipy.linalg", "scipy.optimize", "scipy.sparse.linalg")
+    # scipy.optimize (complex matching), scipy.sparse (mask preconditioners)
+    # and scipy.sparse.linalg (which loads scipy.linalg) are imported where
+    # they are used
+    lazy = ("scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")
     code = f"import sys, cspc.cli; print([m for m in {lazy!r} if m in sys.modules])"
     src = str(Path(cspc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +26,14 @@ from cspc.core import (
     require_square,
 )
 from cspc.generators import StructuredMatrixSpec, SymbolSpec, gen_example1, generate
-from cspc.sparse import select_dominant_cycles, selections_from_norms, sparsify
-from cspc.transform import similarity_transform
+from cspc.sparse import (
+    cycle_spectrum,
+    select_dominant_cycles,
+    selections_from_norms,
+    sparsify,
+    spectrum,
+)
+from cspc.transform import Dense, similarity_transform
 
 MAGIC = np.array([[8, 1, 6], [3, 5, 7], [4, 9, 2]], dtype=float)
 
@@ -266,6 +273,33 @@ def test_nonfinite_cycle_norms_raise():
     t[20] = np.nan
     with pytest.raises(NumericalError, match="has norm nan"):
         Toeplitz(t).cycle_norms()
+
+
+_BIG = 1e155 * np.eye(4)  # finite, but its squares overflow
+_INF_DIAGONAL = np.ones(15)
+_INF_DIAGONAL[3] = np.inf
+# every reader that checks a squared sum finite
+_SQUARED_SUMS = {
+    "hermitian_defect": lambda: hermitian_defect(_BIG),
+    "reflection_defect": lambda: reflection_defect(_BIG),
+    "toeplitz_hermitian_defect": lambda: Toeplitz(1e155 * np.ones(7)).hermitian_defect(),
+    "cycle_norms": lambda: cycle_norms(_BIG),
+    "toeplitz_cycle_norms": lambda: Toeplitz(1e155 * np.ones(7)).cycle_norms(),
+    "toeplitz_cycle_norms_inf": lambda: Toeplitz(_INF_DIAGONAL).cycle_norms(),
+    "dense_cycle_norms": lambda: Dense(_BIG).cycle_norms(),
+    "spectrum": lambda: spectrum(_BIG),
+    "cycle_spectrum": lambda: cycle_spectrum(1e155 * np.eye(8), CycleSelection.of(8, [0])),
+}
+
+
+@pytest.mark.parametrize("read", _SQUARED_SUMS.values(), ids=_SQUARED_SUMS.keys())
+def test_squared_sums_past_overflow_raise_with_no_warning(read):
+    # an overflow (or inf - inf) ahead of the finite check is not flagged:
+    # NumericalError is the one signal, here and under python -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            read()
 
 
 def _cycle_sets(n, rng):

@@ -203,12 +203,31 @@ def test_spectrum_routes_by_hermitian_check(monkeypatch):
 
 
 def test_spectrum_maps_solver_failure(monkeypatch):
+    # spectrum and cycle_spectrum's coset route share one solve step: a
+    # solver that fails raises NumericalError and counts nothing, and one
+    # that succeeds is counted once
     def fail(m):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    with pytest.raises(NumericalError):
-        spectrum(np.eye(3))
+    general = np.random.default_rng(3).standard_normal((8, 8))
+    # cycles {0, 4} of n = 8: a stack of g = 4 blocks of 2 x 2
+    stack = CycleSelection.of(8, [0, 4])
+    cases = [
+        (lambda s: spectrum(np.eye(3), s), "eigvalsh", 0),
+        (lambda s: spectrum(general, s), "eigvals", 0),
+        (lambda s: cycle_spectrum(general + general.T, stack, s), "eigvalsh", 1),
+        (lambda s: cycle_spectrum(general, stack, s), "eigvals", 1),
+    ]
+    for solve, solver, coset in cases:
+        solvers = Counter()
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, solver, fail)
+            with pytest.raises(NumericalError, match="failed to converge"):
+                solve(solvers)
+        assert solvers == Counter()
+        solve(solvers)
+        assert solvers["eigvalsh"] + solvers["eigvals"] == solvers[solver] == 1
+        assert solvers["coset"] == coset
 
 
 def _complex_route(m):
@@ -702,7 +721,7 @@ def test_cycle_spectrum_rejects_non_finite_kept_values():
     nan[0, 0] = np.nan
     for m in (nan, 1e155 * b):
         for solve in (lambda: cycle_spectrum(m, sel), lambda: spectrum(keep_cycles(m, sel.indices))):
-            with np.errstate(over="ignore"), pytest.raises(NumericalError, match="not finite"):
+            with pytest.raises(NumericalError, match="not finite"):
                 solve()
 
 
